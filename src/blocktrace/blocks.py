@@ -98,13 +98,35 @@ def reshuffle(a: BlockMatrix) -> BlockMatrix:
     return from_blocks(a.n, a.m, a.as_blocks().transpose(2, 3, 0, 1))
 
 
+def kron_left(x, m: int) -> np.ndarray:
+    """Dense I_m (x) x for an n x n matrix x: x copied into the m diagonal
+    blocks of a zeroed (m, n, m, n) array."""
+    x = np.asarray(x)
+    n = x.shape[0]
+    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    diag = np.arange(m)
+    out[diag, :, diag, :] = x
+    return out.reshape(m * n, m * n)
+
+
+def kron_right(x, n: int) -> np.ndarray:
+    """Dense x (x) I_n for an m x m matrix x: x copied onto the n intra-block
+    diagonals of a zeroed (m, n, m, n) array."""
+    x = np.asarray(x)
+    m = x.shape[0]
+    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    diag = np.arange(n)
+    out[:, diag, :, diag] = x
+    return out.reshape(m * n, m * n)
+
+
 def embed_left(x, m: int) -> BlockMatrix:
     """I_m (x) x with block structure (m, n); x is n x n."""
     x = as_matrix(x)
-    return BlockMatrix(m, x.shape[0], np.kron(np.eye(m), x))
+    return BlockMatrix(m, x.shape[0], kron_left(x, m))
 
 
 def embed_right(x, n: int) -> BlockMatrix:
     """x (x) I_n with block structure (m, n); x is m x m."""
     x = as_matrix(x)
-    return BlockMatrix(x.shape[0], n, np.kron(x, np.eye(n)))
+    return BlockMatrix(x.shape[0], n, kron_right(x, n))

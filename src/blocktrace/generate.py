@@ -44,16 +44,18 @@ def ginibre(stream: Stream, rows: int, cols: int) -> np.ndarray:
     return stream.complex_gaussians((rows, cols))
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
 def random_psd(stream: Stream, size: int, rank: int | None = None) -> np.ndarray:
     """G G* with G a size x rank matrix of standard complex Gaussians."""
     g = ginibre(stream, size, rank if rank is not None else size)
-    a = g @ g.conj().T
-    return (a + a.conj().T) / 2
+    return _hermitian_part(g @ g.conj().swapaxes(-1, -2))
 
 
 def random_hermitian(stream: Stream, size: int) -> np.ndarray:
-    g = ginibre(stream, size, size)
-    return (g + g.conj().T) / 2
+    return _hermitian_part(ginibre(stream, size, size))
 
 
 def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.ndarray:
@@ -61,15 +63,17 @@ def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.n
 
     PPT by construction: the partial transpose transposes each Q_t, which
     preserves its positivity.  Separable states under-cover PPT-entangled
-    ones; good enough for instances that must certainly be PPT."""
+    ones; good enough for instances that must certainly be PPT.  On a
+    batched stream each term is one (batch, mn, mn) product, summed in place."""
     k = terms if terms is not None else m * n
-    acc = np.zeros((m * n, m * n), dtype=np.complex128)
+    batch = stream.batch
+    acc = np.zeros(batch + (m * n, m * n), dtype=np.complex128)
     weights = stream.doubles(k)
     for t in range(k):
-        p = random_psd(stream, m, rank=1)
-        q = random_psd(stream, n, rank=1)
-        acc += weights[t] * np.kron(p, q)
-    return (acc + acc.conj().T) / 2
+        p = random_psd(stream, m, rank=1)[..., :, None, :, None]
+        q = random_psd(stream, n, rank=1)[..., None, :, None, :]
+        acc += weights[..., t, None, None] * (p * q).reshape(batch + (m * n, m * n))
+    return _hermitian_part(acc)
 
 
 def matrix_unit_block(n: int) -> np.ndarray:
@@ -91,21 +95,29 @@ def ones_kron(m: int, n: int) -> np.ndarray:
 
 
 def gen(spec: GenSpec):
-    """Produce the instance a GenSpec describes; pure in the spec."""
+    """Produce the instance a GenSpec describes; pure in the spec.
+
+    A 1-D array of seeds gives the list of every seed's instance, drawn as
+    one stack; each equals the instance of its seed alone."""
     stream = Stream(spec.seed)
+    batched = bool(stream.batch)
     m, n = spec.m, spec.n
     if spec.kind == "psd":
-        return BlockMatrix(m, n, random_psd(stream, m * n, spec.rank))
-    if spec.kind == "ppt":
-        return BlockMatrix(m, n, random_ppt(stream, m, n))
-    if spec.kind == "hermitian":
-        return BlockMatrix(m, n, random_hermitian(stream, m * n))
-    if spec.kind == "gram-pair":
-        return ginibre(stream, m, n), ginibre(stream, m, n)
-    if spec.kind == "real-int":
-        return stream.integers(-spec.int_bound, spec.int_bound, (m, n))
-    if spec.kind == "matrix-unit-E":
-        return BlockMatrix(2, n, matrix_unit_block(n))
-    if spec.kind == "ones-kron":
-        return BlockMatrix(m, n, ones_kron(m, n))
-    raise AssertionError("unreachable")
+        dense = random_psd(stream, m * n, spec.rank)
+    elif spec.kind == "ppt":
+        dense = random_ppt(stream, m, n)
+    elif spec.kind == "hermitian":
+        dense = random_hermitian(stream, m * n)
+    elif spec.kind == "gram-pair":
+        pair = ginibre(stream, m, n), ginibre(stream, m, n)
+        return list(zip(*pair)) if batched else pair
+    elif spec.kind == "real-int":
+        x = stream.integers(-spec.int_bound, spec.int_bound, (m, n))
+        return list(x) if batched else x
+    else:
+        fixed = (BlockMatrix(2, n, matrix_unit_block(n)) if spec.kind == "matrix-unit-E"
+                 else BlockMatrix(m, n, ones_kron(m, n)))
+        return [fixed] * stream.batch[0] if batched else fixed
+    if batched:
+        return [BlockMatrix(m, n, x) for x in dense]
+    return BlockMatrix(m, n, dense)

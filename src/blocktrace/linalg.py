@@ -87,36 +87,6 @@ class Spectrum:
         return np.sort(out)[::-1]
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
-
-
-def conj_transpose(a) -> np.ndarray:
-    return as_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("trace needs a square matrix")
-    return complex(np.trace(a))
-
-
-def vec(x) -> np.ndarray:
-    """Row-major flattening of x into an (rows*cols) x 1 column,
-    [x_11, ..., x_1n, x_21, ..., x_mn]^T."""
-    return as_matrix(x).reshape(-1, 1)
-
-
 def hermitian_eigvals(a, tol: float = HERMITIAN_TOL) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
     a = require_hermitian(a, tol)

@@ -15,9 +15,10 @@ import numpy as np
 
 from .blocks import BlockMatrix, partial_transpose
 from .linalg import (
+    HERMITIAN_TOL,
     Spectrum,
+    as_matrix,
     hermitian_eigvals,
-    require_hermitian,
     scale_of,
     singular_values,
 )
@@ -52,10 +53,32 @@ class MajorizationVerdict:
 
 def is_psd(a, tol: float = PSD_TOL) -> OrderVerdict:
     """PSD test for a Hermitian matrix: witness is lambda_min."""
-    a = require_hermitian(a)
-    lam_min = float(hermitian_eigvals(a).values[-1]) if a.size else 0.0
+    a = as_matrix(a)
+    lam = hermitian_eigvals(a).values  # validates Hermiticity
+    lam_min = float(lam[-1]) if lam.size else 0.0
     tolerance = tol * scale_of(a)
     return OrderVerdict(lam_min >= -tolerance, lam_min, tolerance)
+
+
+def psd_verdicts(stack, tol: float = PSD_TOL) -> list:
+    """is_psd of every matrix in a (P, k, k) stack, with one eigvalsh call.
+
+    Each matrix gets is_psd's Hermitian check and its tolerance
+    tol * max(1, ||.||_F), so each verdict equals is_psd's on that matrix.
+    The stack goes to eigvalsh directly: hermitian_eigvals takes one matrix."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    scales = [scale_of(s) for s in stack]
+    defects = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for defect, scale in zip(defects, scales):
+        if defect > HERMITIAN_TOL * scale:
+            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    verdicts = []
+    for lam_min, scale in zip(np.linalg.eigvalsh(stack).min(axis=1).tolist(), scales):
+        tolerance = tol * scale
+        verdicts.append(OrderVerdict(lam_min >= -tolerance, lam_min, tolerance))
+    return verdicts
 
 
 def loewner_ge(a, b, tol: float = PSD_TOL) -> OrderVerdict:

@@ -3,18 +3,26 @@
 The k-th raw word for seed s is splitmix64(s + (k+1) * GAMMA) with the usual
 finalizer constants, so any counter range can be produced independently and
 the stream is reproducible bit-for-bit across platforms and languages.
+
+Every function also takes a 1-D array of seeds in place of one seed.  Each
+draw then gains a leading batch axis whose row i is bit-for-bit the draw for
+seed i alone, so a whole stack of trials costs one set of numpy calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+GAMMA = np.uint64(_GAMMA_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 
 _U64 = np.uint64
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -23,38 +31,76 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw words at counters [start, start+count) for the given seed."""
+def _mix_int(z: int) -> int:
+    """_mix on a Python int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seed_words(seed) -> np.ndarray:
+    """A seed, or a 1-D seed array as a column, reduced to uint64."""
+    if isinstance(seed, np.ndarray):
+        return seed.astype(np.uint64, copy=False)[:, None]
+    return _U64(int(seed) & _MASK64)
+
+
+def splitmix64(seed, start: int, count: int) -> np.ndarray:
+    """Raw words at counters [start, start+count) for the given seed; a seed
+    array gives one row of words per seed."""
     with np.errstate(over="ignore"):
         counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix((_U64(seed & 0xFFFFFFFFFFFFFFFF) + counters * GAMMA) & _MASK)
+        return _mix(_seed_words(seed) + counters * GAMMA)
 
 
-def derive_seed(base: int, *tokens) -> int:
-    """Stable sub-seed from a base seed and a mix of str/int tokens."""
-    h = np.uint64(base & 0xFFFFFFFFFFFFFFFF)
+def _token_bytes(tok) -> bytes:
+    if isinstance(tok, str):
+        return tok.encode("utf-8")
+    if isinstance(tok, int):
+        return tok.to_bytes(8, "little", signed=tok < 0)
+    raise TypeError(f"unsupported token type {type(tok)!r}")
+
+
+def derive_seed(base: int, *tokens):
+    """Stable sub-seed from a base seed and a mix of str/int tokens.
+
+    The last token may be an array of non-negative integers; the result is
+    then the uint64 array of the sub-seeds of each of its values."""
+    last = tokens[-1] if tokens else None
+    batch = isinstance(last, np.ndarray)
+    h = base & _MASK64
+    for tok in tokens[:-1] if batch else tokens:
+        for byte in _token_bytes(tok):
+            h = _mix_int(((h ^ byte) * _GAMMA_INT + _GAMMA_INT) & _MASK64)
+    if not batch:
+        return h
+    if last.dtype.kind not in "iu" or (last.size and last.min() < 0):
+        raise TypeError("an array token must hold non-negative integers")
+    values = last.astype(np.uint64)
+    out = np.full(values.shape, h, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for tok in tokens:
-            if isinstance(tok, str):
-                data = tok.encode("utf-8")
-            elif isinstance(tok, int):
-                data = tok.to_bytes(8, "little", signed=tok < 0)
-            else:
-                raise TypeError(f"unsupported token type {type(tok)!r}")
-            for byte in data:
-                h = _mix((h ^ _U64(byte)) * GAMMA + GAMMA)
-    return int(h)
+        for shift in range(0, 64, 8):  # the 8 little-endian bytes of each value
+            byte = (values >> _U64(shift)) & _U64(0xFF)
+            out = _mix((out ^ byte) * GAMMA + GAMMA)
+    return out
 
 
 class Stream:
     """Value-like stateful view over the counter-based stream.
 
     Copies are cheap; parallel trials take independent streams by deriving
-    distinct seeds, never by sharing one stream.
+    distinct seeds, never by sharing one stream.  A stream over a seed array
+    draws every seed's values at once, along a leading batch axis; all
+    slicing happens on the last axis so each row matches its seed's stream.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    def __init__(self, seed, counter: int = 0):
+        if isinstance(seed, np.ndarray):
+            self.seed = seed.astype(np.uint64)
+            self.batch = self.seed.shape
+        else:
+            self.seed = int(seed) & _MASK64
+            self.batch = ()
         self.counter = int(counter)
 
     def words(self, count: int) -> np.ndarray:
@@ -70,17 +116,17 @@ class Stream:
         """Standard normals via Box-Muller on consecutive double pairs."""
         pairs = (count + 1) // 2
         u = self.doubles(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[:pairs]))
-        theta = 2.0 * np.pi * u[pairs:]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:count]
+        r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+        theta = 2.0 * np.pi * u[..., pairs:]
+        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        return out[..., :count]
 
     def complex_gaussians(self, shape) -> np.ndarray:
         """Matrix of independent standard complex Gaussians (re, im ~ N(0,1))."""
         shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
         g = self.gaussians(2 * count)
-        return (g[:count] + 1j * g[count:]).reshape(shape)
+        return (g[..., :count] + 1j * g[..., count:]).reshape(self.batch + shape)
 
     def integers(self, low: int, high: int, shape) -> np.ndarray:
         """Uniform integers in [low, high] via rejection-free modular draw.
@@ -93,4 +139,4 @@ class Stream:
         count = int(np.prod(shape)) if shape else 1
         span = np.uint64(high - low + 1)
         vals = (self.words(count) % span).astype(np.int64) + low
-        return vals.reshape(shape)
+        return vals.reshape(self.batch + shape)

@@ -10,6 +10,7 @@ expected-failure cases hold when the violation is detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .blocks import (
     BlockMatrix,
     block_diag,
     j_block,
+    kron_left,
+    kron_right,
     partial_trace_1,
     partial_trace_2,
     partial_transpose,
@@ -24,7 +27,7 @@ from .blocks import (
 from .generate import GenSpec, gen, ginibre
 from .linalg import hermitian_eigvals, matrix_abs, scale_of, singular_values
 from .maps import apply_map_blockwise
-from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
+from .orders import PSD_TOL, is_psd, majorizes, psd_verdicts, sv_dominates
 from .rng import Stream, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -64,23 +67,18 @@ def _eye(k: int) -> np.ndarray:
     return np.eye(k, dtype=np.complex128)
 
 
-def _left(x, m: int) -> np.ndarray:
-    """I_m (x) x"""
-    return np.kron(_eye(m), x)
-
-
-def _right(x, n: int) -> np.ndarray:
-    """x (x) I_n"""
-    return np.kron(x, _eye(n))
+_left = kron_left  # I_m (x) x
+_right = kron_right  # x (x) I_n
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def _psd_part(label: str, slack: np.ndarray, tol: float) -> Part:
-    v = is_psd(_herm(slack), tol)
-    return Part(label, v.witness, v.holds)
+def _psd_parts(slacks, tol: float) -> list:
+    """One part per labeled slack matrix, all decided by one stacked eigvalsh."""
+    verdicts = psd_verdicts(_herm(np.stack([s for _, s in slacks])), tol)
+    return [Part(label, v.witness, v.holds) for (label, _), v in zip(slacks, verdicts)]
 
 
 def _maj_part(label: str, x, y, tol: float) -> Part:
@@ -152,14 +150,6 @@ class Derived:
     def lam_min(self):
         return float(self.lam.values[-1])
 
-    @property
-    def tr1_tau(self):
-        return self._get("tr1_tau", lambda: partial_trace_1(partial_transpose(self.a)))
-
-    @property
-    def tr2_tau(self):
-        return self._get("tr2_tau", lambda: partial_trace_2(partial_transpose(self.a)))
-
 
 def _blocks_2x2(a: BlockMatrix):
     """(A, B, C) of a 2x2 block instance [[A, B], [B*, C]]."""
@@ -225,15 +215,15 @@ def choi_block(a: BlockMatrix) -> BlockMatrix:
 
 
 def _sb_choi_tr1(d):
-    return [("main", _left(d.tr1_tau, d.m) - d.tau)]
+    return [("main", _left(d.tr1, d.m) - d.tau)]
 
 
 def _sb_li_tr1_improved(d):
-    return [("main", _left(d.tr1_tau, d.m) + d.tau - 2 * d.d_a)]
+    return [("main", _left(d.tr1, d.m) + d.tau - 2 * d.d_a)]
 
 
 def _sb_tr1_sandwich(d):
-    mid = _left(d.tr1_tau, d.m) + d.tau
+    mid = _left(d.tr1, d.m) + d.tau
     return [
         ("upper", (d.m - 1) * d.lam_max * d.identity + 2 * d.d_a - mid),
         ("lower", mid - (d.m - 1) * d.lam_min * d.identity - 2 * d.d_a),
@@ -241,15 +231,15 @@ def _sb_tr1_sandwich(d):
 
 
 def _sb_tr1_lambda_min(d):
-    return [("main", _left(d.tr1_tau, d.m) + d.tau - (d.m - 1) * d.lam_min * d.identity)]
+    return [("main", _left(d.tr1, d.m) + d.tau - (d.m - 1) * d.lam_min * d.identity)]
 
 
 def _sb_tr2_hadamard(d):
-    return [("main", _right(d.tr2_tau, d.n) + d.tau - 2 * (d.tau * d.jb))]
+    return [("main", _right(d.tr2.T, d.n) + d.tau - 2 * (d.tau * d.jb))]
 
 
 def _sb_tr2_sandwich(d):
-    mid = _right(d.tr2_tau, d.n) + d.tau
+    mid = _right(d.tr2.T, d.n) + d.tau
     had = d.tau * d.jb
     return [
         ("upper", (d.n - 1) * d.lam_max * d.identity + 2 * had - mid),
@@ -258,11 +248,11 @@ def _sb_tr2_sandwich(d):
 
 
 def _sb_tr2_lambda_min(d):
-    return [("main", _right(d.tr2_tau, d.n) + d.tau - (d.n - 1) * d.lam_min * d.identity)]
+    return [("main", _right(d.tr2.T, d.n) + d.tau - (d.n - 1) * d.lam_min * d.identity)]
 
 
 def _sb_choi_tr2_pm(d):
-    base = _right(d.tr2_tau, d.n)
+    base = _right(d.tr2.T, d.n)
     return [("plus", base - d.tau), ("minus", base + d.tau)]
 
 
@@ -756,20 +746,36 @@ def case_ids() -> list:
 # instances and case execution
 
 
-def make_instance(case_id: str, m: int, n: int, seed: int):
+def _psd_instances(m: int, n: int, seed):
+    """psd instances: seeds divisible by 5 draw rank mn/2 instead of full
+    rank, to exercise boundary eigenvalues.  A seed array draws one stack
+    per rank."""
+    half = max(1, (m * n) // 2)
+    if np.ndim(seed) == 0:
+        return gen(GenSpec("psd", m=m, n=n, seed=seed, rank=half if seed % 5 == 0 else None))
+    low = seed % 5 == 0
+    out = [None] * len(seed)
+    for mask, rank in ((~low, None), (low, half)):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            for j, inst in zip(idx, gen(GenSpec("psd", m=m, n=n, seed=seed[idx], rank=rank))):
+                out[j] = inst
+    return out
+
+
+def make_instance(case_id: str, m: int, n: int, seed):
     """Instance of the case's input class at the given dims.
 
     2x2-block cases fix the block count at 2 and use n as block size;
     gram-pair cases yield factors of shape (n, m); the fixed classes are
     deterministic constructions (the square-X corollary draws a seeded
-    square matrix of size n)."""
+    square matrix of size n).  A 1-D array of seeds gives the list of each
+    seed's instance, drawn as stacks."""
     case = REGISTRY[case_id]
     cls = case.input_class
+    batched = np.ndim(seed) > 0
     if cls == "psd":
-        rank = None
-        if seed % 5 == 0:  # exercise boundary eigenvalues now and then
-            rank = max(1, (m * n) // 2)
-        return gen(GenSpec("psd", m=m, n=n, seed=seed, rank=rank))
+        return _psd_instances(m, n, seed)
     if cls == "hermitian":
         return gen(GenSpec("hermitian", m=m, n=n, seed=seed))
     if cls == "ppt":
@@ -782,11 +788,13 @@ def make_instance(case_id: str, m: int, n: int, seed: int):
         return gen(GenSpec("real-int", m=m, n=n, seed=seed, int_bound=100))
     if cls == "fixed":
         if case_id == "psi-not-2-positive":
-            return gen(GenSpec("matrix-unit-E", n=n))
+            return gen(GenSpec("matrix-unit-E", n=n, seed=seed))
         if case_id == "eq18-matrix":
-            return BlockMatrix(m, n, np.zeros((m * n, m * n), dtype=np.complex128))
+            zero = BlockMatrix(m, n, np.zeros((m * n, m * n), dtype=np.complex128))
+            return [zero] * len(seed) if batched else zero
         if case_id == "abs-block-corollary":
-            return ginibre(Stream(seed), n, n)
+            x = ginibre(Stream(seed), n, n)
+            return list(x) if batched else x
         raise ValueError(f"no fixed construction for case {case_id!r}")
     raise ValueError(f"unknown input class {cls!r}")
 
@@ -824,9 +832,9 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
         m, n = instance.shape
     misses = 0
     if case_id in SLACK_BUILDERS:
-        parts = [_psd_part(label, s, tol) for label, s in SLACK_BUILDERS[case_id](payload)]
+        parts = _psd_parts(SLACK_BUILDERS[case_id](payload), tol)
     elif case_id in DERIVED_BUILDERS:
-        parts = [_psd_part(label, s, tol) for label, s in build_slack(case_id, instance)]
+        parts = _psd_parts(build_slack(case_id, instance), tol)
     else:
         out = case.fn(payload, tol)
         if isinstance(out, tuple):
@@ -858,14 +866,52 @@ class RunConfig:
             raise KeyError(f"unknown case ids: {', '.join(unknown)}")
 
 
+# Cap on the bytes of the instance stacks one chunk of trials draws at once,
+# so memory stays flat in the trial count.
+_CHUNK_BYTES = 1 << 20
+
+# Complex entries of one instance of an input class at dims (m, n).
+_INSTANCE_ENTRIES = {
+    "psd-2x2": lambda m, n: (2 * n) ** 2,
+    "fixed": lambda m, n: (2 * n) ** 2,
+    "gram-pair": lambda m, n: 2 * m * n,
+    "real-int": lambda m, n: m * n,
+}
+
+
+def _chunk_trials(input_class: str, dims) -> int:
+    """Trials per chunk: as many as keep its instance stacks near _CHUNK_BYTES."""
+    entries = _INSTANCE_ENTRIES.get(input_class, lambda m, n: (m * n) ** 2)
+    cycle_bytes = sum(16 * entries(m, n) for m, n in dims)
+    return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
+
+
+def _trial_instances(base: int, token: str, dims, trials: int, draw, step: int):
+    """(seed, (m, n), instance) of trials 0..trials-1, in index order.
+
+    Trial t has dims[t % len(dims)] and seed derive_seed(base, token, t).
+    Each chunk of `step` trials derives its seeds in one call and draws its
+    instances one dims group at a time, as draw(m, n, seeds) stacks."""
+    period = len(dims)
+    for lo in range(0, trials, step):
+        seeds = derive_seed(base, token, np.arange(lo, min(lo + step, trials)))
+        instances = [None] * len(seeds)
+        for g, (m, n) in enumerate(dims):
+            first = (g - lo) % period
+            if first < len(seeds):
+                instances[first::period] = draw(m, n, seeds[first::period])
+        for j, (seed, instance) in enumerate(zip(seeds.tolist(), instances)):
+            yield seed, dims[(lo + j) % period], instance
+
+
 def run_case_trials(case_id: str, config: RunConfig) -> dict:
     """Aggregate config.trials trials of one case, cycling over dims."""
     trials = failures = premise_misses = 0
     worst_witness = worst_seed = worst_dims = None
-    for t in range(config.trials):
-        m, n = config.dims[t % len(config.dims)]
-        seed = derive_seed(config.seed, case_id, t)
-        instance = make_instance(case_id, m, n, seed)
+    step = _chunk_trials(REGISTRY[case_id].input_class, config.dims)
+    draw = partial(make_instance, case_id)
+    for seed, (m, n), instance in _trial_instances(
+            config.seed, case_id, config.dims, config.trials, draw, step):
         report = check_case(case_id, instance, config.tol, seed)
         trials += 1
         premise_misses += report.premise_misses
@@ -923,10 +969,12 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL,
     dims = tuple(dims)
     values, seeds = [], []
     sanity_violations = 0
-    for t in range(trials):
-        m, n = dims[t % len(dims)]
-        trial_seed = derive_seed(seed, "open-question-scan", t)
-        a = gen(GenSpec("psd", m=m, n=n, seed=trial_seed))
+
+    def draw(m, n, trial_seeds):
+        return gen(GenSpec("psd", m=m, n=n, seed=trial_seeds))
+
+    for trial_seed, _, a in _trial_instances(seed, "open-question-scan", dims, trials, draw,
+                                             _chunk_trials("psd", dims)):
         residual = ando_residual(a)
         lam_min = float(hermitian_eigvals(residual).values[-1])
         values.append(lam_min)

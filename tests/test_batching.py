@@ -1,0 +1,168 @@
+"""The batched trial engine must reproduce the one-trial-at-a-time path bit
+for bit: vectorized seeds, stacked draws, stacked PSD verdicts and the
+chunked runner are each checked against a scalar oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blocktrace import suite
+from blocktrace.generate import KINDS, GenSpec, gen
+from blocktrace.orders import is_psd, psd_verdicts
+from blocktrace.rng import Stream, derive_seed
+from blocktrace.suite import (
+    REGISTRY,
+    RunConfig,
+    case_ids,
+    check_case,
+    make_instance,
+    run_case_trials,
+    run_suite,
+)
+
+BIG = 2**63 + 12345
+SEEDS = np.array([0, 5, 17, BIG, 2**64 - 1], dtype=np.uint64)
+DIMS_1_4 = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
+
+
+def _bytes(instance) -> bytes:
+    """The raw bytes of an instance of any input class."""
+    if isinstance(instance, tuple):
+        return b"".join(_bytes(x) for x in instance)
+    dense = getattr(instance, "dense", instance)
+    return np.ascontiguousarray(dense).view(np.uint8).tobytes()
+
+
+def test_array_derive_seed_matches_scalar():
+    rng = np.random.default_rng(3)
+    bases = [0, 42, 2**63, BIG, 2**64 - 1, *rng.integers(0, 2**63, 4).tolist()]
+    t = np.concatenate([np.arange(300), rng.integers(256, 2**40, 40)])
+    checked = 0
+    for base in bases:
+        for case_id in ("ando", "horodecki-reduction", "open-question-scan"):
+            got = derive_seed(base, case_id, t)
+            assert got.dtype == np.uint64 and got.shape == t.shape
+            assert got.tolist() == [derive_seed(base, case_id, int(v)) for v in t]
+            checked += t.size
+    assert checked >= 2000
+
+
+def test_array_derive_seed_rejects_negative_values():
+    with pytest.raises(TypeError):
+        derive_seed(1, "ando", np.array([3, -1]))
+
+
+def test_batched_stream_rows_match_single_streams():
+    batch = Stream(SEEDS, counter=3)
+    draws = [batch.words(5), batch.doubles(4), batch.gaussians(7),
+             batch.complex_gaussians((2, 3)), batch.integers(-4, 9, (3, 2))]
+    for i, seed in enumerate(SEEDS.tolist()):
+        single = Stream(seed, counter=3)
+        want = [single.words(5), single.doubles(4), single.gaussians(7),
+                single.complex_gaussians((2, 3)), single.integers(-4, 9, (3, 2))]
+        for got, expected in zip(draws, want):
+            assert _bytes(got[i]) == _bytes(expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_gen_rows_match_single_draws(kind):
+    for m in range(1, 9):
+        for n in range(1, 9):
+            ranks = (None, 1, max(1, m * n // 2)) if kind == "psd" else (None,)
+            for rank in ranks:
+                stacked = gen(GenSpec(kind, m=m, n=n, seed=SEEDS, rank=rank))
+                assert len(stacked) == len(SEEDS)
+                for seed, got in zip(SEEDS.tolist(), stacked):
+                    single = gen(GenSpec(kind, m=m, n=n, seed=seed, rank=rank))
+                    assert type(got) is type(single)
+                    assert _bytes(got) == _bytes(single), (kind, m, n, rank, seed)
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_batched_make_instance_matches_single_seeds(case_id):
+    seeds = derive_seed(9, case_id, np.arange(12))
+    for m, n in ((1, 3), (2, 2), (3, 4)):
+        for seed, got in zip(seeds.tolist(), make_instance(case_id, m, n, seeds)):
+            assert _bytes(got) == _bytes(make_instance(case_id, m, n, seed))
+
+
+def test_psd_verdicts_equal_is_psd_per_matrix():
+    g = Stream(11).complex_gaussians((6, 5, 5))
+    stack = g @ g.conj().swapaxes(1, 2)
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+    stack[1] -= 3 * np.eye(5)
+    stack[2] *= 1e6
+    for got, matrix in zip(psd_verdicts(stack), stack):
+        assert got == is_psd(matrix)
+    assert not psd_verdicts(stack)[1].holds
+    bad = stack.copy()
+    bad[4, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_verdicts(bad)
+
+
+def _reference_case_trials(case_id: str, config: RunConfig) -> dict:
+    """The runner as one scalar trial at a time, in index order."""
+    trials = failures = premise_misses = 0
+    worst_witness = worst_seed = worst_dims = None
+    for t in range(config.trials):
+        m, n = config.dims[t % len(config.dims)]
+        seed = derive_seed(config.seed, case_id, t)
+        report = check_case(case_id, make_instance(case_id, m, n, seed), config.tol, seed)
+        trials += 1
+        premise_misses += report.premise_misses
+        if report.parts and not report.holds:
+            failures += 1
+        if report.parts and (worst_witness is None or report.witness < worst_witness):
+            worst_witness, worst_seed, worst_dims = report.witness, seed, f"{m}x{n}"
+    return {
+        "trials": trials,
+        "failures": failures,
+        "premise_misses": premise_misses,
+        "worst_witness": worst_witness,
+        "worst_seed": worst_seed,
+        "worst_dims": worst_dims,
+    }
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_run_case_trials_matches_scalar_loop(seed):
+    config = RunConfig(tuple(case_ids()), DIMS_1_4, 37, seed)
+    assert len(config.cases) == 44
+    for case_id in config.cases:
+        assert run_case_trials(case_id, config) == _reference_case_trials(case_id, config)
+
+
+def test_trial_instances_match_scalar_draws():
+    dims = ((2, 3), (1, 1), (4, 2))
+    for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih"):
+        def draw(m, n, seeds, case_id=case_id):
+            return make_instance(case_id, m, n, seeds)
+        got = list(suite._trial_instances(7, case_id, dims, 23, draw, step=5))
+        assert len(got) == 23
+        for t, (seed, mn, instance) in enumerate(got):
+            assert seed == derive_seed(7, case_id, t) and mn == dims[t % 3]
+            assert _bytes(instance) == _bytes(make_instance(case_id, *mn, seed))
+
+
+@pytest.mark.parametrize("cap", [1, 3000, 10_000])
+def test_chunk_boundaries_change_nothing(monkeypatch, cap):
+    cases = ("ando", "hiroshima-conditional", "ppt-majorization", "lem38-eigen",
+             "ck-improved", "abs-block-corollary", "psi-not-2-positive", "lin-2x2-ppt")
+    config = RunConfig(cases, ((2, 2), (3, 2), (2, 4)), 31, 5)
+    want = run_suite(config)
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", cap)
+    # Each cap cuts chunks at a different trial count, inside the dims groups.
+    assert suite._chunk_trials(REGISTRY["ando"].input_class, config.dims) < config.trials
+    assert run_suite(config) == want
+
+
+def test_chunk_stacks_stay_near_the_cap():
+    for dims in (((8, 8),), ((6, 6), (8, 8)), DIMS_1_4):
+        sizes = [16 * (m * n) ** 2 for m, n in dims]
+        step = suite._chunk_trials("psd", dims)
+        for lo in range(len(dims)):
+            chunk = sum(sizes[t % len(dims)] for t in range(lo, lo + step))
+            assert chunk <= suite._CHUNK_BYTES + sum(sizes)
