@@ -7,13 +7,13 @@ Subcommands:
     scan    residual statistics for the open positivity question
 
 Exit codes: 0 success, 1 a checked statement failed, 2 usage or input error.
-The BLOCKTRACE_THREADS environment variable caps verify parallelism.
+The BLOCKTRACE_THREADS environment variable is no longer read: the checks
+hold the interpreter lock, and a thread pool measured slower than serial.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import serialize
@@ -66,14 +66,6 @@ def parse_dims(text: str) -> tuple:
     return tuple(out)
 
 
-def _threads() -> int:
-    raw = os.environ.get("BLOCKTRACE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _text_report(report: dict) -> str:
     lines = []
     for cid, entry in report["cases"].items():
@@ -106,7 +98,7 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = run_suite(config, threads=_threads())
+    report = run_suite(config)
     if args.format == "json":
         _emit(serialize.dump(report), args.out)
     else:

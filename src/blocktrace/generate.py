@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix
-from .rng import Stream
+from .rng import Stream, box_muller
 
 KINDS = (
     "psd",
@@ -48,14 +48,24 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    return _hermitian_part(g @ g.conj().swapaxes(-1, -2))
+
+
 def random_psd(stream: Stream, size: int, rank: int | None = None) -> np.ndarray:
     """G G* with G a size x rank matrix of standard complex Gaussians."""
-    g = ginibre(stream, size, rank if rank is not None else size)
-    return _hermitian_part(g @ g.conj().swapaxes(-1, -2))
+    return _gram(ginibre(stream, size, rank if rank is not None else size))
 
 
 def random_hermitian(stream: Stream, size: int) -> np.ndarray:
     return _hermitian_part(ginibre(stream, size, size))
+
+
+def _rank1_psd(u: np.ndarray) -> np.ndarray:
+    """g g* for the complex Gaussian column g Box-Muller makes of the doubles
+    u (..., 2 size): what random_psd(stream, size, rank=1) draws from them."""
+    re, im = box_muller(u)
+    return _gram((re + 1j * im)[..., None])
 
 
 def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.ndarray:
@@ -63,15 +73,22 @@ def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.n
 
     PPT by construction: the partial transpose transposes each Q_t, which
     preserves its positivity.  Separable states under-cover PPT-entangled
-    ones; good enough for instances that must certainly be PPT.  On a
-    batched stream each term is one (batch, mn, mn) product, summed in place."""
+    ones; good enough for instances that must certainly be PPT.
+
+    After the k weights, one draw holds every term's doubles: 2m for P_t,
+    then 2n for Q_t, term by term, the layout of k rank-1 random_psd pairs.
+    The factors are built as (..., k, size, size) stacks; the terms are then
+    summed in place in order, one (batch, mn, mn) product each."""
     k = terms if terms is not None else m * n
     batch = stream.batch
-    acc = np.zeros(batch + (m * n, m * n), dtype=np.complex128)
     weights = stream.doubles(k)
+    u = stream.doubles(k * 2 * (m + n)).reshape(batch + (k, 2 * (m + n)))
+    ps = _rank1_psd(u[..., : 2 * m])
+    qs = _rank1_psd(u[..., 2 * m :])
+    acc = np.zeros(batch + (m * n, m * n), dtype=np.complex128)
     for t in range(k):
-        p = random_psd(stream, m, rank=1)[..., :, None, :, None]
-        q = random_psd(stream, n, rank=1)[..., None, :, None, :]
+        p = ps[..., t, :, None, :, None]
+        q = qs[..., t, None, :, None, :]
         acc += weights[..., t, None, None] * (p * q).reshape(batch + (m * n, m * n))
     return _hermitian_part(acc)
 

@@ -85,6 +85,15 @@ def derive_seed(base: int, *tokens):
     return out
 
 
+def box_muller(u: np.ndarray) -> tuple:
+    """(r cos theta, r sin theta) from doubles u whose last axis holds the
+    radii's pairs then the angles' pairs: two standard normal arrays."""
+    pairs = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+    theta = 2.0 * np.pi * u[..., pairs:]
+    return r * np.cos(theta), r * np.sin(theta)
+
+
 class Stream:
     """Value-like stateful view over the counter-based stream.
 
@@ -115,10 +124,7 @@ class Stream:
     def gaussians(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive double pairs."""
         pairs = (count + 1) // 2
-        u = self.doubles(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
-        theta = 2.0 * np.pi * u[..., pairs:]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        out = np.concatenate(box_muller(self.doubles(2 * pairs)), axis=-1)
         return out[..., :count]
 
     def complex_gaussians(self, shape) -> np.ndarray:

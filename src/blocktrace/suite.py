@@ -10,7 +10,7 @@ expected-failure cases hold when the violation is detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -63,8 +63,25 @@ class SlackReport:
 # shared builders
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x made read-only, so a constant shared between trials cannot be
+    changed through any one of them."""
+    x.flags.writeable = False
+    return x
+
+
+# Constants that depend only on the dims are built once per process.
+_constant = lru_cache(maxsize=256)
+
+
+@_constant
 def _eye(k: int) -> np.ndarray:
-    return np.eye(k, dtype=np.complex128)
+    return _frozen(np.eye(k, dtype=np.complex128))
+
+
+@_constant
+def _jb(m: int, n: int) -> np.ndarray:
+    return _frozen(j_block(m, n).dense)
 
 
 _left = kron_left  # I_m (x) x
@@ -124,7 +141,7 @@ class Derived:
 
     @property
     def tr(self):
-        return float(np.trace(self.dense).real)
+        return self._get("tr", lambda: float(np.trace(self.dense).real))
 
     @property
     def d_a(self):
@@ -132,7 +149,7 @@ class Derived:
 
     @property
     def jb(self):
-        return self._get("jb", lambda: j_block(self.m, self.n).dense)
+        return _jb(self.m, self.n)
 
     @property
     def identity(self):
@@ -164,15 +181,25 @@ def ando_residual(a: BlockMatrix) -> np.ndarray:
     return _herm(d.tr * d.identity + d.dense - _left(d.tr1, d.m) - _right(d.tr2, d.n))
 
 
+@_constant
 def eq18_slack(m: int, n: int) -> np.ndarray:
-    """(m-2)n I + n J_m (x) I_n - J_m (x) J_n - (m-2) I_m (x) J_n."""
+    """(m-2)n I + n J_m (x) I_n - J_m (x) J_n - (m-2) I_m (x) J_n; read-only."""
     jm, jn = np.ones((m, m)), np.ones((n, n))
-    return _herm(
+    return _frozen(_herm(
         (m - 2) * n * np.eye(m * n)
         + n * np.kron(jm, np.eye(n))
         - np.kron(jm, jn)
         - (m - 2) * np.kron(np.eye(m), jn)
-    )
+    ))
+
+
+@_constant
+def _swap_unitary(n: int, skew: bool) -> tuple:
+    """(U, U*) for U = [[0, I], [+-I, 0]] with n x n blocks; -I when skew."""
+    u = np.zeros((2 * n, 2 * n))
+    u[:n, n:] = np.eye(n)
+    u[n:, :n] = -np.eye(n) if skew else np.eye(n)
+    return _frozen(u), _frozen(u.conj().T)
 
 
 def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
@@ -181,32 +208,38 @@ def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
     positivity is preserved (average of two PSD matrices)."""
     if a.m != 2:
         raise ValueError("needs a 2x2 block matrix")
-    n = a.n
-    zero = np.zeros((n, n))
-    eye = np.eye(n)
-    u = np.block([[zero, eye], [-eye, zero]]) if skew else np.block([[zero, eye], [eye, zero]])
-    avg = (a.dense + u @ a.dense @ u.conj().T) / 2
-    return BlockMatrix(2, n, _herm(avg))
+    u, u_star = _swap_unitary(a.n, skew)
+    avg = (a.dense + u @ a.dense @ u_star) / 2
+    return BlockMatrix(2, a.n, _herm(avg))
+
+
+def _block_2x2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """[[top_left, top_right], [bottom_left, bottom_right]] of n x n blocks."""
+    n = top_left.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    out[:n, :n], out[:n, n:] = top_left, top_right
+    out[n:, :n], out[n:, n:] = bottom_left, bottom_right
+    return out
 
 
 def lin_block(a: BlockMatrix) -> BlockMatrix:
     """[[ (tr A)I + A, (tr B)I + B ], [ (tr B*)I + B*, (tr C)I + C ]]."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
-    return BlockMatrix(2, a.n, np.block([
-        [np.trace(ab) * eye + ab, np.trace(bb) * eye + bb],
-        [np.trace(bb).conjugate() * eye + bb.conj().T, np.trace(cb) * eye + cb],
-    ]))
+    return BlockMatrix(2, a.n, _block_2x2(
+        np.trace(ab) * eye + ab, np.trace(bb) * eye + bb,
+        np.trace(bb).conjugate() * eye + bb.conj().T, np.trace(cb) * eye + cb,
+    ))
 
 
 def choi_block(a: BlockMatrix) -> BlockMatrix:
     """[[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
-    return BlockMatrix(2, a.n, np.block([
-        [np.trace(ab) * eye + cb, np.trace(bb) * eye - bb],
-        [np.trace(bb).conjugate() * eye - bb.conj().T, np.trace(cb) * eye + ab],
-    ]))
+    return BlockMatrix(2, a.n, _block_2x2(
+        np.trace(ab) * eye + cb, np.trace(bb) * eye - bb,
+        np.trace(bb).conjugate() * eye - bb.conj().T, np.trace(cb) * eye + ab,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +456,7 @@ def _case_trace_plus(d: Derived, tol):
 
 def _ck_sums(x: np.ndarray):
     """Exact integer aggregates of an integer matrix."""
-    rows = [[int(v) for v in row] for row in x]
+    rows = x.tolist()
     total = sum(sum(r) for r in rows)
     sq = sum(v * v for r in rows for v in r)
     row_sq = sum(sum(r) ** 2 for r in rows)
@@ -930,18 +963,14 @@ def run_case_trials(case_id: str, config: RunConfig) -> dict:
 
 
 def run_suite(config: RunConfig, threads: int = 1) -> dict:
-    """Deterministic aggregate report over all requested cases.
+    """Deterministic aggregate report over all requested cases, run one
+    case after another in sorted order.
 
-    The per-case merge is order-independent, so the thread count never
-    changes the report."""
+    `threads` is accepted for compatibility and no longer changes how the
+    cases run: the checks are Python that holds the interpreter lock, and a
+    thread pool measured slower than this serial loop."""
     ids = sorted(config.cases)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(ids, pool.map(lambda c: run_case_trials(c, config), ids)))
-    else:
-        results = {c: run_case_trials(c, config) for c in ids}
+    results = {c: run_case_trials(c, config) for c in ids}
     return {
         "config": {
             "cases": ids,

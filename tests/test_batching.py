@@ -1,6 +1,7 @@
 """The batched trial engine must reproduce the one-trial-at-a-time path bit
-for bit: vectorized seeds, stacked draws, stacked PSD verdicts and the
-chunked runner are each checked against a scalar oracle."""
+for bit: vectorized seeds, stacked draws, stacked PSD verdicts, the chunked
+runner, random_ppt's single draw and the builders that assemble blocks or
+reuse cached constants are each checked against a plain oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrace import suite
-from blocktrace.generate import KINDS, GenSpec, gen
+from blocktrace.blocks import BlockMatrix
+from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
 from blocktrace.orders import is_psd, psd_verdicts
 from blocktrace.rng import Stream, derive_seed
 from blocktrace.suite import (
@@ -16,9 +18,13 @@ from blocktrace.suite import (
     RunConfig,
     case_ids,
     check_case,
+    choi_block,
+    eq18_slack,
+    lin_block,
     make_instance,
     run_case_trials,
     run_suite,
+    symmetrize_offdiag,
 )
 
 BIG = 2**63 + 12345
@@ -166,3 +172,72 @@ def test_chunk_stacks_stay_near_the_cap():
         for lo in range(len(dims)):
             chunk = sum(sizes[t % len(dims)] for t in range(lo, lo + step))
             assert chunk <= suite._CHUNK_BYTES + sum(sizes)
+
+
+def _reference_random_ppt(stream, m, n, terms=None):
+    """random_ppt as one rank-1 random_psd pair per term, drawn in turn."""
+    k = terms if terms is not None else m * n
+    batch = stream.batch
+    acc = np.zeros(batch + (m * n, m * n), dtype=np.complex128)
+    weights = stream.doubles(k)
+    for t in range(k):
+        p = random_psd(stream, m, rank=1)[..., :, None, :, None]
+        q = random_psd(stream, n, rank=1)[..., None, :, None, :]
+        acc += weights[..., t, None, None] * (p * q).reshape(batch + (m * n, m * n))
+    return (acc + acc.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("seed", [BIG, SEEDS], ids=["scalar", "array"])
+def test_random_ppt_matches_per_term_loop(seed):
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for terms in (None, 1, 2, 3):
+                got_stream, want_stream = Stream(seed, counter=3), Stream(seed, counter=3)
+                got = random_ppt(got_stream, m, n, terms)
+                want = _reference_random_ppt(want_stream, m, n, terms)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (m, n, terms)
+                # The stream ends where the loop's does, so the next draw agrees.
+                assert got_stream.counter == want_stream.counter
+                assert np.array_equal(got_stream.words(2), want_stream.words(2))
+
+
+def _psd_2x2(n: int, seed: int) -> BlockMatrix:
+    return gen(GenSpec("psd", m=2, n=n, seed=seed))
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_two_block_builders_match_np_block(n):
+    for seed in range(4):
+        a = _psd_2x2(n, seed)
+        ab, bb, cb = a.block(0, 0), a.block(0, 1), a.block(1, 1)
+        eye = np.eye(n, dtype=np.complex128)
+        lin = np.block([
+            [np.trace(ab) * eye + ab, np.trace(bb) * eye + bb],
+            [np.trace(bb).conjugate() * eye + bb.conj().T, np.trace(cb) * eye + cb],
+        ])
+        choi = np.block([
+            [np.trace(ab) * eye + cb, np.trace(bb) * eye - bb],
+            [np.trace(bb).conjugate() * eye - bb.conj().T, np.trace(cb) * eye + ab],
+        ])
+        assert _same_bits(lin_block(a).dense, lin)
+        assert _same_bits(choi_block(a).dense, choi)
+        zero, one = np.zeros((n, n)), np.eye(n)
+        for skew, u in ((False, np.block([[zero, one], [one, zero]])),
+                        (True, np.block([[zero, one], [-one, zero]]))):
+            avg = (a.dense + u @ a.dense @ u.conj().T) / 2
+            want = (avg + avg.conj().T) / 2
+            assert _same_bits(symmetrize_offdiag(a, skew).dense, want)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_eq18_slack_matches_kron_formula(n):
+    for m in range(1, 5):
+        jm, jn = np.ones((m, m)), np.ones((n, n))
+        raw = ((m - 2) * n * np.eye(m * n) + n * np.kron(jm, np.eye(n))
+               - np.kron(jm, jn) - (m - 2) * np.kron(np.eye(m), jn))
+        assert _same_bits(eq18_slack(m, n), (raw + raw.conj().T) / 2)

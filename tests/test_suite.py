@@ -1,7 +1,13 @@
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from blocktrace import serialize
+import blocktrace
+from blocktrace import serialize, suite
 from blocktrace.blocks import BlockMatrix, block_diag, j_block, partial_trace_2
 from blocktrace.generate import GenSpec, gen
 from blocktrace.linalg import hermitian_eigvals
@@ -207,6 +213,75 @@ def test_suite_report_deterministic_and_thread_invariant():
     r2 = run_suite(config, threads=4)
     assert serialize.dump(r1) == serialize.dump(r2)
     assert total_failures(r1) == 0
+
+
+def test_run_suite_starts_no_thread(monkeypatch):
+    before = threading.active_count()
+    seen = []
+    real = suite.run_case_trials
+
+    def spy(case_id, config):
+        seen.append((threading.active_count(), threading.current_thread() is threading.main_thread()))
+        return real(case_id, config)
+
+    monkeypatch.setattr(suite, "run_case_trials", spy)
+    config = RunConfig(("ando", "ck-lih", "lin-2x2-ppt"), ((2, 2), (2, 3)), 3, 7)
+    run_suite(config, threads=4)
+    assert seen == [(before, True)] * 3
+
+
+def test_blocktrace_does_not_import_concurrent_futures():
+    code = ("import sys, blocktrace as bt\n"
+            "bt.run_suite(bt.RunConfig(('ando', 'choi-tr1'), ((2, 2),), 2, 1), threads=4)\n"
+            "print('concurrent.futures' in sys.modules)")
+    root = Path(blocktrace.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _cached_constants():
+    d = Derived(gen(GenSpec("psd", m=2, n=3, seed=1)))
+    return {
+        "identity": d.identity,
+        "jb": d.jb,
+        "eye": suite._eye(4),
+        "eq18": eq18_slack(3, 2),
+        "swap": suite._swap_unitary(2, False)[0],
+        "swap-star": suite._swap_unitary(2, False)[1],
+        "skew": suite._swap_unitary(3, True)[0],
+        "skew-star": suite._swap_unitary(3, True)[1],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cached_constants()))
+def test_cached_constants_are_read_only(name):
+    x = _cached_constants()[name]
+    before = x.copy()
+    with pytest.raises(ValueError):
+        x[0, 0] = 7
+    with pytest.raises(ValueError):
+        x += 1
+    assert np.array_equal(x, before)
+
+
+def test_constants_are_shared_per_dims():
+    a, b = (Derived(gen(GenSpec("psd", m=2, n=3, seed=s))) for s in (1, 2))
+    assert a.identity is b.identity and a.jb is b.jb
+    assert eq18_slack(3, 2) is eq18_slack(3, 2)
+    assert np.array_equal(a.jb, j_block(2, 3).dense)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 3), (3, 2)])
+def test_check_case_independent_of_cases_run_between(dims):
+    for cache in (suite._eye, suite._jb, eq18_slack, suite._swap_unitary):
+        cache.cache_clear()
+    instances = {c: make_instance(c, *dims, derive_seed(3, c, 0)) for c in ALL_IDS}
+    first = {c: check_case(c, instances[c]) for c in ALL_IDS}
+    for case_id in ALL_IDS:
+        for between in ALL_IDS:
+            check_case(between, instances[between])
+            assert check_case(case_id, instances[case_id]) == first[case_id], (case_id, between)
 
 
 def test_open_question_scan_contract():
