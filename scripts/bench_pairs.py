@@ -1,15 +1,18 @@
 """Compare two checkouts with perfbench/run.py and write a BENCH_*.json file.
 
-For every workload, runs alternating pairs of the parent and the change
-(the order flips each pair, both sides of a pair use the same seed), one
-process at a time, and records each run's environment line, report hash and
-end-to-end metrics, plus each side's median and quartiles and the number of
-pairs the change won.
+For every workload in BENCHMARK.json, runs PAIRS alternating pairs of the
+parent and the change (the order flips each pair, both sides of a pair use
+the same seed, from FIRST_SEED on), one process at a time, each for the
+benchmark's `run_seconds`. It records each run's environment line, report
+hash and end-to-end metrics, plus each side's median and quartiles and the
+number of pairs the change won. A pair whose sides report different hashes,
+or where either side is not `correct`, stops the script with exit code 1
+before it reaches the summary.
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent sha>
     git clone -q . ../change && git -C ../change checkout -q <change sha>
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
-        --pairs 10 --seconds 25 --out BENCH_<n>.json
+        --out BENCH_<n>.json
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 20
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,6 +45,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def pair_problem(pair: dict) -> str | None:
+    """Why a pair cannot count toward the summary, or None if it can."""
+    for side in ("parent", "change"):
+        if not pair[side]["correct"]:
+            return f"{side} run is not correct"
+    if pair["parent"]["report_sha256"] != pair["change"]["report_sha256"]:
+        return (f"report_sha256 differs: parent {pair['parent']['report_sha256']}, "
+                f"change {pair['change']['report_sha256']}")
+    return None
 
 
 def summarize(pairs: list, spec: list) -> dict:
@@ -61,26 +77,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--first-seed", type=int, default=20)
-    parser.add_argument("--workloads", nargs="*")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    report = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
-    for workload in workloads:
+    seconds = spec["run_seconds"]
+    report = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
-        for p in range(args.pairs):
-            seed = args.first_seed + p
+        for p in range(PAIRS):
+            seed = FIRST_SEED + p
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(getattr(args, side), workload, seed, args.seconds)
+            pair = {side: run_once(getattr(args, side), workload, seed, seconds)
                     for side in order}
-            pairs.append(pair)
             print(workload, seed, {side: pair[side]["metrics"]["trials_per_s"] for side in order},
                   file=sys.stderr, flush=True)
+            problem = pair_problem(pair)
+            if problem:
+                print(f"{workload} seed {seed}: {problem}", file=sys.stderr)
+                return 1
+            pairs.append(pair)
         report["workloads"][workload] = {
             "summary": summarize(pairs, spec["end_to_end"]),
             "runs": pairs,
