@@ -118,15 +118,3 @@ def kron_right(x, n: int) -> np.ndarray:
     diag = np.arange(n)
     out[:, diag, :, diag] = x
     return out.reshape(m * n, m * n)
-
-
-def embed_left(x, m: int) -> BlockMatrix:
-    """I_m (x) x with block structure (m, n); x is n x n."""
-    x = as_matrix(x)
-    return BlockMatrix(m, x.shape[0], kron_left(x, m))
-
-
-def embed_right(x, n: int) -> BlockMatrix:
-    """x (x) I_n with block structure (m, n); x is m x m."""
-    x = as_matrix(x)
-    return BlockMatrix(x.shape[0], n, kron_right(x, n))

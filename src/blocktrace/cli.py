@@ -17,10 +17,10 @@ import argparse
 import sys
 
 from . import serialize
-from .blocks import BlockMatrix
 from .generate import KINDS, GenSpec, gen
-from .orders import PSD_TOL, is_psd
+from .orders import PSD_TOL
 from .suite import (
+    INPUT_CLASSES,
     REGISTRY,
     RunConfig,
     case_ids,
@@ -106,47 +106,17 @@ def _cmd_verify(args) -> int:
     return 1 if total_failures(report) else 0
 
 
-def _load_instance(case_id: str, path):
-    cls = REGISTRY[case_id].input_class
-    obj = serialize.load(path)
-    if cls == "gram-pair":
-        return serialize.pair_from_obj(obj)
-    if cls == "real-int":
-        return serialize.int_matrix_from_obj(obj)
-    if cls == "fixed" and case_id == "abs-block-corollary":
-        return serialize.matrix_from_obj(obj)
-    return serialize.block_from_obj(obj)
-
-
-def _check_preconditions(case_id: str, instance, tol: float) -> str | None:
-    cls = REGISTRY[case_id].input_class
-    if cls in ("psd", "psd-2x2", "ppt"):
-        if not isinstance(instance, BlockMatrix):
-            return "input is not a block matrix"
-        if cls == "psd-2x2" and instance.m != 2:
-            return "input must have 2x2 block structure"
-        h = (instance.dense + instance.dense.conj().T) / 2
-        if not is_psd(h, tol).holds:
-            return "input matrix is not positive semidefinite"
-        if cls == "ppt":
-            from .blocks import partial_transpose
-
-            tau = partial_transpose(instance).dense
-            if not is_psd((tau + tau.conj().T) / 2, tol).holds:
-                return "input matrix does not have a PSD partial transpose"
-    return None
-
-
 def _cmd_case(args) -> int:
     if args.id not in REGISTRY:
         print(f"error: unknown case id {args.id!r}", file=sys.stderr)
         return USAGE_ERROR
+    input_class = INPUT_CLASSES[REGISTRY[args.id].input_class]
     try:
-        instance = _load_instance(args.id, args.input)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        instance = input_class.load(serialize.load(args.input))
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    problem = _check_preconditions(args.id, instance, args.tol)
+    problem = input_class.problem(instance, args.tol)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return USAGE_ERROR

@@ -27,16 +27,31 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     }
 
 
-def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+def _size(obj: dict, key: str) -> int:
+    v = obj[key]
+    if type(v) is not int or v < 1:
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return v
+
+
+def _entries(obj: dict) -> list:
+    """obj["entries"], checked against obj's rows and cols."""
+    rows, cols = _size(obj, "rows"), _size(obj, "cols")
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entries shape does not match rows/cols")
-    out = np.empty((rows, cols), dtype=np.complex128)
+    return entries
+
+
+def matrix_from_obj(obj: dict) -> np.ndarray:
+    entries = _entries(obj)
+    out = np.empty((len(entries), len(entries[0])), dtype=np.complex128)
     for i, row in enumerate(entries):
         for j, cell in enumerate(row):
             re, im = cell
             out[i, j] = complex(re, im)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix has non-finite entries")
     return out
 
 
@@ -50,11 +65,12 @@ def int_matrix_to_obj(a: np.ndarray) -> dict:
 
 
 def int_matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("entries shape does not match rows/cols")
-    return np.array([[int(v) for v in row] for row in entries], dtype=np.int64)
+    entries = _entries(obj)
+    for row in entries:
+        for v in row:
+            if type(v) is not int or not -(2**63) <= v < 2**63:
+                raise ValueError(f"integer matrix entry {v!r} is not a 64-bit integer")
+    return np.array(entries, dtype=np.int64)
 
 
 def block_to_obj(a: BlockMatrix) -> dict:
@@ -62,7 +78,7 @@ def block_to_obj(a: BlockMatrix) -> dict:
 
 
 def block_from_obj(obj: dict) -> BlockMatrix:
-    return BlockMatrix(int(obj["m"]), int(obj["n"]), matrix_from_obj(obj["matrix"]))
+    return BlockMatrix(_size(obj, "m"), _size(obj, "n"), matrix_from_obj(obj["matrix"]))
 
 
 def pair_to_obj(pair) -> dict:

@@ -9,11 +9,13 @@ expected-failure cases hold when the violation is detected.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
+from . import serialize
 from .blocks import (
     BlockMatrix,
     block_diag,
@@ -25,7 +27,7 @@ from .blocks import (
     partial_transpose,
 )
 from .generate import GenSpec, gen, ginibre
-from .linalg import hermitian_eigvals, matrix_abs, scale_of, singular_values
+from .linalg import hermitian_eigvals, is_hermitian, matrix_abs, scale_of, singular_values
 from .maps import apply_map_blockwise
 from .orders import PSD_TOL, is_psd, majorizes, psd_verdicts, sv_dominates
 from .rng import Stream, derive_seed
@@ -243,8 +245,9 @@ def choi_block(a: BlockMatrix) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# slack builders: case id -> fn(Derived) -> [(label, slack matrix), ...]
-# Every psd-slack case is defined by its builder; check and build_slack share.
+# slack builders: fn(Derived) -> [(label, slack matrix), ...]
+# The registry row of every psd-slack and ppt-of-derived case carries its
+# builder; check_case and build_slack share it.
 
 
 def _sb_choi_tr1(d):
@@ -379,36 +382,13 @@ def _sb_open_question(d):
     return [("ando-sanity", ando_residual(d.a))]
 
 
-SLACK_BUILDERS = {
-    "choi-tr1": _sb_choi_tr1,
-    "li-tr1-improved": _sb_li_tr1_improved,
-    "tr1-hermitian-sandwich": _sb_tr1_sandwich,
-    "tr1-lambda-min": _sb_tr1_lambda_min,
-    "tr2-hadamard": _sb_tr2_hadamard,
-    "tr2-hermitian-sandwich": _sb_tr2_sandwich,
-    "tr2-lambda-min": _sb_tr2_lambda_min,
-    "choi-tr2-pm": _sb_choi_tr2_pm,
-    "horodecki-reduction": _sb_horodecki,
-    "psi-completely-copositive": _sb_psi_copositive,
-    "ando": _sb_ando,
-    "li-liu-huang-minus": _sb_llh_minus,
-    "li-liu-huang-pm": _sb_llh_pm,
-    "thm42-improved": _sb_thm42,
-    "thm44-improved": _sb_thm44,
-    "thm4p4-analogue": _sb_thm4p4,
-    "choi-hermitian-ando": _sb_choi_hermitian_ando,
-    "prop-hermitian-minus": _sb_prop_hermitian_minus,
-    "prop-hermitian-plus": _sb_prop_hermitian_plus,
-    "eq18-matrix": _sb_eq18,
-    "open-question-residual": _sb_open_question,
-}
-
-# derived-block builders for the PPT-of-derived cases
-DERIVED_BUILDERS = {
-    "phi-completely-ppt": lambda d: apply_map_blockwise("phi", d.a),
-    "lin-2x2-ppt": lambda d: lin_block(d.a),
-    "choi-block-ppt": lambda d: choi_block(d.a),
-}
+def _derived(build):
+    """Builder of the derived block matrix build(A) and its partial transpose,
+    the two objects a ppt-of-derived case asserts to be PSD."""
+    def slacks(d):
+        b = build(d.a)
+        return [("derived", b.dense), ("derived-tau", partial_transpose(b).dense)]
+    return slacks
 
 
 # ---------------------------------------------------------------------------
@@ -425,74 +405,52 @@ def _case_psi_not_2_positive(d: Derived, tol):
     return [Part("violation-detected", lam_min, lam_min <= -1.0 + tol)]
 
 
-def _trace_terms(a: BlockMatrix):
-    ab, bb, cb = _blocks_2x2(a)
+def _trace_2x2(gap, d: Derived, tol):
+    """One scalar part, gap(trA trC, |trB|^2, tr(AC), tr(B*B)) >= 0."""
+    ab, bb, cb = _blocks_2x2(d.a)
     tr_a = float(np.trace(ab).real)
     tr_c = float(np.trace(cb).real)
     tr_b = complex(np.trace(bb))
     tr_ac = float(np.trace(ab @ cb).real)
     tr_bb = float(np.trace(bb.conj().T @ bb).real)
     scale = abs(tr_a * tr_c) + abs(tr_b) ** 2 + abs(tr_ac) + tr_bb
-    return tr_a, tr_c, tr_b, tr_ac, tr_bb, scale
+    return [_scalar_part("main", gap(tr_a * tr_c, abs(tr_b) ** 2, tr_ac, tr_bb), tol, scale)]
 
 
-def _case_trace_besenyei(d: Derived, tol):
-    tr_a, tr_c, tr_b, tr_ac, tr_bb, scale = _trace_terms(d.a)
-    gap = tr_a * tr_c - abs(tr_b) ** 2 - (tr_ac - tr_bb)
-    return [_scalar_part("main", gap, tol, scale)]
-
-
-def _case_trace_kittaneh_lin(d: Derived, tol):
-    tr_a, tr_c, tr_b, tr_ac, tr_bb, scale = _trace_terms(d.a)
-    gap = tr_a * tr_c - abs(tr_b) ** 2 - (tr_bb - tr_ac)
-    return [_scalar_part("main", gap, tol, scale)]
-
-
-def _case_trace_plus(d: Derived, tol):
-    tr_a, tr_c, tr_b, tr_ac, tr_bb, scale = _trace_terms(d.a)
-    gap = tr_a * tr_c + abs(tr_b) ** 2 - tr_ac - tr_bb
-    return [_scalar_part("main", gap, tol, scale)]
-
-
-def _ck_sums(x: np.ndarray):
-    """Exact integer aggregates of an integer matrix."""
+def _ck(gaps, x, tol):
+    """One exact part per (label, gap) of gaps, where the integer inequality
+    is gap(m, n, total, sq, row_sq, col_sq) >= 0 over the exact sums of x."""
+    m, n = x.shape
     rows = x.tolist()
     total = sum(sum(r) for r in rows)
     sq = sum(v * v for r in rows for v in r)
     row_sq = sum(sum(r) ** 2 for r in rows)
     col_sq = sum(sum(r[j] for r in rows) ** 2 for j in range(len(rows[0])))
-    return total, sq, row_sq, col_sq
+    parts = []
+    for label, gap in gaps:
+        g = gap(m, n, total, sq, row_sq, col_sq)
+        parts.append(Part(label, float(g), g >= 0))
+    return parts
 
 
-def _case_ck_classical(x, tol):
-    m, n = x.shape
-    total, sq, row_sq, col_sq = _ck_sums(x)
-    gap = total**2 + m * n * sq - m * row_sq - n * col_sq
-    return [Part("main", float(gap), gap >= 0)]
-
-
-def _case_ck_lih(x, tol):
-    m, n = x.shape
-    total, sq, row_sq, col_sq = _ck_sums(x)
-    p1 = m * n * sq - n * col_sq - abs(m * row_sq - total**2)
-    p2 = m * n * sq + n * col_sq - total**2 - m * row_sq
-    p3 = m * n * sq - n * col_sq - total**2 + m * row_sq
-    return [
-        Part("abs", float(p1), p1 >= 0),
-        Part("plus", float(p2), p2 >= 0),
-        Part("minus", float(p3), p3 >= 0),
-    ]
-
-
-def _case_ck_improved(x, tol):
-    m, n = x.shape
-    total, sq, row_sq, col_sq = _ck_sums(x)
-    p1 = (m - 2) * n * sq + n * col_sq - total**2 - (m - 2) * row_sq
-    p2 = m * (n - 2) * sq + m * row_sq - total**2 - (n - 2) * col_sq
-    return [
-        Part("rows", float(p1), p1 >= 0),
-        Part("cols", float(p2), p2 >= 0),
-    ]
+_CK_CLASSICAL = (
+    ("main", lambda m, n, total, sq, row_sq, col_sq:
+        total**2 + m * n * sq - m * row_sq - n * col_sq),
+)
+_CK_LIH = (
+    ("abs", lambda m, n, total, sq, row_sq, col_sq:
+        m * n * sq - n * col_sq - abs(m * row_sq - total**2)),
+    ("plus", lambda m, n, total, sq, row_sq, col_sq:
+        m * n * sq + n * col_sq - total**2 - m * row_sq),
+    ("minus", lambda m, n, total, sq, row_sq, col_sq:
+        m * n * sq - n * col_sq - total**2 + m * row_sq),
+)
+_CK_IMPROVED = (
+    ("rows", lambda m, n, total, sq, row_sq, col_sq:
+        (m - 2) * n * sq + n * col_sq - total**2 - (m - 2) * row_sq),
+    ("cols", lambda m, n, total, sq, row_sq, col_sq:
+        m * (n - 2) * sq + m * row_sq - total**2 - (n - 2) * col_sq),
+)
 
 
 def _case_schur(d: Derived, tol):
@@ -549,18 +507,10 @@ def _case_ppt_majorization(d: Derived, tol):
     ]
 
 
-def _offdiag_majorization(d: Derived, tol, skew: bool):
+def _offdiag_majorization(skew: bool, d: Derived, tol):
     h = symmetrize_offdiag(d.a, skew)
     msum = _herm(h.block(0, 0) + h.block(1, 1))
     return [_maj_part("main", hermitian_eigvals(h.dense), hermitian_eigvals(msum), tol)]
-
-
-def _case_hermitian_offdiag(d: Derived, tol):
-    return _offdiag_majorization(d, tol, skew=False)
-
-
-def _case_skew_offdiag(d: Derived, tol):
-    return _offdiag_majorization(d, tol, skew=True)
 
 
 def _norm_sides(a: BlockMatrix):
@@ -651,75 +601,89 @@ def _case_abs_block(x, tol):
 
 @dataclass(frozen=True)
 class TheoremCase:
+    """One registry row.
+
+    fn of a psd-slack or ppt-of-derived case is its slack builder,
+    Derived -> [(label, matrix), ...]; every other case's fn is its check,
+    (payload, tol) -> parts or (parts, premise_misses).  input_class names
+    an entry of INPUT_CLASSES."""
     id: str
     input_class: str
     check_kind: str
     description: str
-    fn: object = None  # non-slack cases only; slack cases go through builders
+    fn: Callable
 
 
 def _registry():
     cases = [
         TheoremCase("choi-tr1", "psd", "psd-slack",
-                    "I_m(x)tr1(A^tau) dominates A^tau"),
+                    "I_m(x)tr1(A^tau) dominates A^tau", _sb_choi_tr1),
         TheoremCase("li-tr1-improved", "psd", "psd-slack",
-                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A"),
+                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A", _sb_li_tr1_improved),
         TheoremCase("tr1-hermitian-sandwich", "hermitian", "psd-slack",
-                    "eigenvalue sandwich for I_m(x)tr1(A^tau) + A^tau"),
+                    "eigenvalue sandwich for I_m(x)tr1(A^tau) + A^tau", _sb_tr1_sandwich),
         TheoremCase("tr1-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr1 bound"),
+                    "lambda_min variant of the tr1 bound", _sb_tr1_lambda_min),
         TheoremCase("tr2-hadamard", "psd", "psd-slack",
-                    "tr2 bound with Hadamard-J correction"),
+                    "tr2 bound with Hadamard-J correction", _sb_tr2_hadamard),
         TheoremCase("tr2-hermitian-sandwich", "hermitian", "psd-slack",
-                    "eigenvalue sandwich for (tr2 A^tau)(x)I_n + A^tau"),
+                    "eigenvalue sandwich for (tr2 A^tau)(x)I_n + A^tau", _sb_tr2_sandwich),
         TheoremCase("tr2-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr2 bound"),
+                    "lambda_min variant of the tr2 bound", _sb_tr2_lambda_min),
         TheoremCase("choi-tr2-pm", "psd", "psd-slack",
-                    "(tr2 A^tau)(x)I_n dominates +-A^tau"),
+                    "(tr2 A^tau)(x)I_n dominates +-A^tau", _sb_choi_tr2_pm),
         TheoremCase("horodecki-reduction", "ppt", "psd-slack",
-                    "reduction criterion for PPT instances"),
+                    "reduction criterion for PPT instances", _sb_horodecki),
         TheoremCase("phi-completely-ppt", "psd", "ppt-of-derived",
-                    "blockwise (tr X)I + X yields a PPT block matrix"),
+                    "blockwise (tr X)I + X yields a PPT block matrix",
+                    _derived(partial(apply_map_blockwise, "phi"))),
         TheoremCase("psi-completely-copositive", "psd", "psd-slack",
-                    "blockwise (tr X)I - X on swapped blocks stays PSD"),
-        TheoremCase("psi-not-2-positive", "fixed", "expected-failure",
+                    "blockwise (tr X)I - X on swapped blocks stays PSD", _sb_psi_copositive),
+        TheoremCase("psi-not-2-positive", "matrix-unit-E", "expected-failure",
                     "blockwise (tr X)I - X breaks positivity on the "
                     "matrix-unit block instance", _case_psi_not_2_positive),
         TheoremCase("trace-2x2-besenyei", "psd-2x2", "scalar",
-                    "trA trC - |trB|^2 >= tr(AC) - tr(B*B)", _case_trace_besenyei),
+                    "trA trC - |trB|^2 >= tr(AC) - tr(B*B)",
+                    partial(_trace_2x2, lambda ac, b2, tr_ac, tr_bb: ac - b2 - (tr_ac - tr_bb))),
         TheoremCase("trace-2x2-kittaneh-lin", "psd-2x2", "scalar",
-                    "trA trC - |trB|^2 >= tr(B*B) - tr(AC)", _case_trace_kittaneh_lin),
+                    "trA trC - |trB|^2 >= tr(B*B) - tr(AC)",
+                    partial(_trace_2x2, lambda ac, b2, tr_ac, tr_bb: ac - b2 - (tr_bb - tr_ac))),
         TheoremCase("trace-2x2-plus", "psd-2x2", "scalar",
-                    "trA trC + |trB|^2 >= tr(AC) + tr(B*B)", _case_trace_plus),
+                    "trA trC + |trB|^2 >= tr(AC) + tr(B*B)",
+                    partial(_trace_2x2, lambda ac, b2, tr_ac, tr_bb: ac + b2 - tr_ac - tr_bb)),
         TheoremCase("ando", "psd", "psd-slack",
-                    "(tr A)I - (tr2 A)(x)I_n dominates I_m(x)tr1 A - A"),
+                    "(tr A)I - (tr2 A)(x)I_n dominates I_m(x)tr1 A - A", _sb_ando),
         TheoremCase("li-liu-huang-minus", "psd", "psd-slack",
-                    "two-sided version of the Ando-type bound"),
+                    "two-sided version of the Ando-type bound", _sb_llh_minus),
         TheoremCase("li-liu-huang-pm", "psd", "psd-slack",
-                    "(tr A)I +- (tr2 A)(x)I_n dominates A +- I_m(x)tr1 A"),
+                    "(tr A)I +- (tr2 A)(x)I_n dominates A +- I_m(x)tr1 A", _sb_llh_pm),
         TheoremCase("thm42-improved", "psd", "psd-slack",
-                    "plus-side bound improved by 2(tr2 D_A)(x)I_n - 2 D_A"),
+                    "plus-side bound improved by 2(tr2 D_A)(x)I_n - 2 D_A", _sb_thm42),
         TheoremCase("thm44-improved", "psd", "psd-slack",
-                    "minus-side bound improved by a Hadamard-J correction"),
+                    "minus-side bound improved by a Hadamard-J correction", _sb_thm44),
         TheoremCase("thm4p4-analogue", "psd", "psd-slack",
-                    "all-plus analogue dominating 2(tr2 D_A)(x)I_n + 2 D_A"),
+                    "all-plus analogue dominating 2(tr2 D_A)(x)I_n + 2 D_A", _sb_thm4p4),
         TheoremCase("choi-hermitian-ando", "hermitian", "psd-slack",
-                    "(m-1)(n-1) lambda sandwich around the Ando combination"),
+                    "(m-1)(n-1) lambda sandwich around the Ando combination",
+                    _sb_choi_hermitian_ando),
         TheoremCase("prop-hermitian-minus", "hermitian", "psd-slack",
-                    "(m-1)(n-+1) lambda bounds for the minus combination"),
+                    "(m-1)(n-+1) lambda bounds for the minus combination",
+                    _sb_prop_hermitian_minus),
         TheoremCase("prop-hermitian-plus", "hermitian", "psd-slack",
-                    "(m+1)(n-1) lambda bounds for the plus combination"),
+                    "(m+1)(n-1) lambda bounds for the plus combination",
+                    _sb_prop_hermitian_plus),
         TheoremCase("ck-classical", "real-int", "scalar",
                     "classical row/column sum-of-squares inequality "
-                    "(exact integers)", _case_ck_classical),
+                    "(exact integers)", partial(_ck, _CK_CLASSICAL)),
         TheoremCase("ck-lih", "real-int", "scalar",
                     "two-sided extensions of the classical inequality "
-                    "(exact integers)", _case_ck_lih),
+                    "(exact integers)", partial(_ck, _CK_LIH)),
         TheoremCase("ck-improved", "real-int", "scalar",
                     "improved row/column inequalities (exact integers)",
-                    _case_ck_improved),
-        TheoremCase("eq18-matrix", "fixed", "psd-slack",
-                    "commuting-J matrix inequality behind the scalar improvements"),
+                    partial(_ck, _CK_IMPROVED)),
+        TheoremCase("eq18-matrix", "zero", "psd-slack",
+                    "commuting-J matrix inequality behind the scalar improvements",
+                    _sb_eq18),
         TheoremCase("schur-majorization", "hermitian", "majorization",
                     "diagonal majorized by eigenvalues", _case_schur),
         TheoremCase("eqm1-majorization", "psd", "majorization",
@@ -735,14 +699,14 @@ def _registry():
                     _case_ppt_majorization),
         TheoremCase("hermitian-offdiag-majorization", "psd-2x2", "majorization",
                     "Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
-                    _case_hermitian_offdiag),
+                    partial(_offdiag_majorization, False)),
         TheoremCase("skew-offdiag-majorization", "psd-2x2", "majorization",
                     "skew-Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
-                    _case_skew_offdiag),
+                    partial(_offdiag_majorization, True)),
         TheoremCase("lin-2x2-ppt", "psd-2x2", "ppt-of-derived",
-                    "trace-augmented 2x2 block matrix is PPT"),
+                    "trace-augmented 2x2 block matrix is PPT", _derived(lin_block)),
         TheoremCase("choi-block-ppt", "psd-2x2", "ppt-of-derived",
-                    "cross-trace-augmented 2x2 block matrix is PPT"),
+                    "cross-trace-augmented 2x2 block matrix is PPT", _derived(choi_block)),
         TheoremCase("coro55-norms", "psd-2x2", "scalar",
                     "Ky Fan family: 2||(trB)I+-B|| <= ||(tr(A+C))I + A+C||",
                     _case_coro55_norms),
@@ -757,18 +721,23 @@ def _registry():
         TheoremCase("lem38-eigen", "gram-pair", "scalar",
                     "lambda_j(M*M+N*N) <= lambda_j(MM*+NN*) + trace shift",
                     _case_lem38),
-        TheoremCase("abs-block-corollary", "fixed", "sv-dominance",
+        TheoremCase("abs-block-corollary", "square", "sv-dominance",
                     "2 s_j((trX)I+-X) <= s_j((tr(|X|+|X*|))I + |X|+|X*|)",
                     _case_abs_block),
         TheoremCase("open-question-residual", "psd", "psd-slack",
-                    "scan residual (tr A)I + A - I_m(x)tr1 A - (tr2 A)(x)I_n"),
+                    "scan residual (tr A)I + A - I_m(x)tr1 A - (tr2 A)(x)I_n",
+                    _sb_open_question),
     ]
     return {c.id: c for c in cases}
 
 
 REGISTRY = _registry()
 
-EXPECTED_FAILURE_CASES = ("psi-not-2-positive",)
+EXPECTED_FAILURE_CASES = tuple(
+    cid for cid, case in REGISTRY.items() if case.check_kind == "expected-failure")
+
+# Check kinds whose fn builds slack matrices that must all be PSD.
+_SLACK_KINDS = ("psd-slack", "ppt-of-derived")
 
 
 def case_ids() -> list:
@@ -796,40 +765,105 @@ def _psd_instances(m: int, n: int, seed):
     return out
 
 
-def make_instance(case_id: str, m: int, n: int, seed):
-    """Instance of the case's input class at the given dims.
+def _gen(kind: str, m: int, n: int, seed):
+    return gen(GenSpec(kind, m=m, n=n, seed=seed))
 
-    2x2-block cases fix the block count at 2 and use n as block size;
-    gram-pair cases yield factors of shape (n, m); the fixed classes are
-    deterministic constructions (the square-X corollary draws a seeded
-    square matrix of size n).  A 1-D array of seeds gives the list of each
-    seed's instance, drawn as stacks."""
-    case = REGISTRY[case_id]
-    cls = case.input_class
-    batched = np.ndim(seed) > 0
-    if cls == "psd":
-        return _psd_instances(m, n, seed)
-    if cls == "hermitian":
-        return gen(GenSpec("hermitian", m=m, n=n, seed=seed))
-    if cls == "ppt":
-        return gen(GenSpec("ppt", m=m, n=n, seed=seed))
-    if cls == "psd-2x2":
-        return gen(GenSpec("psd", m=2, n=n, seed=seed))
-    if cls == "gram-pair":
-        return gen(GenSpec("gram-pair", m=n, n=m, seed=seed))
-    if cls == "real-int":
-        return gen(GenSpec("real-int", m=m, n=n, seed=seed, int_bound=100))
-    if cls == "fixed":
-        if case_id == "psi-not-2-positive":
-            return gen(GenSpec("matrix-unit-E", n=n, seed=seed))
-        if case_id == "eq18-matrix":
-            zero = BlockMatrix(m, n, np.zeros((m * n, m * n), dtype=np.complex128))
-            return [zero] * len(seed) if batched else zero
-        if case_id == "abs-block-corollary":
-            x = ginibre(Stream(seed), n, n)
-            return list(x) if batched else x
-        raise ValueError(f"no fixed construction for case {case_id!r}")
-    raise ValueError(f"unknown input class {cls!r}")
+
+def _zero_instances(m: int, n: int, seed):
+    zero = BlockMatrix(m, n, np.zeros((m * n, m * n), dtype=np.complex128))
+    return [zero] * len(seed) if np.ndim(seed) else zero
+
+
+def _square_instances(m: int, n: int, seed):
+    x = ginibre(Stream(seed), n, n)
+    return list(x) if np.ndim(seed) else x
+
+
+def _load_block(obj) -> BlockMatrix:
+    a = serialize.block_from_obj(obj)
+    if not is_hermitian(a.dense):
+        raise ValueError("input matrix is not Hermitian")
+    return a
+
+
+def _load_pair(obj):
+    pair = serialize.pair_from_obj(obj)
+    if pair[0].shape != pair[1].shape:
+        raise ValueError("the two factors of the pair differ in shape")
+    return pair
+
+
+def _load_square(obj) -> np.ndarray:
+    x = serialize.matrix_from_obj(obj)
+    if x.shape[0] != x.shape[1]:
+        raise ValueError("input matrix is not square")
+    return x
+
+
+def _psd_problem(a: BlockMatrix, tol):
+    if not is_psd(_herm(a.dense), tol).holds:
+        return "input matrix is not positive semidefinite"
+    return None
+
+
+def _ppt_problem(a: BlockMatrix, tol):
+    problem = _psd_problem(a, tol)
+    if problem is None and not is_psd(_herm(partial_transpose(a).dense), tol).holds:
+        return "input matrix does not have a PSD partial transpose"
+    return problem
+
+
+def _psd_2x2_problem(a: BlockMatrix, tol):
+    if a.m != 2:
+        return "input must have 2x2 block structure"
+    return _psd_problem(a, tol)
+
+
+def _block_2x2_entries(m: int, n: int) -> int:
+    return (2 * n) ** 2
+
+
+@dataclass(frozen=True)
+class InputClass:
+    """One kind of case input.
+
+    draw(m, n, seed) is the seeded instance at dims (m, n), or the list of
+    each seed's instance for a 1-D seed array, drawn as stacks.
+    load(obj) reads the JSON object of one instance and raises ValueError
+    when it is malformed, non-finite, of the wrong shape, or, for a block
+    class, not Hermitian within HERMITIAN_TOL.
+    entries(m, n) counts the complex entries of one instance, which sizes
+    the chunks of trials.  problem(instance, tol) names the precondition
+    that a `case --input` instance fails, or is None."""
+    draw: Callable
+    load: Callable
+    entries: Callable = lambda m, n: (m * n) ** 2
+    problem: Callable = lambda instance, tol: None
+
+
+# 2x2-block classes fix the block count at 2 and use n as block size;
+# gram-pair factors have shape (n, m); the square X is n x n.
+INPUT_CLASSES = {
+    "psd": InputClass(_psd_instances, _load_block, problem=_psd_problem),
+    "hermitian": InputClass(partial(_gen, "hermitian"), _load_block),
+    "ppt": InputClass(partial(_gen, "ppt"), _load_block, problem=_ppt_problem),
+    "psd-2x2": InputClass(lambda m, n, seed: _gen("psd", 2, n, seed), _load_block,
+                          _block_2x2_entries, _psd_2x2_problem),
+    "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed), _load_pair,
+                            lambda m, n: 2 * m * n),
+    "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
+                           lambda m, n: m * n),
+    "matrix-unit-E": InputClass(lambda m, n, seed: _gen("matrix-unit-E", 1, n, seed),
+                                _load_block, _block_2x2_entries),
+    "zero": InputClass(_zero_instances, _load_block),
+    "square": InputClass(_square_instances, _load_square, lambda m, n: n * n),
+}
+
+
+def make_instance(case_id: str, m: int, n: int, seed):
+    """Instance of the case's input class at the given dims; a 1-D array of
+    seeds gives the list of each seed's instance, drawn as stacks."""
+    return INPUT_CLASSES[REGISTRY[case_id].input_class].draw(m, n, seed)
 
 
 def build_slack(case_id: str, instance):
@@ -840,13 +874,9 @@ def build_slack(case_id: str, instance):
     case = REGISTRY.get(case_id)
     if case is None:
         raise KeyError(f"unknown case id {case_id!r}")
-    if case_id in SLACK_BUILDERS:
-        d = Derived(instance)
-        return [(label, _herm(s)) for label, s in SLACK_BUILDERS[case_id](d)]
-    if case_id in DERIVED_BUILDERS:
-        b = DERIVED_BUILDERS[case_id](Derived(instance))
-        return [("derived", b.dense), ("derived-tau", partial_transpose(b).dense)]
-    raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
+    if case.check_kind not in _SLACK_KINDS:
+        raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
+    return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
 def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> SlackReport:
@@ -863,17 +893,11 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     else:
         payload = instance
         m, n = instance.shape
-    misses = 0
-    if case_id in SLACK_BUILDERS:
-        parts = _psd_parts(SLACK_BUILDERS[case_id](payload), tol)
-    elif case_id in DERIVED_BUILDERS:
-        parts = _psd_parts(build_slack(case_id, instance), tol)
+    if case.check_kind in _SLACK_KINDS:
+        out = _psd_parts(case.fn(payload), tol)
     else:
         out = case.fn(payload, tol)
-        if isinstance(out, tuple):
-            parts, misses = out
-        else:
-            parts = out
+    parts, misses = out if isinstance(out, tuple) else (out, 0)
     return SlackReport(case_id, seed, m, n, tuple(parts), misses)
 
 
@@ -903,18 +927,9 @@ class RunConfig:
 # so memory stays flat in the trial count.
 _CHUNK_BYTES = 1 << 20
 
-# Complex entries of one instance of an input class at dims (m, n).
-_INSTANCE_ENTRIES = {
-    "psd-2x2": lambda m, n: (2 * n) ** 2,
-    "fixed": lambda m, n: (2 * n) ** 2,
-    "gram-pair": lambda m, n: 2 * m * n,
-    "real-int": lambda m, n: m * n,
-}
-
-
 def _chunk_trials(input_class: str, dims) -> int:
     """Trials per chunk: as many as keep its instance stacks near _CHUNK_BYTES."""
-    entries = _INSTANCE_ENTRIES.get(input_class, lambda m, n: (m * n) ** 2)
+    entries = INPUT_CLASSES[input_class].entries
     cycle_bytes = sum(16 * entries(m, n) for m, n in dims)
     return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
 
@@ -999,11 +1014,8 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL,
     values, seeds = [], []
     sanity_violations = 0
 
-    def draw(m, n, trial_seeds):
-        return gen(GenSpec("psd", m=m, n=n, seed=trial_seeds))
-
-    for trial_seed, _, a in _trial_instances(seed, "open-question-scan", dims, trials, draw,
-                                             _chunk_trials("psd", dims)):
+    for trial_seed, _, a in _trial_instances(seed, "open-question-scan", dims, trials,
+                                             partial(_gen, "psd"), _chunk_trials("psd", dims)):
         residual = ando_residual(a)
         lam_min = float(hermitian_eigvals(residual).values[-1])
         values.append(lam_min)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from blocktrace.blocks import (
     BlockMatrix,
     block_diag,
-    embed_left,
-    embed_right,
     from_blocks,
     full_transpose,
     j_block,
+    kron_left,
+    kron_right,
     partial_trace_1,
     partial_trace_2,
     partial_transpose,
@@ -129,5 +129,5 @@ def test_reshuffle_transpose_identity(seed, mn):
 
 def test_embeddings():
     x = Stream(5).complex_gaussians((3, 3))
-    assert np.array_equal(embed_left(x, 2).dense, np.kron(np.eye(2), x))
-    assert np.array_equal(embed_right(x, 2).dense, np.kron(x, np.eye(2)))
+    assert np.array_equal(kron_left(x, 2), np.kron(np.eye(2), x))
+    assert np.array_equal(kron_right(x, 2), np.kron(x, np.eye(2)))

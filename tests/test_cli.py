@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from blocktrace import serialize
+from blocktrace.blocks import BlockMatrix
 from blocktrace.cli import main, parse_dims
 from blocktrace.generate import GenSpec, gen
+from blocktrace.suite import case_ids, check_case, make_instance
 
 
 def test_parse_dims_grammar():
@@ -158,3 +160,73 @@ def test_thread_env_does_not_change_report(tmp_path, monkeypatch):
     monkeypatch.setenv("BLOCKTRACE_THREADS", "4")
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _to_obj(instance) -> dict:
+    """The JSON object of an instance, by the serializer for its type."""
+    if isinstance(instance, BlockMatrix):
+        return serialize.block_to_obj(instance)
+    if isinstance(instance, tuple):
+        return serialize.pair_to_obj(instance)
+    if instance.dtype.kind == "i":
+        return serialize.int_matrix_to_obj(instance)
+    return serialize.matrix_to_obj(instance)
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_case_round_trip_every_case(tmp_path, capsys, case_id):
+    """`case` on a dumped make_instance reports what check_case reports.
+    Seeds 0 and 5 draw the rank-deficient psd instances."""
+    path = tmp_path / "inst.json"
+    for seed in (0, 1, 5):
+        instance = make_instance(case_id, 2, 3, seed)
+        serialize.dump(_to_obj(instance), path)
+        assert main(["case", "--id", case_id, "--input", str(path)]) == 0
+        got = json.loads(capsys.readouterr().out)["parts"]
+        want = check_case(case_id, instance).parts
+        assert got == [{"label": p.label, "witness": p.witness, "holds": p.holds}
+                       for p in want]
+
+
+def _block_obj(dense) -> dict:
+    return {"m": 2, "n": len(dense) // 2, "matrix": serialize.matrix_to_obj(dense)}
+
+
+def _nan_block() -> dict:
+    x = np.eye(4)
+    x[0, 0] = np.nan
+    return _block_obj(x)
+
+
+def _non_hermitian_block() -> dict:
+    x = 2 * np.eye(4)
+    x[0, 1] = 0.5
+    return _block_obj(x)
+
+
+_RECT = {"rows": 2, "cols": 3, "entries": [[[1.0, 0.0]] * 3] * 2}
+_SQUARE = {"rows": 2, "cols": 2, "entries": [[[1.0, 0.0]] * 2] * 2}
+BAD_INPUTS = {
+    "nan-ando": ("ando", _nan_block()),
+    "nan-schur": ("schur-majorization", _nan_block()),
+    "nan-psi": ("psi-not-2-positive", _nan_block()),
+    "nan-eq18": ("eq18-matrix", _nan_block()),
+    "non-hermitian-ando": ("ando", _non_hermitian_block()),
+    "fractional-block-count": ("ando", {**_block_obj(np.eye(4)), "m": 1.9, "n": 4}),
+    "fractional-int": ("ck-classical", {"rows": 1, "cols": 2, "entries": [[1.7, 2]]}),
+    "bool-int": ("ck-lih", {"rows": 1, "cols": 2, "entries": [[True, 2]]}),
+    "huge-int": ("ck-improved", {"rows": 1, "cols": 2, "entries": [[10**30, 2]]}),
+    "empty-int": ("ck-classical", {"rows": 0, "cols": 0, "entries": []}),
+    "pair-shape-mismatch": ("lem39-singular", {"pair": [_SQUARE, _RECT]}),
+    "non-square-x": ("abs-block-corollary", _RECT),
+    "huge-complex-entry": ("abs-block-corollary",
+                           {"rows": 1, "cols": 1, "entries": [[[10**400, 0]]]}),
+}
+
+
+@pytest.mark.parametrize("case_id, obj", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_case_rejects_bad_input(tmp_path, capsys, case_id, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["case", "--id", case_id, "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

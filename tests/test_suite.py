@@ -15,10 +15,10 @@ from blocktrace.orders import is_psd
 from blocktrace.rng import derive_seed
 from blocktrace.suite import (
     EXPECTED_FAILURE_CASES,
+    INPUT_CLASSES,
     REGISTRY,
     Derived,
     RunConfig,
-    SLACK_BUILDERS,
     ando_residual,
     build_slack,
     case_ids,
@@ -300,6 +300,25 @@ def test_open_question_scan_empty():
     assert report["min_lambda_min"] is None
 
 
+def test_input_classes_match_registry():
+    assert {c.input_class for c in REGISTRY.values()} == set(INPUT_CLASSES)
+
+
+def test_block_load_accepts_rounding_asymmetry():
+    x = make_instance("ando", 2, 3, 4).dense.copy()
+    x[0, 1] += 1e-13  # within HERMITIAN_TOL * max(1, ||x||_F)
+    loaded = INPUT_CLASSES["psd"].load(serialize.block_to_obj(BlockMatrix(2, 3, x)))
+    assert np.array_equal(loaded.dense, x)
+
+
 def test_slack_builders_cover_declared_cases():
-    declared = {cid for cid, c in REGISTRY.items() if c.check_kind == "psd-slack"}
-    assert declared == set(SLACK_BUILDERS)
+    """Every psd-slack and ppt-of-derived row builds labeled mn x mn slack
+    matrices from its one callable; no other row has a slack form."""
+    for cid, case in REGISTRY.items():
+        inst = make_instance(cid, 2, 3, 0)
+        if case.check_kind in ("psd-slack", "ppt-of-derived"):
+            slacks = build_slack(cid, inst)
+            assert slacks and all(s.shape == (inst.size, inst.size) for _, s in slacks)
+        else:
+            with pytest.raises(ValueError):
+                build_slack(cid, inst)
