@@ -2,6 +2,8 @@
 
 A :class:`BlockMatrix` is one dense matrix plus (m, n) metadata: m blocks per
 side, each block n x n.  Degenerate structures (m = 1 or n = 1) are legal.
+``dense`` may carry leading trial axes, (..., mn, mn): every operator here
+indexes from the end, so one code path serves a single matrix and a stack.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,10 @@ class BlockMatrix:
     dense: np.ndarray
 
     def __post_init__(self):
-        d = as_matrix(self.dense)
+        d = np.asarray(self.dense, dtype=np.complex128)
         if self.m < 1 or self.n < 1:
             raise ValueError("block counts must be positive")
-        if d.shape != (self.m * self.n, self.m * self.n):
+        if d.shape[-2:] != (self.m * self.n, self.m * self.n):
             raise ValueError(
                 f"dense shape {d.shape} does not match m={self.m}, n={self.n}"
             )
@@ -32,24 +32,24 @@ class BlockMatrix:
     def block(self, i: int, j: int) -> np.ndarray:
         """The n x n submatrix at block position (i, j); a view."""
         n = self.n
-        return self.dense[i * n : (i + 1) * n, j * n : (j + 1) * n]
+        return self.dense[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
 
     @property
     def size(self) -> int:
         return self.m * self.n
 
     def as_blocks(self) -> np.ndarray:
-        """4-D view indexed [i, j, r, s] -> block(i, j)[r, s]."""
+        """View indexed [..., i, j, r, s] -> block(i, j)[r, s]."""
         m, n = self.m, self.n
-        return self.dense.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        return self.dense.reshape(self.dense.shape[:-2] + (m, n, m, n)).swapaxes(-3, -2)
 
 
 def from_blocks(m: int, n: int, blocks) -> BlockMatrix:
-    """Assemble from a [i, j, r, s]-indexed array of blocks."""
+    """Assemble from a [..., i, j, r, s]-indexed array of blocks."""
     b = np.asarray(blocks, dtype=np.complex128)
-    if b.shape != (m, m, n, n):
+    if b.shape[-4:] != (m, m, n, n):
         raise ValueError(f"expected block array of shape {(m, m, n, n)}, got {b.shape}")
-    dense = b.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    dense = b.swapaxes(-3, -2).reshape(b.shape[:-4] + (m * n, m * n))
     return BlockMatrix(m, n, dense)
 
 
@@ -57,29 +57,28 @@ def partial_transpose(a: BlockMatrix) -> BlockMatrix:
     """A^tau: block (i, j) of the result is block (j, i) of the input.
 
     Blocks are swapped in position, not internally transposed."""
-    return from_blocks(a.m, a.n, a.as_blocks().transpose(1, 0, 2, 3))
+    return from_blocks(a.m, a.n, a.as_blocks().swapaxes(-4, -3))
 
 
 def full_transpose(a: BlockMatrix) -> BlockMatrix:
     """Plain entrywise transpose, keeping the block structure."""
-    return BlockMatrix(a.m, a.n, a.dense.T.copy())
+    return BlockMatrix(a.m, a.n, a.dense.swapaxes(-1, -2).copy())
 
 
 def partial_trace_1(a: BlockMatrix) -> np.ndarray:
     """tr_1 A = sum of the diagonal blocks; an n x n matrix."""
-    return np.einsum("iirs->rs", a.as_blocks())
+    return np.einsum("...iirs->...rs", a.as_blocks())
 
 
 def partial_trace_2(a: BlockMatrix) -> np.ndarray:
     """tr_2 A = [tr A_{i,j}]; an m x m matrix of block traces."""
-    return np.einsum("ijrr->ij", a.as_blocks())
+    return np.einsum("...ijrr->...ij", a.as_blocks())
 
 
 def block_diag(a: BlockMatrix) -> BlockMatrix:
     """D_A: off-diagonal blocks zeroed, diagonal blocks kept."""
     blocks = a.as_blocks().copy()
-    mask = np.eye(a.m, dtype=bool)
-    blocks[~mask] = 0
+    blocks[..., ~np.eye(a.m, dtype=bool), :, :] = 0
     return from_blocks(a.m, a.n, blocks)
 
 
@@ -95,26 +94,26 @@ def reshuffle(a: BlockMatrix) -> BlockMatrix:
 
     An exact entry permutation: (r*m+i, s*m+j) <- (i*n+r, j*n+s).  Swaps the
     roles of block and intra-block indices."""
-    return from_blocks(a.n, a.m, a.as_blocks().transpose(2, 3, 0, 1))
+    return from_blocks(a.n, a.m, np.moveaxis(a.as_blocks(), (-2, -1), (-4, -3)))
 
 
 def kron_left(x, m: int) -> np.ndarray:
-    """Dense I_m (x) x for an n x n matrix x: x copied into the m diagonal
-    blocks of a zeroed (m, n, m, n) array."""
+    """Dense I_m (x) x for n x n matrices x: x copied into the m diagonal
+    blocks of a zeroed (..., m, n, m, n) array."""
     x = np.asarray(x)
-    n = x.shape[0]
-    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (m, n, m, n), dtype=np.complex128)
     diag = np.arange(m)
-    out[diag, :, diag, :] = x
-    return out.reshape(m * n, m * n)
+    out[..., diag, :, diag, :] = x
+    return out.reshape(x.shape[:-2] + (m * n, m * n))
 
 
 def kron_right(x, n: int) -> np.ndarray:
-    """Dense x (x) I_n for an m x m matrix x: x copied onto the n intra-block
-    diagonals of a zeroed (m, n, m, n) array."""
+    """Dense x (x) I_n for m x m matrices x: x copied onto the n intra-block
+    diagonals of a zeroed (..., m, n, m, n) array."""
     x = np.asarray(x)
-    m = x.shape[0]
-    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    m = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (m, n, m, n), dtype=np.complex128)
     diag = np.arange(n)
-    out[:, diag, :, diag] = x
-    return out.reshape(m * n, m * n)
+    out[..., :, diag, :, diag] = x
+    return out.reshape(x.shape[:-2] + (m * n, m * n))

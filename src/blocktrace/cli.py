@@ -7,6 +7,8 @@ Subcommands:
     scan    residual statistics for the open positivity question
 
 Exit codes: 0 success, 1 a checked statement failed, 2 usage or input error.
+A reader that closes stdout early (`blocktrace verify | head -1`) ends the
+output quietly; the exit code is still the one the run earned.
 The BLOCKTRACE_THREADS environment variable is no longer read: the checks
 hold the interpreter lock, and a thread pool measured slower than serial.
 """
@@ -14,6 +16,7 @@ hold the interpreter lock, and a thread pool measured slower than serial.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import serialize
@@ -25,6 +28,7 @@ from .suite import (
     RunConfig,
     case_ids,
     check_case,
+    check_tol,
     run_suite,
     open_question_scan,
     total_failures,
@@ -84,8 +88,12 @@ def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader is gone: send the flush at interpreter exit to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_verify(args) -> int:
@@ -111,6 +119,11 @@ def _cmd_case(args) -> int:
         print(f"error: unknown case id {args.id!r}", file=sys.stderr)
         return USAGE_ERROR
     input_class = INPUT_CLASSES[REGISTRY[args.id].input_class]
+    try:
+        check_tol(args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         instance = input_class.load(serialize.load(args.input))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -155,6 +168,7 @@ def _cmd_gen(args) -> int:
 def _cmd_scan(args) -> int:
     try:
         dims = parse_dims(args.dims)
+        check_tol(args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,20 +1,21 @@
 """Dense complex matrix kernels used throughout the package.
 
-Matrices are plain ``numpy`` arrays of ``complex128``.  Everything here is a
-pure function; nothing mutates its inputs.
+Matrices are plain ``numpy`` arrays of ``complex128``.  The ``*_stack``
+kernels act on every matrix of a (..., r, c) stack at once; each one-matrix
+kernel is a thin wrapper over its stacked kernel, so the two agree bit for
+bit.  Everything here is a pure function; nothing mutates its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance knobs.  hermitian_tol and spectral_tol are relative to
-# max(1, ||M||_F); chosen an order of magnitude above accumulated rounding
-# at the matrix sizes this package targets (mn <= 256).
+# Hermiticity tolerance, relative to max(1, ||M||_F); chosen an order of
+# magnitude above accumulated rounding at the matrix sizes this package
+# targets (mn <= 256).
 HERMITIAN_TOL = 1e-10
-SPECTRAL_TOL = 1e-9
 
 EIGENVALUES_HERMITIAN = "eigenvalues-hermitian"
 SINGULAR_VALUES = "singular-values"
@@ -28,29 +29,65 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _square(a) -> np.ndarray:
+    """Coerce input to a complex128 stack of square matrices."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def trace_stack(a) -> np.ndarray:
+    """Trace of every matrix of a (..., k, k) stack, summed as np.trace sums
+    one matrix: the diagonal is copied to a contiguous last axis, so each
+    row gets numpy's pairwise summation whatever the stack's strides."""
+    return np.diagonal(a, axis1=-2, axis2=-1).copy().sum(axis=-1)
+
+
+def scale_stack(a) -> np.ndarray:
+    """Relative-tolerance scale max(1, Frobenius norm) of every matrix of a
+    (..., r, c) stack."""
+    a = np.asarray(a)
+    squares = a.real ** 2
+    squares += a.imag ** 2
+    return np.fmax(1.0, np.sqrt(squares.sum(axis=(-2, -1))))
+
+
 def scale_of(a: np.ndarray) -> float:
     """Relative-tolerance scale: max(1, Frobenius norm)."""
-    return max(1.0, float(np.linalg.norm(a)))
+    return float(scale_stack(as_matrix(a)))
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """max_{i,j} |a[i,j] - conj(a[j,i])|."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("hermitian defect needs a square matrix")
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def hermitian_defect(a):
+    """max_{i,j} |a[i,j] - conj(a[j,i])| of a matrix or of each matrix of a stack."""
+    a = _square(a)
+    gaps = a.conj().swapaxes(-1, -2)
+    gaps -= a
+    return np.abs(gaps).max(axis=(-2, -1), initial=0.0)
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_defect(a) <= tol * scale_of(a)
+    return bool(hermitian_defect(a) <= tol * scale_of(a))
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = as_matrix(a)
-    d = hermitian_defect(a)
-    if d > tol * scale_of(a):
-        raise ValueError(f"matrix is not Hermitian (defect {d:.3e})")
+def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """a as complex128; ValueError unless each of its matrices is Hermitian."""
+    a = _square(a)
+    defects = hermitian_defect(a)
+    bad = defects > tol * scale_stack(a)
+    if bad.any():
+        raise ValueError(f"matrix is not Hermitian (defect {defects[bad][0]:.3e})")
     return a
+
+
+def pad_sorted(values, length: int) -> np.ndarray:
+    """Zero-pad every (..., k) row to ``length`` and sort it non-increasing."""
+    values = np.asarray(values, dtype=np.float64)
+    if length < values.shape[-1]:
+        raise ValueError("cannot pad to a shorter length")
+    out = np.zeros(values.shape[:-1] + (length,))
+    out[..., : values.shape[-1]] = values
+    return np.sort(out, axis=-1)[..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -80,43 +117,51 @@ class Spectrum:
     def padded(self, length: int) -> np.ndarray:
         """Zero-pad to ``length`` (descending order is preserved for
         non-negative spectra; padding sorts back in otherwise)."""
-        if length < len(self):
-            raise ValueError("cannot pad to a shorter length")
-        out = np.zeros(length)
-        out[: len(self)] = self.values
-        return np.sort(out)[::-1]
+        return pad_sorted(self.values, length)
+
+
+def hermitian_eigvals_stack(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Eigenvalues of every Hermitian matrix of a stack, each row sorted
+    non-increasing, by one eigvalsh call after require_hermitian."""
+    return np.sort(np.linalg.eigvalsh(require_hermitian(a, tol)), axis=-1)[..., ::-1]
 
 
 def hermitian_eigvals(a, tol: float = HERMITIAN_TOL) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
-    a = require_hermitian(a, tol)
-    w = np.linalg.eigvalsh(a)
-    return Spectrum(np.sort(w.real)[::-1], EIGENVALUES_HERMITIAN)
+    return Spectrum(hermitian_eigvals_stack(as_matrix(a), tol), EIGENVALUES_HERMITIAN)
 
 
-def singular_values(a) -> Spectrum:
-    """Singular values, sorted non-increasing.
+def singular_values_stack(a) -> np.ndarray:
+    """Singular values of every matrix of a stack, each row non-increasing.
 
     Computed by a full SVD rather than sqrt-of-Gram-eigenvalues: the Gram
     route squares the condition number, inflating singular values near zero
     to about sqrt(eps) * s_max, which is fatal for the rank-deficient
     comparisons in the check suite.
     """
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
-    return Spectrum(np.sort(s)[::-1], SINGULAR_VALUES)
+    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    return np.sort(s, axis=-1)[..., ::-1]
+
+
+def singular_values(a) -> Spectrum:
+    """Singular values, sorted non-increasing."""
+    return Spectrum(singular_values_stack(as_matrix(a)), SINGULAR_VALUES)
+
+
+def matrix_abs_stack(x) -> np.ndarray:
+    """|X| = (X* X)^(1/2), the Hermitian PSD square root, of each matrix of a stack."""
+    x = _square(x)
+    gram = x.conj().swapaxes(-1, -2) @ x
+    gram = (gram + gram.conj().swapaxes(-1, -2)) / 2
+    w, v = np.linalg.eigh(gram)
+    w = np.clip(w.real, 0.0, None)
+    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (root + root.conj().swapaxes(-1, -2)) / 2
 
 
 def matrix_abs(x) -> np.ndarray:
     """|X| = (X* X)^(1/2), the Hermitian PSD square root."""
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("matrix_abs needs a square matrix")
-    gram = x.conj().T @ x
-    gram = (gram + gram.conj().T) / 2
-    w, v = np.linalg.eigh(gram)
-    w = np.clip(w.real, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    return matrix_abs_stack(as_matrix(x))
 
 
 def kyfan_norm(a, k: int) -> float:

@@ -6,17 +6,10 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockMatrix, from_blocks
+from .linalg import trace_stack
 
-
-def phi(x: np.ndarray) -> np.ndarray:
-    return np.trace(x) * np.eye(x.shape[0]) + x
-
-
-def psi(x: np.ndarray) -> np.ndarray:
-    return np.trace(x) * np.eye(x.shape[0]) - x
-
-
-_MAPS = {"phi": phi, "psi": psi}
+# (tr X) I combined with X: added for phi, X subtracted for psi.
+_MAPS = {"phi": np.add, "psi": np.subtract}
 
 
 def apply_map_blockwise(kind: str, a: BlockMatrix, transpose_blocks: bool = False) -> BlockMatrix:
@@ -24,12 +17,8 @@ def apply_map_blockwise(kind: str, a: BlockMatrix, transpose_blocks: bool = Fals
 
     With ``transpose_blocks`` the map acts on A_{j,i} instead of A_{i,j},
     giving the copositivity-side block matrix [map(A_{j,i})]."""
-    f = _MAPS[kind]
     blocks = a.as_blocks()
     if transpose_blocks:
-        blocks = blocks.transpose(1, 0, 2, 3)
-    out = np.empty_like(blocks)
-    for i in range(a.m):
-        for j in range(a.m):
-            out[i, j] = f(blocks[i, j])
-    return from_blocks(a.m, a.n, out)
+        blocks = blocks.swapaxes(-4, -3)
+    trace_eye = trace_stack(blocks)[..., None, None] * np.eye(a.n)
+    return from_blocks(a.m, a.n, _MAPS[kind](trace_eye, blocks))

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix, partial_transpose
-from .linalg import (
-    HERMITIAN_TOL,
-    Spectrum,
-    as_matrix,
-    hermitian_eigvals,
-    scale_of,
-    singular_values,
-)
+from .linalg import hermitian_eigvals  # noqa: F401  (kept as orders.hermitian_eigvals)
+from .linalg import (Spectrum, hermitian_eigvals_stack, pad_sorted, scale_stack,
+                     singular_values_stack)
 
 PSD_TOL = 1e-8
 MAJORIZATION_TOL = 1e-8
@@ -29,6 +24,8 @@ MAJORIZATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OrderVerdict:
+    """On stacked input each field is an array over the leading axes."""
+
     holds: bool
     witness: float
     tolerance_used: float
@@ -42,43 +39,24 @@ class MajorizationVerdict:
     tolerance_used: float
 
     @property
-    def holds(self) -> bool:
+    def holds(self):
         """Standard majorization: weak plus equal totals."""
-        return self.weak_holds and abs(self.sum_gap) <= self.tolerance_used
+        return self.weak_holds & (np.abs(self.sum_gap) <= self.tolerance_used)
 
     @property
-    def witness(self) -> float:
-        return min(self.worst_prefix_gap, -abs(self.sum_gap))
+    def witness(self):
+        worst, total = self.worst_prefix_gap, -np.abs(self.sum_gap)
+        return np.where(total < worst, total, worst)  # min(worst, total), ties to worst
 
 
 def is_psd(a, tol: float = PSD_TOL) -> OrderVerdict:
-    """PSD test for a Hermitian matrix: witness is lambda_min."""
-    a = as_matrix(a)
-    lam = hermitian_eigvals(a).values  # validates Hermiticity
-    lam_min = float(lam[-1]) if lam.size else 0.0
-    tolerance = tol * scale_of(a)
+    """PSD test for a Hermitian matrix, or for every matrix of a (..., k, k)
+    stack by one eigvalsh call: witness is lambda_min, and the tolerance is
+    tol * max(1, ||.||_F)."""
+    a = np.asarray(a, dtype=np.complex128)
+    lam_min = hermitian_eigvals_stack(a)[..., -1]  # validates Hermiticity
+    tolerance = tol * scale_stack(a)
     return OrderVerdict(lam_min >= -tolerance, lam_min, tolerance)
-
-
-def psd_verdicts(stack, tol: float = PSD_TOL) -> list:
-    """is_psd of every matrix in a (P, k, k) stack, with one eigvalsh call.
-
-    Each matrix gets is_psd's Hermitian check and its tolerance
-    tol * max(1, ||.||_F), so each verdict equals is_psd's on that matrix.
-    The stack goes to eigvalsh directly: hermitian_eigvals takes one matrix."""
-    stack = np.asarray(stack, dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
-        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
-    scales = [scale_of(s) for s in stack]
-    defects = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    for defect, scale in zip(defects, scales):
-        if defect > HERMITIAN_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    verdicts = []
-    for lam_min, scale in zip(np.linalg.eigvalsh(stack).min(axis=1).tolist(), scales):
-        tolerance = tol * scale
-        verdicts.append(OrderVerdict(lam_min >= -tolerance, lam_min, tolerance))
-    return verdicts
 
 
 def loewner_ge(a, b, tol: float = PSD_TOL) -> OrderVerdict:
@@ -91,44 +69,37 @@ def loewner_ge(a, b, tol: float = PSD_TOL) -> OrderVerdict:
 
 def is_ppt(a: BlockMatrix, tol: float = PSD_TOL) -> OrderVerdict:
     """Positive partial transpose: both A and A^tau are PSD."""
-    v1 = is_psd(a.dense, tol)
-    v2 = is_psd(partial_transpose(a).dense, tol)
-    return OrderVerdict(
-        v1.holds and v2.holds,
-        min(v1.witness, v2.witness),
-        max(v1.tolerance_used, v2.tolerance_used),
-    )
+    v = is_psd(np.stack([a.dense, partial_transpose(a).dense]), tol)
+    return OrderVerdict(bool(v.holds.all()), float(v.witness.min()),
+                        float(v.tolerance_used.max()))
 
 
 def _descending(values) -> np.ndarray:
     if isinstance(values, Spectrum):
         values = values.values
-    return np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    return np.sort(np.asarray(values, dtype=np.float64), axis=-1)[..., ::-1]
 
 
 def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
-    """Test x majorized by y (x < y).  Spectra of different lengths are
-    zero-padded to the longer one before sorting."""
+    """Test x majorized by y (x < y) along the last axis; leading axes
+    broadcast and give a verdict of arrays.  Spectra of different lengths
+    are zero-padded to the longer one before sorting."""
     xv, yv = _descending(x), _descending(y)
-    length = max(xv.size, yv.size)
-    xp = np.zeros(length)
-    xp[: xv.size] = xv
-    yp = np.zeros(length)
-    yp[: yv.size] = yv
-    xp, yp = np.sort(xp)[::-1], np.sort(yp)[::-1]
-    prefix_gaps = np.cumsum(yp) - np.cumsum(xp)
-    worst = float(prefix_gaps.min()) if length else 0.0
-    sum_gap = float(prefix_gaps[-1]) if length else 0.0
-    tolerance = tol * max(1.0, float(np.sum(np.abs(yp))))
-    return MajorizationVerdict(worst >= -tolerance, sum_gap, worst, tolerance)
+    length = max(xv.shape[-1], yv.shape[-1])
+    xp, yp = pad_sorted(xv, length), pad_sorted(yv, length)
+    prefix_gaps = np.cumsum(yp, axis=-1) - np.cumsum(xp, axis=-1)
+    worst = prefix_gaps.min(axis=-1)
+    tolerance = tol * np.fmax(1.0, np.abs(yp).sum(axis=-1))
+    return MajorizationVerdict(worst >= -tolerance, prefix_gaps[..., -1], worst, tolerance)
 
 
 def sv_dominates(lhs, rhs, factor: float = 1.0, tol: float = PSD_TOL) -> OrderVerdict:
-    """factor * s_j(lhs) <= s_j(rhs) for every j (zero-padded)."""
-    s_l = singular_values(lhs)
-    s_r = singular_values(rhs)
-    length = max(len(s_l), len(s_r))
-    gaps = s_r.padded(length) - factor * s_l.padded(length)
-    witness = float(gaps.min()) if length else 0.0
-    tolerance = tol * max(1.0, scale_of(np.asarray(rhs)))
+    """factor * s_j(lhs) <= s_j(rhs) for every j (zero-padded), for a pair
+    of matrices or of (..., r, c) stacks."""
+    s_l = singular_values_stack(lhs)
+    s_r = singular_values_stack(rhs)
+    length = max(s_l.shape[-1], s_r.shape[-1])
+    gaps = pad_sorted(s_r, length) - factor * pad_sorted(s_l, length)
+    witness = gaps.min(axis=-1)
+    tolerance = tol * scale_stack(rhs)
     return OrderVerdict(witness >= -tolerance, witness, tolerance)

@@ -9,9 +9,10 @@ expected-failure cases hold when the violation is detected.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from .blocks import (
     partial_transpose,
 )
 from .generate import GenSpec, gen, ginibre
-from .linalg import hermitian_eigvals, is_hermitian, matrix_abs, scale_of, singular_values
+from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
+from .linalg import (hermitian_eigvals_stack, is_hermitian, matrix_abs_stack, pad_sorted,
+                     scale_stack, singular_values_stack)
+from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
-from .orders import PSD_TOL, is_psd, majorizes, psd_verdicts, sv_dominates
+from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
 from .rng import Stream, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -63,6 +67,11 @@ class SlackReport:
 
 # ---------------------------------------------------------------------------
 # shared builders
+#
+# Every builder and check works on a stack of T instances of one dims group
+# (matrices (T, k, k), indexed from the end) and yields part columns,
+# (label, witnesses, holds): one list entry per trial, with holds None in
+# the trials where the part does not exist.
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -90,64 +99,77 @@ _left = kron_left  # I_m (x) x
 _right = kron_right  # x (x) I_n
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().swapaxes(-1, -2)) / 2
+def _herm(x: np.ndarray, out=None) -> np.ndarray:
+    out = np.add(x, x.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
 
 
-def _psd_parts(slacks, tol: float) -> list:
-    """One part per labeled slack matrix, all decided by one stacked eigvalsh."""
-    verdicts = psd_verdicts(_herm(np.stack([s for _, s in slacks])), tol)
-    return [Part(label, v.witness, v.holds) for (label, _), v in zip(slacks, verdicts)]
+def _ct(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
 
 
-def _maj_part(label: str, x, y, tol: float) -> Part:
-    """x majorized by y."""
-    v = majorizes(y, x, tol)
-    return Part(label, v.witness, v.holds)
+def _unit(x: np.ndarray) -> np.ndarray:
+    """A per-matrix scalar with two unit axes, to scale matrices."""
+    return x[..., None, None]
 
 
-def _sv_part(label: str, lhs, rhs, factor: float, tol: float) -> Part:
-    v = sv_dominates(lhs, rhs, factor, tol)
-    return Part(label, v.witness, v.holds)
+def _col(label: str, witness, holds) -> tuple:
+    return label, np.asarray(witness).tolist(), np.asarray(holds).tolist()
 
 
-def _scalar_part(label: str, gap: float, tol: float, scale: float = 1.0) -> Part:
-    return Part(label, float(gap), gap >= -tol * max(1.0, scale))
+def _psd_cols(slacks: list, trials: int, tol: float) -> list:
+    """One column per labeled slack stack, all decided by one stacked
+    eigvalsh on their Hermitian parts.  A slack without the trial axis (the
+    eq18-matrix slack depends only on the dims) is decided once for all."""
+    labels = [label for label, _ in slacks]
+    stack = np.empty((len(slacks),) + slacks[0][1].shape, dtype=np.complex128)
+    for i, out in enumerate(stack):  # each slack is released once copied
+        _herm(slacks[i][1], out)
+        slacks[i] = None
+    v = is_psd(stack, tol)
+    shape = (len(labels), trials)
+    return list(zip(labels, np.broadcast_to(v.witness.reshape(len(labels), -1), shape).tolist(),
+                    np.broadcast_to(v.holds.reshape(len(labels), -1), shape).tolist()))
+
+
+def _vcol(label: str, verdict) -> tuple:
+    return _col(label, verdict.witness, verdict.holds)
+
+
+def _scalar_col(label: str, gap, tol: float, scale) -> tuple:
+    return _col(label, gap, gap >= -tol * np.fmax(1.0, scale))
 
 
 class Derived:
-    """Common derived objects of a block instance, computed lazily."""
+    """Common derived objects of a block instance, or of a (T, mn, mn)
+    stack of them, computed lazily.  Per-matrix scalars (tr, lam_max,
+    lam_min) carry two unit axes, so they scale matrices directly."""
 
     def __init__(self, a: BlockMatrix):
         self.a = a
         self.m, self.n = a.m, a.n
         self.dense = a.dense
-        self._cache = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def tau(self):
-        return self._get("tau", lambda: partial_transpose(self.a).dense)
+        return partial_transpose(self.a).dense
 
-    @property
+    @cached_property
     def tr1(self):
-        return self._get("tr1", lambda: partial_trace_1(self.a))
+        return partial_trace_1(self.a)
 
-    @property
+    @cached_property
     def tr2(self):
-        return self._get("tr2", lambda: partial_trace_2(self.a))
+        return partial_trace_2(self.a)
 
-    @property
+    @cached_property
     def tr(self):
-        return self._get("tr", lambda: float(np.trace(self.dense).real))
+        return _unit(_tr(self.dense).real)
 
-    @property
+    @cached_property
     def d_a(self):
-        return self._get("d_a", lambda: block_diag(self.a).dense)
+        return block_diag(self.a).dense
 
     @property
     def jb(self):
@@ -157,17 +179,18 @@ class Derived:
     def identity(self):
         return _eye(self.m * self.n)
 
-    @property
+    @cached_property
     def lam(self):
-        return self._get("lam", lambda: hermitian_eigvals(_herm(self.dense)))
+        """Eigenvalues of each matrix, non-increasing along the last axis."""
+        return hermitian_eigvals_stack(_herm(self.dense))
 
     @property
     def lam_max(self):
-        return float(self.lam.values[0])
+        return _unit(self.lam[..., 0])
 
     @property
     def lam_min(self):
-        return float(self.lam.values[-1])
+        return _unit(self.lam[..., -1])
 
 
 def _blocks_2x2(a: BlockMatrix):
@@ -217,31 +240,28 @@ def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
 
 def _block_2x2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     """[[top_left, top_right], [bottom_left, bottom_right]] of n x n blocks."""
-    n = top_left.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    out[:n, :n], out[:n, n:] = top_left, top_right
-    out[n:, :n], out[n:, n:] = bottom_left, bottom_right
+    n = top_left.shape[-1]
+    out = np.empty(top_left.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    out[..., :n, :n], out[..., :n, n:] = top_left, top_right
+    out[..., n:, :n], out[..., n:, n:] = bottom_left, bottom_right
     return out
 
 
-def lin_block(a: BlockMatrix) -> BlockMatrix:
-    """[[ (tr A)I + A, (tr B)I + B ], [ (tr B*)I + B*, (tr C)I + C ]]."""
+def _trace_augmented(cross: bool, a: BlockMatrix) -> BlockMatrix:
+    """[[ (tr A)I + A, (tr B)I + B ], [ (tr B*)I + B*, (tr C)I + C ]]; with
+    cross, [[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
+    tr_b = _unit(_tr(bb))
+    off = np.subtract if cross else np.add
     return BlockMatrix(2, a.n, _block_2x2(
-        np.trace(ab) * eye + ab, np.trace(bb) * eye + bb,
-        np.trace(bb).conjugate() * eye + bb.conj().T, np.trace(cb) * eye + cb,
+        _unit(_tr(ab)) * eye + (cb if cross else ab), off(tr_b * eye, bb),
+        off(tr_b.conjugate() * eye, _ct(bb)), _unit(_tr(cb)) * eye + (ab if cross else cb),
     ))
 
 
-def choi_block(a: BlockMatrix) -> BlockMatrix:
-    """[[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
-    ab, bb, cb = _blocks_2x2(a)
-    eye = _eye(a.n)
-    return BlockMatrix(2, a.n, _block_2x2(
-        np.trace(ab) * eye + cb, np.trace(bb) * eye - bb,
-        np.trace(bb).conjugate() * eye - bb.conj().T, np.trace(cb) * eye + ab,
-    ))
+lin_block = partial(_trace_augmented, False)
+choi_block = partial(_trace_augmented, True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +291,11 @@ def _sb_tr1_lambda_min(d):
 
 
 def _sb_tr2_hadamard(d):
-    return [("main", _right(d.tr2.T, d.n) + d.tau - 2 * (d.tau * d.jb))]
+    return [("main", _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau - 2 * (d.tau * d.jb))]
 
 
 def _sb_tr2_sandwich(d):
-    mid = _right(d.tr2.T, d.n) + d.tau
+    mid = _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau
     had = d.tau * d.jb
     return [
         ("upper", (d.n - 1) * d.lam_max * d.identity + 2 * had - mid),
@@ -284,11 +304,12 @@ def _sb_tr2_sandwich(d):
 
 
 def _sb_tr2_lambda_min(d):
-    return [("main", _right(d.tr2.T, d.n) + d.tau - (d.n - 1) * d.lam_min * d.identity)]
+    return [("main",
+             _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau - (d.n - 1) * d.lam_min * d.identity)]
 
 
 def _sb_choi_tr2_pm(d):
-    base = _right(d.tr2.T, d.n)
+    base = _right(d.tr2.swapaxes(-1, -2), d.n)
     return [("plus", base - d.tau), ("minus", base + d.tau)]
 
 
@@ -392,7 +413,7 @@ def _derived(build):
 
 
 # ---------------------------------------------------------------------------
-# non-slack case checks
+# non-slack case checks: fn(payload stack, tol) -> columns
 
 
 def _case_psi_not_2_positive(d: Derived, tol):
@@ -400,37 +421,42 @@ def _case_psi_not_2_positive(d: Derived, tol):
 
     At n = 1, psi(x) = x - x = 0 on 1x1 blocks, so psi(E) is zero and no
     violation exists: the case reports witness 0 and holds=False."""
-    w =apply_map_blockwise("psi", d.a).dense
-    lam_min = float(hermitian_eigvals(_herm(w)).values[-1])
-    return [Part("violation-detected", lam_min, lam_min <= -1.0 + tol)]
+    w = apply_map_blockwise("psi", d.a).dense
+    lam_min = hermitian_eigvals_stack(_herm(w))[..., -1]
+    return [_col("violation-detected", lam_min, lam_min <= -1.0 + tol)]
 
 
 def _trace_2x2(gap, d: Derived, tol):
-    """One scalar part, gap(trA trC, |trB|^2, tr(AC), tr(B*B)) >= 0."""
+    """One scalar part, gap(trA trC, |trB|^2, tr(AC), tr(B*B)) >= 0, in
+    Python floats row by row."""
     ab, bb, cb = _blocks_2x2(d.a)
-    tr_a = float(np.trace(ab).real)
-    tr_c = float(np.trace(cb).real)
-    tr_b = complex(np.trace(bb))
-    tr_ac = float(np.trace(ab @ cb).real)
-    tr_bb = float(np.trace(bb.conj().T @ bb).real)
-    scale = abs(tr_a * tr_c) + abs(tr_b) ** 2 + abs(tr_ac) + tr_bb
-    return [_scalar_part("main", gap(tr_a * tr_c, abs(tr_b) ** 2, tr_ac, tr_bb), tol, scale)]
+    witnesses, holds = [], []
+    for tr_a, tr_c, tr_b, tr_ac, tr_bb in zip(
+            _tr(ab).real.tolist(), _tr(cb).real.tolist(), _tr(bb).tolist(),
+            _tr(ab @ cb).real.tolist(), _tr(_ct(bb) @ bb).real.tolist()):
+        scale = abs(tr_a * tr_c) + abs(tr_b) ** 2 + abs(tr_ac) + tr_bb
+        g = gap(tr_a * tr_c, abs(tr_b) ** 2, tr_ac, tr_bb)
+        witnesses.append(float(g))
+        holds.append(g >= -tol * max(1.0, scale))
+    return [("main", witnesses, holds)]
 
 
 def _ck(gaps, x, tol):
-    """One exact part per (label, gap) of gaps, where the integer inequality
-    is gap(m, n, total, sq, row_sq, col_sq) >= 0 over the exact sums of x."""
-    m, n = x.shape
-    rows = x.tolist()
-    total = sum(sum(r) for r in rows)
-    sq = sum(v * v for r in rows for v in r)
-    row_sq = sum(sum(r) ** 2 for r in rows)
-    col_sq = sum(sum(r[j] for r in rows) ** 2 for j in range(len(rows[0])))
-    parts = []
-    for label, gap in gaps:
-        g = gap(m, n, total, sq, row_sq, col_sq)
-        parts.append(Part(label, float(g), g >= 0))
-    return parts
+    """One exact column per (label, gap) of gaps, where the integer
+    inequality is gap(m, n, total, sq, row_sq, col_sq) >= 0 over the exact
+    sums of each matrix of the stack x."""
+    m, n = x.shape[-2:]
+    cols = [(label, [], []) for label, _ in gaps]
+    for rows in x.tolist():
+        total = sum(sum(r) for r in rows)
+        sq = sum(v * v for r in rows for v in r)
+        row_sq = sum(sum(r) ** 2 for r in rows)
+        col_sq = sum(sum(col) ** 2 for col in zip(*rows))
+        for (_, gap), (_, witnesses, holds) in zip(gaps, cols):
+            g = gap(m, n, total, sq, row_sq, col_sq)
+            witnesses.append(float(g))
+            holds.append(g >= 0)
+    return cols
 
 
 _CK_CLASSICAL = (
@@ -454,144 +480,140 @@ _CK_IMPROVED = (
 
 
 def _case_schur(d: Derived, tol):
-    return [_maj_part("main", np.diag(d.dense).real, d.lam, tol)]
+    diagonal = np.diagonal(d.dense, axis1=-2, axis2=-1).real
+    return [_vcol("main", majorizes(d.lam, diagonal, tol))]
 
 
 def _summed_block_spectra(d: Derived) -> np.ndarray:
-    """Sorted-vector sum lambda(A_11) + ... + lambda(A_mm)."""
-    acc = np.zeros(d.n)
+    """Sorted-vector sum lambda(A_11) + ... + lambda(A_mm), by one eigvalsh
+    call over every diagonal block."""
+    spectra = hermitian_eigvals_stack(_herm(np.einsum("...iirs->...irs", d.a.as_blocks())))
+    acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
     for i in range(d.m):
-        acc += hermitian_eigvals(_herm(d.a.block(i, i))).values
+        acc += spectra[..., i, :]
     return acc
 
 
-def _case_eqm1(d: Derived, tol):
-    lam_da = hermitian_eigvals(d.d_a)
+def _case_eqm(middle, d: Derived, tol):
+    """lambda(D_A) < middle(d) < sum of block spectra."""
+    mid = middle(d)
     return [
-        _maj_part("lower", lam_da, d.lam, tol),
-        _maj_part("upper", d.lam, _summed_block_spectra(d), tol),
-    ]
-
-
-def _case_eqm2(d: Derived, tol):
-    lam_da = hermitian_eigvals(d.d_a)
-    lam_tr1 = hermitian_eigvals(_herm(d.tr1))
-    return [
-        _maj_part("lower", lam_da, lam_tr1, tol),
-        _maj_part("upper", lam_tr1, _summed_block_spectra(d), tol),
+        _vcol("lower", majorizes(mid, hermitian_eigvals_stack(d.d_a), tol)),
+        _vcol("upper", majorizes(_summed_block_spectra(d), mid, tol)),
     ]
 
 
 def _case_hiroshima(d: Derived, tol):
-    parts, misses = [], 0
-    if is_psd(_herm(_left(d.tr1, d.m) - d.dense), tol).holds:
-        parts.append(_maj_part("tr1", d.lam, hermitian_eigvals(_herm(d.tr1)), tol))
-    else:
-        misses += 1
-    if is_psd(_herm(_right(d.tr2, d.n) - d.dense), tol).holds:
-        parts.append(_maj_part("tr2", d.lam, hermitian_eigvals(_herm(d.tr2)), tol))
-    else:
-        misses += 1
-    return parts, misses
+    """Each majorization part exists in the trials whose domination premise
+    holds; in the others it is absent, a premise miss."""
+    premises = _psd_cols([("tr1", _left(d.tr1, d.m) - d.dense),
+                          ("tr2", _right(d.tr2, d.n) - d.dense)], len(d.dense), tol)
+    cols = []
+    for (label, _, premise), partial_trace in zip(premises, (d.tr1, d.tr2)):
+        lam_tr = hermitian_eigvals_stack(_herm(partial_trace))
+        _, witnesses, holds = _vcol(label, majorizes(lam_tr, d.lam, tol))
+        cols.append((label, witnesses, [h if p else None for h, p in zip(holds, premise)]))
+    return cols
 
 
 def _case_ppt_majorization(d: Derived, tol):
-    lam_tau = hermitian_eigvals(_herm(d.tau))
-    lam_tr1 = hermitian_eigvals(_herm(d.tr1))
-    lam_tr2 = hermitian_eigvals(_herm(d.tr2))
+    lam_tau = hermitian_eigvals_stack(_herm(d.tau))
+    lam_tr1 = hermitian_eigvals_stack(_herm(d.tr1))
+    lam_tr2 = hermitian_eigvals_stack(_herm(d.tr2))
     return [
-        _maj_part("a-tr1", d.lam, lam_tr1, tol),
-        _maj_part("a-tr2", d.lam, lam_tr2, tol),
-        _maj_part("tau-tr1", lam_tau, lam_tr1, tol),
-        _maj_part("tau-tr2", lam_tau, lam_tr2, tol),
+        _vcol("a-tr1", majorizes(lam_tr1, d.lam, tol)),
+        _vcol("a-tr2", majorizes(lam_tr2, d.lam, tol)),
+        _vcol("tau-tr1", majorizes(lam_tr1, lam_tau, tol)),
+        _vcol("tau-tr2", majorizes(lam_tr2, lam_tau, tol)),
     ]
 
 
 def _offdiag_majorization(skew: bool, d: Derived, tol):
     h = symmetrize_offdiag(d.a, skew)
     msum = _herm(h.block(0, 0) + h.block(1, 1))
-    return [_maj_part("main", hermitian_eigvals(h.dense), hermitian_eigvals(msum), tol)]
+    lam_h, lam_sum = hermitian_eigvals_stack(h.dense), hermitian_eigvals_stack(msum)
+    return [_vcol("main", majorizes(lam_sum, lam_h, tol))]
 
 
 def _norm_sides(a: BlockMatrix):
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
-    rhs = float(np.trace(ab + cb).real) * eye + ab + cb
-    lhs_plus = np.trace(bb) * eye + bb
-    lhs_minus = np.trace(bb) * eye - bb
-    return lhs_plus, lhs_minus, rhs
+    rhs = _unit(_tr(ab + cb).real) * eye + ab + cb
+    tr_b = _unit(_tr(bb))
+    return tr_b * eye + bb, tr_b * eye - bb, rhs
 
 
-def _kyfan_gaps(lhs, rhs, factor: float) -> float:
-    """min over k of kyfan_k(rhs) - factor * kyfan_k(lhs), zero-padded."""
-    s_l = singular_values(lhs)
-    s_r = singular_values(rhs)
-    length = max(len(s_l), len(s_r))
-    gaps = np.cumsum(s_r.padded(length)) - factor * np.cumsum(s_l.padded(length))
-    return float(gaps.min())
+def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
+    """min over k of kyfan_k(rhs) - factor * kyfan_k(lhs), zero-padded, for
+    every pair of matrices of the two stacks."""
+    s_l = singular_values_stack(lhs)
+    s_r = singular_values_stack(rhs)
+    length = max(s_l.shape[-1], s_r.shape[-1])
+    gaps = (np.cumsum(pad_sorted(s_r, length), axis=-1)
+            - factor * np.cumsum(pad_sorted(s_l, length), axis=-1))
+    return gaps.min(axis=-1)
 
 
 def _case_coro55_norms(d: Derived, tol):
     lhs_plus, lhs_minus, rhs = _norm_sides(d.a)
-    scale = scale_of(rhs)
+    scale = scale_stack(rhs)
     return [
-        _scalar_part("plus", _kyfan_gaps(lhs_plus, rhs, 2.0), tol, scale),
-        _scalar_part("minus", _kyfan_gaps(lhs_minus, rhs, 2.0), tol, scale),
+        _scalar_col("plus", _kyfan_gaps(lhs_plus, rhs, 2.0), tol, scale),
+        _scalar_col("minus", _kyfan_gaps(lhs_minus, rhs, 2.0), tol, scale),
     ]
 
 
 def _case_coro_half(d: Derived, tol):
     ab, bb, cb = _blocks_2x2(d.a)
-    lhs = np.trace(bb) * _eye(d.n) + bb
-    traces = np.array([
-        [np.trace(ab), np.trace(bb)],
-        [np.trace(bb).conjugate(), np.trace(cb)],
-    ])
+    tr_b = _tr(bb)
+    lhs = _unit(tr_b) * _eye(d.n) + bb
+    traces = np.stack([
+        np.stack([_tr(ab), tr_b], axis=-1),
+        np.stack([tr_b.conjugate(), _tr(cb)], axis=-1),
+    ], axis=-2)
     factor = 2.0 / (d.n + 1)
     gap = _kyfan_gaps(lhs, traces, factor) / factor  # rescale to the norm bound
-    return [_scalar_part("main", gap, tol, scale_of(traces) * (d.n + 1))]
+    return [_scalar_col("main", gap, tol, scale_stack(traces) * (d.n + 1))]
 
 
 def _case_thm37_singular(d: Derived, tol):
     lhs_plus, lhs_minus, rhs = _norm_sides(d.a)
     return [
-        _sv_part("plus", lhs_plus, rhs, 2.0, tol),
-        _sv_part("minus", lhs_minus, rhs, 2.0, tol),
+        _vcol("plus", sv_dominates(lhs_plus, rhs, 2.0, tol)),
+        _vcol("minus", sv_dominates(lhs_minus, rhs, 2.0, tol)),
     ]
 
 
 def _case_lem39(pair, tol):
-    m_fac, n_fac = pair  # each of shape (n, q)
-    lhs = m_fac @ n_fac.conj().T
-    rhs = _herm(m_fac.conj().T @ m_fac + n_fac.conj().T @ n_fac)
-    return [_sv_part("main", lhs, rhs, 2.0, tol)]
+    m_fac, n_fac = pair  # each of shape (T, n, q)
+    lhs = m_fac @ _ct(n_fac)
+    rhs = _herm(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac)
+    return [_vcol("main", sv_dominates(lhs, rhs, 2.0, tol))]
 
 
 def _case_lem38(pair, tol):
     m_fac, n_fac = pair
-    n_rows = m_fac.shape[0]
-    star = hermitian_eigvals(_herm(m_fac.conj().T @ m_fac + n_fac.conj().T @ n_fac))
-    plain = hermitian_eigvals(_herm(m_fac @ m_fac.conj().T + n_fac @ n_fac.conj().T))
-    cross = m_fac.conj().T @ n_fac
-    shift = 0.5 * float(np.trace(
-        m_fac.conj().T @ m_fac + n_fac.conj().T @ n_fac - cross - cross.conj().T
-    ).real)
-    lhs = star.padded(max(len(star), n_rows))[:n_rows]
-    rhs = plain.values[:n_rows] + shift
-    witness = float(np.min(rhs - lhs))
-    scale = scale_of(m_fac) ** 2 + scale_of(n_fac) ** 2
-    return [_scalar_part("main", witness, tol, scale)]
+    n_rows = m_fac.shape[-2]
+    star = hermitian_eigvals_stack(_herm(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac))
+    plain = hermitian_eigvals_stack(_herm(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac)))
+    cross = _ct(m_fac) @ n_fac
+    shift = 0.5 * _tr(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac - cross - _ct(cross)).real
+    lhs = pad_sorted(star, max(star.shape[-1], n_rows))[..., :n_rows]
+    rhs = plain[..., :n_rows] + shift[..., None]
+    witness = (rhs - lhs).min(axis=-1)
+    scale = scale_stack(m_fac) ** 2 + scale_stack(n_fac) ** 2
+    return [_scalar_col("main", witness, tol, scale)]
 
 
 def _case_abs_block(x, tol):
-    n = x.shape[0]
-    eye = _eye(n)
-    abs_x = matrix_abs(x)
-    abs_xs = matrix_abs(x.conj().T)
-    rhs = float(np.trace(abs_x + abs_xs).real) * eye + abs_x + abs_xs
+    eye = _eye(x.shape[-1])
+    abs_x = matrix_abs_stack(x)
+    abs_xs = matrix_abs_stack(_ct(x))
+    rhs = _unit(_tr(abs_x + abs_xs).real) * eye + abs_x + abs_xs
+    tr_x = _unit(_tr(x))
     return [
-        _sv_part("plus", np.trace(x) * eye + x, rhs, 2.0, tol),
-        _sv_part("minus", np.trace(x) * eye - x, rhs, 2.0, tol),
+        _vcol("plus", sv_dominates(tr_x * eye + x, rhs, 2.0, tol)),
+        _vcol("minus", sv_dominates(tr_x * eye - x, rhs, 2.0, tol)),
     ]
 
 
@@ -604,9 +626,9 @@ class TheoremCase:
     """One registry row.
 
     fn of a psd-slack or ppt-of-derived case is its slack builder,
-    Derived -> [(label, matrix), ...]; every other case's fn is its check,
-    (payload, tol) -> parts or (parts, premise_misses).  input_class names
-    an entry of INPUT_CLASSES."""
+    Derived -> [(label, matrix stack), ...]; every other case's fn is its
+    check, (payload stack, tol) -> part columns.  input_class names an entry
+    of INPUT_CLASSES."""
     id: str
     input_class: str
     check_kind: str
@@ -687,10 +709,11 @@ def _registry():
         TheoremCase("schur-majorization", "hermitian", "majorization",
                     "diagonal majorized by eigenvalues", _case_schur),
         TheoremCase("eqm1-majorization", "psd", "majorization",
-                    "lambda(D_A) < lambda(A) < sum of block spectra", _case_eqm1),
+                    "lambda(D_A) < lambda(A) < sum of block spectra",
+                    partial(_case_eqm, lambda d: d.lam)),
         TheoremCase("eqm2-rotfeld-thompson", "psd", "majorization",
                     "lambda(D_A) < lambda(tr1 A) < sum of block spectra",
-                    _case_eqm2),
+                    partial(_case_eqm, lambda d: hermitian_eigvals_stack(_herm(d.tr1)))),
         TheoremCase("hiroshima-conditional", "psd", "conditional-majorization",
                     "domination premise implies spectrum majorized by "
                     "partial trace", _case_hiroshima),
@@ -879,30 +902,49 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
+def _evaluate(case: TheoremCase, instances: list, tol: float) -> tuple:
+    """(m, n, columns) of one case on a dims group's instances, stacked
+    along a new leading axis: every part column, for all trials at once."""
+    first = instances[0]
+    if isinstance(first, BlockMatrix):
+        d = Derived(BlockMatrix(first.m, first.n, np.stack([a.dense for a in instances])))
+        if case.check_kind in _SLACK_KINDS:
+            return first.m, first.n, _psd_cols(case.fn(d), len(instances), tol)
+        return first.m, first.n, case.fn(d, tol)
+    if isinstance(first, tuple):
+        return (*first[0].shape, case.fn(tuple(map(np.stack, zip(*instances))), tol))
+    return (*first.shape, case.fn(np.stack(instances), tol))
+
+
+# Trial j of a dims group that _evaluate checked as one stack.
+_Row = namedtuple("_Row", "group j")
+
+
 def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> SlackReport:
-    """Run one case on one instance."""
+    """Run one case on one instance, checked as a stack of one.
+
+    run_case_trials passes instead the _Row of a trial whose dims group it
+    evaluated at once; the report is built from that trial's row."""
     case = REGISTRY.get(case_id)
     if case is None:
         raise KeyError(f"unknown case id {case_id!r}")
-    if isinstance(instance, BlockMatrix):
-        m, n = instance.m, instance.n
-        payload = Derived(instance)
-    elif isinstance(instance, tuple):
-        payload = instance
-        m, n = instance[0].shape
-    else:
-        payload = instance
-        m, n = instance.shape
-    if case.check_kind in _SLACK_KINDS:
-        out = _psd_parts(case.fn(payload), tol)
-    else:
-        out = case.fn(payload, tol)
-    parts, misses = out if isinstance(out, tuple) else (out, 0)
-    return SlackReport(case_id, seed, m, n, tuple(parts), misses)
+    if not isinstance(instance, _Row):
+        instance = _Row(_evaluate(case, [instance], tol), 0)
+    (m, n, columns), j = instance
+    parts = tuple([Part(label, witnesses[j], holds[j])
+                   for label, witnesses, holds in columns if holds[j] is not None])
+    return SlackReport(case_id, seed, m, n, parts, len(columns) - len(parts))
 
 
 # ---------------------------------------------------------------------------
 # suite runner
+
+
+def check_tol(tol: float) -> float:
+    """tol itself; ValueError when it is NaN, infinite or negative."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -918,6 +960,7 @@ class RunConfig:
             raise ValueError("trials must be non-negative")
         if not self.dims:
             raise ValueError("dims must be nonempty")
+        check_tol(self.tol)
         unknown = [c for c in self.cases if c not in REGISTRY]
         if unknown:
             raise KeyError(f"unknown case ids: {', '.join(unknown)}")
@@ -935,11 +978,12 @@ def _chunk_trials(input_class: str, dims) -> int:
 
 
 def _trial_instances(base: int, token: str, dims, trials: int, draw, step: int):
-    """(seed, (m, n), instance) of trials 0..trials-1, in index order.
+    """(seed, (m, n), item) of trials 0..trials-1, in index order.
 
     Trial t has dims[t % len(dims)] and seed derive_seed(base, token, t).
-    Each chunk of `step` trials derives its seeds in one call and draws its
-    instances one dims group at a time, as draw(m, n, seeds) stacks."""
+    Each chunk of `step` trials derives its seeds in one call and handles its
+    trials one dims group at a time: draw(m, n, seeds) gives one item per
+    seed, an instance or the row of a stacked evaluation."""
     period = len(dims)
     for lo in range(0, trials, step):
         seeds = derive_seed(base, token, np.arange(lo, min(lo + step, trials)))
@@ -953,14 +997,20 @@ def _trial_instances(base: int, token: str, dims, trials: int, draw, step: int):
 
 
 def run_case_trials(case_id: str, config: RunConfig) -> dict:
-    """Aggregate config.trials trials of one case, cycling over dims."""
+    """Aggregate config.trials trials of one case, cycling over dims; each
+    dims group of a chunk is evaluated as one stack, then read row by row."""
+    case = REGISTRY[case_id]
     trials = failures = premise_misses = 0
     worst_witness = worst_seed = worst_dims = None
-    step = _chunk_trials(REGISTRY[case_id].input_class, config.dims)
-    draw = partial(make_instance, case_id)
-    for seed, (m, n), instance in _trial_instances(
-            config.seed, case_id, config.dims, config.trials, draw, step):
-        report = check_case(case_id, instance, config.tol, seed)
+    step = _chunk_trials(case.input_class, config.dims)
+
+    def rows(m, n, seeds):
+        group = _evaluate(case, make_instance(case_id, m, n, seeds), config.tol)
+        return [_Row(group, j) for j in range(len(seeds))]
+
+    for seed, (m, n), row in _trial_instances(
+            config.seed, case_id, config.dims, config.trials, rows, step):
+        report = check_case(case_id, row, config.tol, seed)
         trials += 1
         premise_misses += report.premise_misses
         if report.parts and not report.holds:
@@ -1011,16 +1061,20 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL,
     invariant; the statistics are for human inspection of how much slack
     remains for a uniform PSD subtraction."""
     dims = tuple(dims)
+    check_tol(tol)
+    residual = REGISTRY["open-question-residual"]
     values, seeds = [], []
     sanity_violations = 0
 
-    for trial_seed, _, a in _trial_instances(seed, "open-question-scan", dims, trials,
-                                             partial(_gen, "psd"), _chunk_trials("psd", dims)):
-        residual = ando_residual(a)
-        lam_min = float(hermitian_eigvals(residual).values[-1])
+    def verdicts(m, n, seeds):
+        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, seeds), tol)
+        return list(zip(witnesses, holds))
+
+    for trial_seed, _, (lam_min, holds) in _trial_instances(
+            seed, "open-question-scan", dims, trials, verdicts, _chunk_trials("psd", dims)):
         values.append(lam_min)
         seeds.append(trial_seed)
-        if lam_min < -tol * scale_of(residual):
+        if not holds:
             sanity_violations += 1
     if not values:
         return {

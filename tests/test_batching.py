@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktrace import suite
+from blocktrace import linalg, suite
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
-from blocktrace.orders import is_psd, psd_verdicts
+from blocktrace.orders import is_psd
 from blocktrace.rng import Stream, derive_seed
 from blocktrace.suite import (
     REGISTRY,
     RunConfig,
+    build_slack,
     case_ids,
     check_case,
     choi_block,
@@ -94,18 +95,22 @@ def test_batched_make_instance_matches_single_seeds(case_id):
 
 
 def test_psd_verdicts_equal_is_psd_per_matrix():
+    """is_psd of a stack equals is_psd of each of its matrices."""
     g = Stream(11).complex_gaussians((6, 5, 5))
     stack = g @ g.conj().swapaxes(1, 2)
     stack = (stack + stack.conj().swapaxes(1, 2)) / 2
     stack[1] -= 3 * np.eye(5)
     stack[2] *= 1e6
-    for got, matrix in zip(psd_verdicts(stack), stack):
-        assert got == is_psd(matrix)
-    assert not psd_verdicts(stack)[1].holds
+    got = is_psd(stack)
+    for i, matrix in enumerate(stack):
+        want = is_psd(matrix)
+        assert (got.witness[i], got.holds[i], got.tolerance_used[i]) == (
+            want.witness, want.holds, want.tolerance_used)
+    assert not got.holds[1]
     bad = stack.copy()
     bad[4, 0, 1] += 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        psd_verdicts(bad)
+        is_psd(bad)
 
 
 def _reference_case_trials(case_id: str, config: RunConfig) -> dict:
@@ -241,3 +246,134 @@ def test_eq18_slack_matches_kron_formula(n):
         raw = ((m - 2) * n * np.eye(m * n) + n * np.kron(jm, np.eye(n))
                - np.kron(jm, jn) - (m - 2) * np.kron(np.eye(m), jn))
         assert _same_bits(eq18_slack(m, n), (raw + raw.conj().T) / 2)
+
+
+def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
+    """check_case on every row of one stacked evaluation of the dims group."""
+    instances = make_instance(case_id, m, n, seeds)
+    group = suite._evaluate(REGISTRY[case_id], instances, tol)
+    return instances, [check_case(case_id, suite._Row(group, j), tol, seed)
+                       for j, seed in enumerate(seeds.tolist())]
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_each_row_equals_check_case_alone(case_id):
+    """Rows 0, 5 and 10 draw low-rank psd instances (seed % 5 == 0)."""
+    seeds = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, BIG], dtype=np.uint64)
+    for m, n in DIMS_1_4:
+        instances, reports = _group_reports(case_id, m, n, seeds)
+        for seed, instance, report in zip(seeds.tolist(), instances, reports):
+            assert report == check_case(case_id, instance, seed=seed), (m, n, seed)
+
+
+def test_stack_height_changes_nothing(monkeypatch):
+    config = RunConfig(tuple(case_ids()), DIMS_1_4, 40, 17)
+    want = run_suite(config)
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", 1)
+    assert all(suite._chunk_trials(REGISTRY[c].input_class, DIMS_1_4) == 1
+               for c in config.cases)
+    assert run_suite(config) == want
+
+
+ROW_DIMS = ((2, 2), (3, 2), (2, 3))
+
+
+@pytest.mark.parametrize("case_id", ["ando", "choi-tr1", "lin-2x2-ppt"])
+@pytest.mark.parametrize("trial", [0, 6, 9, 10],
+                         ids=["first-row", "middle-row", "last-row", "past-chunk-boundary"])
+def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
+    """Chunks of 10 trials over three dims: trials 0, 3, 6, 9 are one stack
+    of the first chunk, and trial 10 opens the second chunk.  Negating the
+    PSD instance of one trial makes exactly that trial fail."""
+    config = RunConfig((case_id,), ROW_DIMS, 30, 5)
+    target = derive_seed(config.seed, case_id, trial)
+    real = suite.make_instance
+
+    def draw(cid, m, n, seeds):
+        instances = real(cid, m, n, seeds)
+        return [BlockMatrix(a.m, a.n, -a.dense) if seed == target else a
+                for seed, a in zip(seeds.tolist(), instances)]
+
+    monkeypatch.setattr(suite, "_chunk_trials", lambda input_class, dims: 10)
+    monkeypatch.setattr(suite, "make_instance", draw)
+    entry = run_case_trials(case_id, config)
+    m, n = ROW_DIMS[trial % 3]
+    assert entry["failures"] == 1
+    assert (entry["worst_seed"], entry["worst_dims"]) == (target, f"{m}x{n}")
+    assert entry["worst_witness"] < 0
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 33, 64])
+def test_one_matrix_kernels_equal_stacked_kernels(k):
+    rng = np.random.default_rng(k)
+    g = _random_stack(rng, (2, 3, k, k))
+    herm = g + g.conj().swapaxes(-1, -2)
+    views = (g, g.swapaxes(-1, -2), g[..., ::-1, :])  # contiguous and strided stacks
+    eig = linalg.hermitian_eigvals_stack(herm)
+    for i in np.ndindex(*herm.shape[:-2]):
+        assert _bits(linalg.hermitian_eigvals(herm[i]).values) == _bits(eig[i])
+    for stack in views:
+        sv = linalg.singular_values_stack(stack)
+        absolute = linalg.matrix_abs_stack(stack)
+        scale = linalg.scale_stack(stack)
+        traces = linalg.trace_stack(stack)
+        for i in np.ndindex(*stack.shape[:-2]):
+            assert _bits(np.trace(stack[i])) == _bits(traces[i])
+            assert _bits(linalg.singular_values(stack[i]).values) == _bits(sv[i])
+            assert _bits(linalg.matrix_abs(stack[i])) == _bits(absolute[i])
+            assert _bits(linalg.scale_of(stack[i])) == _bits(scale[i])
+    # The blocks of a block-matrix stack are views whose rows are closer
+    # together than their diagonal entries.
+    blocks = BlockMatrix(2, k, _random_stack(rng, (3, 2 * k, 2 * k))).as_blocks()
+    traces = linalg.trace_stack(blocks)
+    for i in np.ndindex(*blocks.shape[:-2]):
+        assert _bits(np.trace(blocks[i])) == _bits(traces[i])
+
+
+def test_non_hermitian_row_in_a_stack_raises(monkeypatch):
+    g = _random_stack(np.random.default_rng(1), (2, 5, 4, 4))
+    stack = g + g.conj().swapaxes(-1, -2)
+    stack[1, 3, 0, 2] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.hermitian_eigvals_stack(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(stack)
+    real = suite.make_instance
+    target = derive_seed(3, "eqm1-majorization", 4)
+
+    def draw(cid, m, n, seeds):
+        instances = real(cid, m, n, seeds)
+        for j, seed in enumerate(seeds.tolist()):
+            if seed == target:
+                dense = instances[j].dense.copy()
+                dense[0, 1] += 1e-3
+                instances[j] = BlockMatrix(m, n, dense)
+        return instances
+
+    monkeypatch.setattr(suite, "make_instance", draw)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        run_case_trials("eqm1-majorization", RunConfig(("eqm1-majorization",), ((2, 2),), 9, 3))
+
+
+@pytest.mark.parametrize("case_id", [c for c in case_ids()
+                                     if REGISTRY[c].check_kind in ("psd-slack", "ppt-of-derived")])
+def test_each_part_is_lambda_min_of_its_labeled_slack(case_id):
+    """The stacked evaluation keeps labels and slacks paired: every part's
+    witness is lambda_min of the slack build_slack gives for its label."""
+    seeds = derive_seed(4, case_id, np.arange(5))
+    for m, n in ((2, 2), (3, 2), (2, 3)):
+        instances, reports = _group_reports(case_id, m, n, seeds)
+        for instance, report in zip(instances, reports):
+            slacks = build_slack(case_id, instance)
+            assert [p.label for p in report.parts] == [label for label, _ in slacks]
+            for part, (_, slack) in zip(report.parts, slacks):
+                assert part.witness == float(is_psd(slack).witness)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocktrace
 from blocktrace import serialize
 from blocktrace.blocks import BlockMatrix
 from blocktrace.cli import main, parse_dims
@@ -230,3 +235,55 @@ def test_case_rejects_bad_input(tmp_path, capsys, case_id, obj):
     path.write_text(json.dumps(obj))
     assert main(["case", "--id", case_id, "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+BAD_TOLS = ("nan", "-1", "inf")
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_rejects_bad_tol(capsys, tol):
+    assert main(["verify", "--cases", "ando", "--dims", "2x2", "--trials", "3",
+                 f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_case_rejects_bad_tol(tmp_path, capsys, tol):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "psd", "--m", "2", "--n", "3", "--out", str(inst)]) == 0
+    assert main(["case", "--id", "ando", "--input", str(inst), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_scan_rejects_bad_tol(capsys, tol):
+    assert main(["scan", "--dims", "2x2", "--trials", "3", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_zero_tol_is_accepted(capsys):
+    assert main(["verify", "--cases", "ck-lih", "--dims", "2x2", "--trials", "3",
+                 "--tol", "0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("dims, code", [("2x2", 0), ("2x1", 1)])
+def test_closed_stdout_ends_quietly_with_earned_code(dims, code):
+    """`verify | head -0`: the reader is gone before the report is written.
+    psi-not-2-positive fails at n = 1, so 2x1 earns exit code 1."""
+    src = Path(blocktrace.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "blocktrace.cli", "verify", "--cases",
+             "psi-not-2-positive", "--dims", dims, "--trials", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write_end)
+    assert out.returncode == code
+    assert out.stderr == ""
