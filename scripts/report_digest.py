@@ -1,0 +1,91 @@
+"""Print one sha256 over the reports that a refactor must leave bit for bit
+unchanged, computed with the blocktrace package found under --src.
+
+The digest covers:
+  - the criterion-2 report, `verify --format json` over the 42 cases other
+    than psi-not-2-positive and open-question-residual, dims 2..4x2..4,
+    500 trials, seed 42 (the text the README command hashes);
+  - the check_case report of every case at dims 1..8x1..8 and seeds 0..5 on
+    its make_instance input: the label, witness bits and holds of each part,
+    m, n and the premise misses;
+  - the criterion-6 scan, open_question_scan over dims 2..4x2..4, 2,000
+    trials, seed 42.
+
+Run it on two checkouts; equal digests mean equal reports:
+
+    python3 scripts/report_digest.py --src ../parent/src
+    python3 scripts/report_digest.py --src src
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import struct
+import sys
+from pathlib import Path
+
+SWEEP_EXCLUDED = ("psi-not-2-positive", "open-question-residual")
+CASE_DIMS = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
+CASE_SEEDS = tuple(range(6))
+SCAN_DIMS = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
+
+
+def load(src: str):
+    """The blocktrace package under the directory src."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    return importlib.import_module("blocktrace")
+
+
+def verify_report(bt, dims: str, trials: int, seed: int) -> str:
+    """What `blocktrace verify --format json` prints for the sweep cases."""
+    cases = [c for c in bt.case_ids() if c not in SWEEP_EXCLUDED]
+    cli = importlib.import_module("blocktrace.cli")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--format", "json", "--dims", dims, "--trials", str(trials),
+                  "--seed", str(seed), "--cases", *cases])
+    return out.getvalue()
+
+
+def case_records(bt, dims, seeds) -> list:
+    """[case, seed, m, n, premise misses, [[label, witness bits, holds], ...]]
+    of check_case on every case's instance at each dims and seed."""
+    records = []
+    for case_id in bt.case_ids():
+        for m, n in dims:
+            for seed in seeds:
+                r = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
+                records.append([case_id, seed, r.m, r.n, r.premise_misses,
+                                [[p.label, struct.pack("<d", p.witness).hex(), bool(p.holds)]
+                                 for p in r.parts]])
+    return records
+
+
+def scan_report(bt, dims, trials: int, seed: int) -> str:
+    return bt.serialize.dump(bt.open_question_scan(dims, trials, seed))
+
+
+def digest(verify_text: str, records: list, scan_text: str) -> str:
+    text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text})
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True,
+                        help="directory that holds the blocktrace package, e.g. src")
+    args = parser.parse_args(argv)
+    bt = load(args.src)
+    print(digest(verify_report(bt, "2..4x2..4", 500, 42),
+                 case_records(bt, CASE_DIMS, CASE_SEEDS),
+                 scan_report(bt, SCAN_DIMS, 2000, 42)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -86,7 +86,7 @@ def j_block(m: int, n: int) -> BlockMatrix:
     """The m x m block matrix with every block I_n, i.e. J_m (x) I_n."""
     if m < 1 or n < 1:
         raise ValueError("block counts must be positive")
-    return BlockMatrix(m, n, np.kron(np.ones((m, m)), np.eye(n)).astype(np.complex128))
+    return BlockMatrix(m, n, kron_right(np.ones((m, m)), n))
 
 
 def reshuffle(a: BlockMatrix) -> BlockMatrix:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix
+from .linalg import hermitian_part
 from .rng import Stream, box_muller
 
 KINDS = (
@@ -44,12 +45,8 @@ def ginibre(stream: Stream, rows: int, cols: int) -> np.ndarray:
     return stream.complex_gaussians((rows, cols))
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().swapaxes(-1, -2)) / 2
-
-
 def _gram(g: np.ndarray) -> np.ndarray:
-    return _hermitian_part(g @ g.conj().swapaxes(-1, -2))
+    return hermitian_part(g @ g.conj().swapaxes(-1, -2))
 
 
 def random_psd(stream: Stream, size: int, rank: int | None = None) -> np.ndarray:
@@ -58,7 +55,7 @@ def random_psd(stream: Stream, size: int, rank: int | None = None) -> np.ndarray
 
 
 def random_hermitian(stream: Stream, size: int) -> np.ndarray:
-    return _hermitian_part(ginibre(stream, size, size))
+    return hermitian_part(ginibre(stream, size, size))
 
 
 def _rank1_psd(u: np.ndarray) -> np.ndarray:
@@ -90,7 +87,7 @@ def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.n
         p = ps[..., t, :, None, :, None]
         q = qs[..., t, None, :, None, :]
         acc += weights[..., t, None, None] * (p * q).reshape(batch + (m * n, m * n))
-    return _hermitian_part(acc)
+    return hermitian_part(acc)
 
 
 def matrix_unit_block(n: int) -> np.ndarray:
@@ -107,17 +104,15 @@ def matrix_unit_block(n: int) -> np.ndarray:
     return out
 
 
-def ones_kron(m: int, n: int) -> np.ndarray:
-    return np.kron(np.ones((m, m)), np.ones((n, n))).astype(np.complex128)
-
-
 def gen(spec: GenSpec):
     """Produce the instance a GenSpec describes; pure in the spec.
 
-    A 1-D array of seeds gives the list of every seed's instance, drawn as
-    one stack; each equals the instance of its seed alone."""
+    A 1-D array of T seeds gives one instance stacked along a leading trial
+    axis, drawn at once: a BlockMatrix whose dense is (T, mn, mn), a
+    (T, m, n) integer array or a pair of (T, m, n) factor stacks.  Row i is
+    bit for bit the instance of seed i alone; the fixed kinds repeat their
+    one instance T times."""
     stream = Stream(spec.seed)
-    batched = bool(stream.batch)
     m, n = spec.m, spec.n
     if spec.kind == "psd":
         dense = random_psd(stream, m * n, spec.rank)
@@ -126,15 +121,12 @@ def gen(spec: GenSpec):
     elif spec.kind == "hermitian":
         dense = random_hermitian(stream, m * n)
     elif spec.kind == "gram-pair":
-        pair = ginibre(stream, m, n), ginibre(stream, m, n)
-        return list(zip(*pair)) if batched else pair
+        return ginibre(stream, m, n), ginibre(stream, m, n)
     elif spec.kind == "real-int":
-        x = stream.integers(-spec.int_bound, spec.int_bound, (m, n))
-        return list(x) if batched else x
+        return stream.integers(-spec.int_bound, spec.int_bound, (m, n))
+    elif spec.kind == "matrix-unit-E":
+        m, unit = 2, matrix_unit_block(n)
+        dense = np.broadcast_to(unit, stream.batch + unit.shape).copy()
     else:
-        fixed = (BlockMatrix(2, n, matrix_unit_block(n)) if spec.kind == "matrix-unit-E"
-                 else BlockMatrix(m, n, ones_kron(m, n)))
-        return [fixed] * stream.batch[0] if batched else fixed
-    if batched:
-        return [BlockMatrix(m, n, x) for x in dense]
+        dense = np.ones(stream.batch + (m * n, m * n), dtype=np.complex128)
     return BlockMatrix(m, n, dense)

@@ -80,6 +80,13 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
+def hermitian_part(x, out=None) -> np.ndarray:
+    """(X + X*) / 2 of a matrix or of each matrix of a stack, into out if given."""
+    out = np.add(x, x.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
+
+
 def pad_sorted(values, length: int) -> np.ndarray:
     """Zero-pad every (..., k) row to ``length`` and sort it non-increasing."""
     values = np.asarray(values, dtype=np.float64)
@@ -151,12 +158,11 @@ def singular_values(a) -> Spectrum:
 def matrix_abs_stack(x) -> np.ndarray:
     """|X| = (X* X)^(1/2), the Hermitian PSD square root, of each matrix of a stack."""
     x = _square(x)
-    gram = x.conj().swapaxes(-1, -2) @ x
-    gram = (gram + gram.conj().swapaxes(-1, -2)) / 2
+    gram = hermitian_part(x.conj().swapaxes(-1, -2) @ x)
     w, v = np.linalg.eigh(gram)
     w = np.clip(w.real, 0.0, None)
     root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (root + root.conj().swapaxes(-1, -2)) / 2
+    return hermitian_part(root)
 
 
 def matrix_abs(x) -> np.ndarray:

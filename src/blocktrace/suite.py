@@ -31,6 +31,7 @@ from .generate import GenSpec, gen, ginibre
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
 from .linalg import (hermitian_eigvals_stack, is_hermitian, matrix_abs_stack, pad_sorted,
                      scale_stack, singular_values_stack)
+from .linalg import hermitian_part as _herm
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
 from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
@@ -99,12 +100,6 @@ _left = kron_left  # I_m (x) x
 _right = kron_right  # x (x) I_n
 
 
-def _herm(x: np.ndarray, out=None) -> np.ndarray:
-    out = np.add(x, x.conj().swapaxes(-1, -2), out=out)
-    out /= 2
-    return out
-
-
 def _ct(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
@@ -135,6 +130,17 @@ def _psd_cols(slacks: list, trials: int, tol: float) -> list:
 
 def _vcol(label: str, verdict) -> tuple:
     return _col(label, verdict.witness, verdict.holds)
+
+
+def _pm(base, x) -> np.ndarray:
+    """[base + x, base - x], the plus and minus sides along a new leading axis."""
+    return np.stack([base + x, base - x])
+
+
+def _pm_cols(verdict) -> list:
+    """The plus and minus columns of a verdict on a _pm stack."""
+    return [_col(label, w, h)
+            for label, w, h in zip(("plus", "minus"), verdict.witness, verdict.holds)]
 
 
 def _scalar_col(label: str, gap, tol: float, scale) -> tuple:
@@ -536,16 +542,17 @@ def _offdiag_majorization(skew: bool, d: Derived, tol):
 
 
 def _norm_sides(a: BlockMatrix):
+    """The _pm stack of (tr B)I +- B, and (tr(A + C))I + A + C."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
     rhs = _unit(_tr(ab + cb).real) * eye + ab + cb
-    tr_b = _unit(_tr(bb))
-    return tr_b * eye + bb, tr_b * eye - bb, rhs
+    return _pm(_unit(_tr(bb)) * eye, bb), rhs
 
 
 def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
     """min over k of kyfan_k(rhs) - factor * kyfan_k(lhs), zero-padded, for
-    every pair of matrices of the two stacks."""
+    every pair of matrices of the two stacks; extra leading axes of lhs
+    broadcast over rhs, whose singular values are taken once."""
     s_l = singular_values_stack(lhs)
     s_r = singular_values_stack(rhs)
     length = max(s_l.shape[-1], s_r.shape[-1])
@@ -555,12 +562,10 @@ def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
 
 
 def _case_coro55_norms(d: Derived, tol):
-    lhs_plus, lhs_minus, rhs = _norm_sides(d.a)
+    lhs, rhs = _norm_sides(d.a)
     scale = scale_stack(rhs)
-    return [
-        _scalar_col("plus", _kyfan_gaps(lhs_plus, rhs, 2.0), tol, scale),
-        _scalar_col("minus", _kyfan_gaps(lhs_minus, rhs, 2.0), tol, scale),
-    ]
+    return [_scalar_col(label, gap, tol, scale)
+            for label, gap in zip(("plus", "minus"), _kyfan_gaps(lhs, rhs, 2.0))]
 
 
 def _case_coro_half(d: Derived, tol):
@@ -577,11 +582,8 @@ def _case_coro_half(d: Derived, tol):
 
 
 def _case_thm37_singular(d: Derived, tol):
-    lhs_plus, lhs_minus, rhs = _norm_sides(d.a)
-    return [
-        _vcol("plus", sv_dominates(lhs_plus, rhs, 2.0, tol)),
-        _vcol("minus", sv_dominates(lhs_minus, rhs, 2.0, tol)),
-    ]
+    lhs, rhs = _norm_sides(d.a)
+    return _pm_cols(sv_dominates(lhs, rhs, 2.0, tol))
 
 
 def _case_lem39(pair, tol):
@@ -607,14 +609,9 @@ def _case_lem38(pair, tol):
 
 def _case_abs_block(x, tol):
     eye = _eye(x.shape[-1])
-    abs_x = matrix_abs_stack(x)
-    abs_xs = matrix_abs_stack(_ct(x))
+    abs_x, abs_xs = matrix_abs_stack(np.stack([x, _ct(x)]))
     rhs = _unit(_tr(abs_x + abs_xs).real) * eye + abs_x + abs_xs
-    tr_x = _unit(_tr(x))
-    return [
-        _vcol("plus", sv_dominates(tr_x * eye + x, rhs, 2.0, tol)),
-        _vcol("minus", sv_dominates(tr_x * eye - x, rhs, 2.0, tol)),
-    ]
+    return _pm_cols(sv_dominates(_pm(_unit(_tr(x)) * eye, x), rhs, 2.0, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -774,18 +771,16 @@ def case_ids() -> list:
 def _psd_instances(m: int, n: int, seed):
     """psd instances: seeds divisible by 5 draw rank mn/2 instead of full
     rank, to exercise boundary eigenvalues.  A seed array draws one stack
-    per rank."""
+    per rank into the rows of one (T, mn, mn) stack."""
     half = max(1, (m * n) // 2)
     if np.ndim(seed) == 0:
         return gen(GenSpec("psd", m=m, n=n, seed=seed, rank=half if seed % 5 == 0 else None))
     low = seed % 5 == 0
-    out = [None] * len(seed)
+    dense = np.empty((len(seed), m * n, m * n), dtype=np.complex128)
     for mask, rank in ((~low, None), (low, half)):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            for j, inst in zip(idx, gen(GenSpec("psd", m=m, n=n, seed=seed[idx], rank=rank))):
-                out[j] = inst
-    return out
+        if mask.any():
+            dense[mask] = gen(GenSpec("psd", m=m, n=n, seed=seed[mask], rank=rank)).dense
+    return BlockMatrix(m, n, dense)
 
 
 def _gen(kind: str, m: int, n: int, seed):
@@ -793,13 +788,7 @@ def _gen(kind: str, m: int, n: int, seed):
 
 
 def _zero_instances(m: int, n: int, seed):
-    zero = BlockMatrix(m, n, np.zeros((m * n, m * n), dtype=np.complex128))
-    return [zero] * len(seed) if np.ndim(seed) else zero
-
-
-def _square_instances(m: int, n: int, seed):
-    x = ginibre(Stream(seed), n, n)
-    return list(x) if np.ndim(seed) else x
+    return BlockMatrix(m, n, np.zeros(np.shape(seed) + (m * n, m * n), dtype=np.complex128))
 
 
 def _load_block(obj) -> BlockMatrix:
@@ -850,8 +839,8 @@ def _block_2x2_entries(m: int, n: int) -> int:
 class InputClass:
     """One kind of case input.
 
-    draw(m, n, seed) is the seeded instance at dims (m, n), or the list of
-    each seed's instance for a 1-D seed array, drawn as stacks.
+    draw(m, n, seed) is the seeded instance at dims (m, n); a 1-D seed array
+    gives every seed's instance stacked along a leading trial axis.
     load(obj) reads the JSON object of one instance and raises ValueError
     when it is malformed, non-finite, of the wrong shape, or, for a block
     class, not Hermitian within HERMITIAN_TOL.
@@ -879,13 +868,14 @@ INPUT_CLASSES = {
     "matrix-unit-E": InputClass(lambda m, n, seed: _gen("matrix-unit-E", 1, n, seed),
                                 _load_block, _block_2x2_entries),
     "zero": InputClass(_zero_instances, _load_block),
-    "square": InputClass(_square_instances, _load_square, lambda m, n: n * n),
+    "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), n, n), _load_square,
+                         lambda m, n: n * n),
 }
 
 
 def make_instance(case_id: str, m: int, n: int, seed):
     """Instance of the case's input class at the given dims; a 1-D array of
-    seeds gives the list of each seed's instance, drawn as stacks."""
+    seeds gives every seed's instance stacked along a leading trial axis."""
     return INPUT_CLASSES[REGISTRY[case_id].input_class].draw(m, n, seed)
 
 
@@ -902,18 +892,25 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
-def _evaluate(case: TheoremCase, instances: list, tol: float) -> tuple:
+def _evaluate(case: TheoremCase, stack, tol: float) -> tuple:
     """(m, n, columns) of one case on a dims group's instances, stacked
-    along a new leading axis: every part column, for all trials at once."""
-    first = instances[0]
-    if isinstance(first, BlockMatrix):
-        d = Derived(BlockMatrix(first.m, first.n, np.stack([a.dense for a in instances])))
+    along a leading trial axis: every part column, for all trials at once."""
+    if isinstance(stack, BlockMatrix):
+        d = Derived(stack)
         if case.check_kind in _SLACK_KINDS:
-            return first.m, first.n, _psd_cols(case.fn(d), len(instances), tol)
-        return first.m, first.n, case.fn(d, tol)
-    if isinstance(first, tuple):
-        return (*first[0].shape, case.fn(tuple(map(np.stack, zip(*instances))), tol))
-    return (*first.shape, case.fn(np.stack(instances), tol))
+            return stack.m, stack.n, _psd_cols(case.fn(d), len(stack.dense), tol)
+        return stack.m, stack.n, case.fn(d, tol)
+    first = stack[0] if isinstance(stack, tuple) else stack
+    return (*first.shape[-2:], case.fn(stack, tol))
+
+
+def _one_trial(instance):
+    """A plain instance as a stack of one trial."""
+    if isinstance(instance, BlockMatrix):
+        return BlockMatrix(instance.m, instance.n, instance.dense[None])
+    if isinstance(instance, tuple):
+        return tuple(np.asarray(x)[None] for x in instance)
+    return np.asarray(instance)[None]
 
 
 # Trial j of a dims group that _evaluate checked as one stack.
@@ -929,7 +926,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     if case is None:
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
-        instance = _Row(_evaluate(case, [instance], tol), 0)
+        instance = _Row(_evaluate(case, _one_trial(instance), tol), 0)
     (m, n, columns), j = instance
     parts = tuple([Part(label, witnesses[j], holds[j])
                    for label, witnesses, holds in columns if holds[j] is not None])
@@ -983,17 +980,17 @@ def _trial_instances(base: int, token: str, dims, trials: int, draw, step: int):
     Trial t has dims[t % len(dims)] and seed derive_seed(base, token, t).
     Each chunk of `step` trials derives its seeds in one call and handles its
     trials one dims group at a time: draw(m, n, seeds) gives one item per
-    seed, an instance or the row of a stacked evaluation."""
+    seed, such as the row of a stacked evaluation."""
     period = len(dims)
     for lo in range(0, trials, step):
         seeds = derive_seed(base, token, np.arange(lo, min(lo + step, trials)))
-        instances = [None] * len(seeds)
+        items = [None] * len(seeds)
         for g, (m, n) in enumerate(dims):
             first = (g - lo) % period
             if first < len(seeds):
-                instances[first::period] = draw(m, n, seeds[first::period])
-        for j, (seed, instance) in enumerate(zip(seeds.tolist(), instances)):
-            yield seed, dims[(lo + j) % period], instance
+                items[first::period] = draw(m, n, seeds[first::period])
+        for j, (seed, item) in enumerate(zip(seeds.tolist(), items)):
+            yield seed, dims[(lo + j) % period], item
 
 
 def run_case_trials(case_id: str, config: RunConfig) -> dict:
@@ -1052,8 +1049,10 @@ def total_failures(report: dict) -> int:
     return sum(entry["failures"] for entry in report["cases"].values())
 
 
-def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL,
-                       bins: int = 10) -> dict:
+_SCAN_BINS = 10  # histogram bins of open_question_scan
+
+
+def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> dict:
     """Empirical statistics of lambda_min of the residual
     (tr A)I + A - I_m(x)tr1 A - (tr2 A)(x)I_n over random PSD instances.
 
@@ -1086,7 +1085,7 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL,
             "sanity_violations": 0,
         }
     arr = np.array(values)
-    counts, edges = np.histogram(arr, bins=bins)
+    counts, edges = np.histogram(arr, bins=_SCAN_BINS)
     argmin = int(np.argmin(arr))
     return {
         "trials": trials,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from blocktrace import linalg, suite
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
-from blocktrace.orders import is_psd
+from blocktrace.orders import is_psd, sv_dominates
 from blocktrace.rng import Stream, derive_seed
 from blocktrace.suite import (
     REGISTRY,
@@ -39,6 +39,21 @@ def _bytes(instance) -> bytes:
         return b"".join(_bytes(x) for x in instance)
     dense = getattr(instance, "dense", instance)
     return np.ascontiguousarray(dense).view(np.uint8).tobytes()
+
+
+def _row(stack, j):
+    """Trial j of a stacked instance of any input class."""
+    if isinstance(stack, BlockMatrix):
+        return BlockMatrix(stack.m, stack.n, stack.dense[j])
+    if isinstance(stack, tuple):
+        return tuple(x[j] for x in stack)
+    return stack[j]
+
+
+def _trial_counts(stack) -> set:
+    """The leading-axis length of every array of a stacked instance."""
+    arrays = stack if isinstance(stack, tuple) else (getattr(stack, "dense", stack),)
+    return {len(x) for x in arrays}
 
 
 def test_array_derive_seed_matches_scalar():
@@ -79,8 +94,9 @@ def test_batched_gen_rows_match_single_draws(kind):
             ranks = (None, 1, max(1, m * n // 2)) if kind == "psd" else (None,)
             for rank in ranks:
                 stacked = gen(GenSpec(kind, m=m, n=n, seed=SEEDS, rank=rank))
-                assert len(stacked) == len(SEEDS)
-                for seed, got in zip(SEEDS.tolist(), stacked):
+                assert _trial_counts(stacked) == {len(SEEDS)}
+                for j, seed in enumerate(SEEDS.tolist()):
+                    got = _row(stacked, j)
                     single = gen(GenSpec(kind, m=m, n=n, seed=seed, rank=rank))
                     assert type(got) is type(single)
                     assert _bytes(got) == _bytes(single), (kind, m, n, rank, seed)
@@ -90,8 +106,10 @@ def test_batched_gen_rows_match_single_draws(kind):
 def test_batched_make_instance_matches_single_seeds(case_id):
     seeds = derive_seed(9, case_id, np.arange(12))
     for m, n in ((1, 3), (2, 2), (3, 4)):
-        for seed, got in zip(seeds.tolist(), make_instance(case_id, m, n, seeds)):
-            assert _bytes(got) == _bytes(make_instance(case_id, m, n, seed))
+        stacked = make_instance(case_id, m, n, seeds)
+        assert _trial_counts(stacked) == {len(seeds)}
+        for j, seed in enumerate(seeds.tolist()):
+            assert _bytes(_row(stacked, j)) == _bytes(make_instance(case_id, m, n, seed))
 
 
 def test_psd_verdicts_equal_is_psd_per_matrix():
@@ -150,7 +168,8 @@ def test_trial_instances_match_scalar_draws():
     dims = ((2, 3), (1, 1), (4, 2))
     for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih"):
         def draw(m, n, seeds, case_id=case_id):
-            return make_instance(case_id, m, n, seeds)
+            stacked = make_instance(case_id, m, n, seeds)
+            return [_row(stacked, j) for j in range(len(seeds))]
         got = list(suite._trial_instances(7, case_id, dims, 23, draw, step=5))
         assert len(got) == 23
         for t, (seed, mn, instance) in enumerate(got):
@@ -250,10 +269,10 @@ def test_eq18_slack_matches_kron_formula(n):
 
 def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
     """check_case on every row of one stacked evaluation of the dims group."""
-    instances = make_instance(case_id, m, n, seeds)
-    group = suite._evaluate(REGISTRY[case_id], instances, tol)
-    return instances, [check_case(case_id, suite._Row(group, j), tol, seed)
-                       for j, seed in enumerate(seeds.tolist())]
+    stacked = make_instance(case_id, m, n, seeds)
+    group = suite._evaluate(REGISTRY[case_id], stacked, tol)
+    return stacked, [check_case(case_id, suite._Row(group, j), tol, seed)
+                     for j, seed in enumerate(seeds.tolist())]
 
 
 @pytest.mark.parametrize("case_id", case_ids())
@@ -261,9 +280,9 @@ def test_each_row_equals_check_case_alone(case_id):
     """Rows 0, 5 and 10 draw low-rank psd instances (seed % 5 == 0)."""
     seeds = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, BIG], dtype=np.uint64)
     for m, n in DIMS_1_4:
-        instances, reports = _group_reports(case_id, m, n, seeds)
-        for seed, instance, report in zip(seeds.tolist(), instances, reports):
-            assert report == check_case(case_id, instance, seed=seed), (m, n, seed)
+        stacked, reports = _group_reports(case_id, m, n, seeds)
+        for j, (seed, report) in enumerate(zip(seeds.tolist(), reports)):
+            assert report == check_case(case_id, _row(stacked, j), seed=seed), (m, n, seed)
 
 
 def test_stack_height_changes_nothing(monkeypatch):
@@ -290,9 +309,12 @@ def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
     real = suite.make_instance
 
     def draw(cid, m, n, seeds):
-        instances = real(cid, m, n, seeds)
-        return [BlockMatrix(a.m, a.n, -a.dense) if seed == target else a
-                for seed, a in zip(seeds.tolist(), instances)]
+        stacked = real(cid, m, n, seeds)
+        dense = stacked.dense.copy()
+        for j, seed in enumerate(seeds.tolist()):
+            if seed == target:
+                dense[j] = -dense[j]
+        return BlockMatrix(stacked.m, stacked.n, dense)
 
     monkeypatch.setattr(suite, "_chunk_trials", lambda input_class, dims: 10)
     monkeypatch.setattr(suite, "make_instance", draw)
@@ -339,6 +361,55 @@ def test_one_matrix_kernels_equal_stacked_kernels(k):
         assert _bits(np.trace(blocks[i])) == _bits(traces[i])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+def test_merged_plus_minus_rows_equal_separate_calls(k):
+    """thm37-singular, coro55-norms and abs-block-corollary decide their
+    plus and minus sides by one call over a leading axis (and |X|, |X*| by
+    one matrix_abs_stack); each row equals the separate call bit for bit,
+    on contiguous operands and on transposed views, which the merged stack
+    copies."""
+    g = _random_stack(np.random.default_rng(k), (3, 4, k, k))
+    for plus, minus, rhs in (tuple(g), tuple(x.swapaxes(-1, -2) for x in g)):
+        merged = np.stack([plus, minus])
+        verdict = sv_dominates(merged, rhs, 2.0)
+        gaps = suite._kyfan_gaps(merged, rhs, 2.0)
+        for i, side in enumerate((plus, minus)):
+            want = sv_dominates(side, rhs, 2.0)
+            assert _bits(verdict.witness[i]) == _bits(want.witness)
+            assert _bits(verdict.holds[i]) == _bits(want.holds)
+            assert _bits(verdict.tolerance_used) == _bits(want.tolerance_used)
+            assert _bits(gaps[i]) == _bits(suite._kyfan_gaps(side, rhs, 2.0))
+        absolute = linalg.matrix_abs_stack(np.stack([plus, suite._ct(plus)]))
+        assert _bits(absolute[0]) == _bits(linalg.matrix_abs_stack(plus))
+        assert _bits(absolute[1]) == _bits(linalg.matrix_abs_stack(suite._ct(plus)))
+
+
+@pytest.mark.parametrize("case_id", ["thm37-singular", "coro55-norms", "abs-block-corollary"])
+def test_merged_cases_match_each_side_alone(case_id):
+    """The plus and minus parts of a merged case are the one-matrix oracles
+    on (tr B)I + B and (tr B)I - B against the shared right-hand side."""
+    for n in (1, 2, 3, 5):
+        eye = np.eye(n)
+        for seed in range(4):
+            inst = make_instance(case_id, 2, n, seed)
+            if case_id == "abs-block-corollary":
+                b = inst
+                both = linalg.matrix_abs(b) + linalg.matrix_abs(b.conj().T)
+            else:
+                b, both = inst.block(0, 1), inst.block(0, 0) + inst.block(1, 1)
+            rhs = np.trace(both).real * eye + both
+            report = check_case(case_id, inst)
+            assert [p.label for p in report.parts] == ["plus", "minus"]
+            for part, sign in zip(report.parts, (1, -1)):
+                lhs = np.trace(b) * eye + sign * b
+                if case_id == "coro55-norms":
+                    want = min(linalg.kyfan_norm(rhs, k) - 2 * linalg.kyfan_norm(lhs, k)
+                               for k in range(1, n + 1))
+                else:
+                    want = sv_dominates(lhs, rhs, 2.0).witness
+                assert part.witness == pytest.approx(want, rel=1e-12, abs=1e-12), (n, seed)
+
+
 def test_non_hermitian_row_in_a_stack_raises(monkeypatch):
     g = _random_stack(np.random.default_rng(1), (2, 5, 4, 4))
     stack = g + g.conj().swapaxes(-1, -2)
@@ -351,13 +422,12 @@ def test_non_hermitian_row_in_a_stack_raises(monkeypatch):
     target = derive_seed(3, "eqm1-majorization", 4)
 
     def draw(cid, m, n, seeds):
-        instances = real(cid, m, n, seeds)
+        stacked = real(cid, m, n, seeds)
+        dense = stacked.dense.copy()
         for j, seed in enumerate(seeds.tolist()):
             if seed == target:
-                dense = instances[j].dense.copy()
-                dense[0, 1] += 1e-3
-                instances[j] = BlockMatrix(m, n, dense)
-        return instances
+                dense[j, 0, 1] += 1e-3
+        return BlockMatrix(stacked.m, stacked.n, dense)
 
     monkeypatch.setattr(suite, "make_instance", draw)
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -371,9 +441,9 @@ def test_each_part_is_lambda_min_of_its_labeled_slack(case_id):
     witness is lambda_min of the slack build_slack gives for its label."""
     seeds = derive_seed(4, case_id, np.arange(5))
     for m, n in ((2, 2), (3, 2), (2, 3)):
-        instances, reports = _group_reports(case_id, m, n, seeds)
-        for instance, report in zip(instances, reports):
-            slacks = build_slack(case_id, instance)
+        stacked, reports = _group_reports(case_id, m, n, seeds)
+        for j, report in enumerate(reports):
+            slacks = build_slack(case_id, _row(stacked, j))
             assert [p.label for p in report.parts] == [label for label, _ in slacks]
             for part, (_, slack) in zip(report.parts, slacks):
                 assert part.witness == float(is_psd(slack).witness)

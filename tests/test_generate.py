@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrace.blocks import BlockMatrix, partial_transpose
-from blocktrace.generate import GenSpec, gen, matrix_unit_block
+from blocktrace.generate import KINDS, GenSpec, gen, matrix_unit_block
 from blocktrace.linalg import is_hermitian
 from blocktrace.orders import is_ppt, is_psd
 
@@ -86,3 +86,13 @@ def test_ones_kron_tightness_instance():
     assert np.array_equal(a.dense, np.kron(np.ones((2, 2)), np.ones((2, 2))))
     assert is_psd(a.dense).holds
     assert is_ppt(partial_transpose(a)).holds
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_seed_draws_one_writable_instance(kind):
+    """Only a seed array adds a trial axis; a single seed's instance is a
+    fresh writable matrix, or a pair of them."""
+    inst = gen(GenSpec(kind, m=2, n=3, seed=4))
+    arrays = inst if isinstance(inst, tuple) else (getattr(inst, "dense", inst),)
+    for x in arrays:
+        assert x.ndim == 2 and x.flags.writeable

@@ -1,0 +1,40 @@
+import copy
+import importlib.util
+import struct
+from pathlib import Path
+
+import blocktrace as bt
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+_SPEC = importlib.util.spec_from_file_location("report_digest", _PATH)
+report_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_digest)
+
+DIMS = ((1, 1), (2, 3))
+SEEDS = (0, 1)
+
+
+def _inputs():
+    return (report_digest.verify_report(bt, "2x2", 3, 1),
+            report_digest.case_records(bt, DIMS, SEEDS),
+            report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1))
+
+
+def test_equal_reports_give_equal_digests():
+    verify, records, scan = _inputs()
+    assert verify.startswith("{") and '"trials": 3' in verify
+    assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
+    assert report_digest.digest(verify, records, scan) == report_digest.digest(*_inputs())
+
+
+def test_one_flipped_witness_bit_changes_the_digest():
+    verify, records, scan = _inputs()
+    want = report_digest.digest(verify, records, scan)
+    case_id, seed, m, n, _, parts = records[7]
+    _, bits, _ = parts[0]
+    report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
+    assert struct.unpack("<d", bytes.fromhex(bits))[0] == report.parts[0].witness
+    flipped = copy.deepcopy(records)
+    flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
+    assert flipped != records
+    assert report_digest.digest(verify, flipped, scan) != want
