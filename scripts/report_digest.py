@@ -9,7 +9,10 @@ The digest covers:
     its make_instance input: the label, witness bits and holds of each part,
     m, n and the premise misses;
   - the criterion-6 scan, open_question_scan over dims 2..4x2..4, 2,000
-    trials, seed 42.
+    trials, seed 42;
+  - the run_suite report of all 44 cases at dims 1..8x1..8, 100 trials,
+    seed 42, a shape where the cases of an input class take several draws
+    per dims group and their merged PSD verdicts are decided in parts.
 
 Run it on two checkouts; equal digests mean equal reports:
 
@@ -70,8 +73,14 @@ def scan_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.open_question_scan(dims, trials, seed))
 
 
-def digest(verify_text: str, records: list, scan_text: str) -> str:
-    text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text})
+def suite_report(bt, dims, trials: int, seed: int) -> str:
+    """The JSON text of run_suite over every case."""
+    return bt.serialize.dump(bt.run_suite(bt.RunConfig(tuple(bt.case_ids()), dims, trials, seed)))
+
+
+def digest(verify_text: str, records: list, scan_text: str, suite_text: str) -> str:
+    text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text,
+                       "suite": suite_text})
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -83,7 +92,8 @@ def main(argv=None) -> int:
     bt = load(args.src)
     print(digest(verify_report(bt, "2..4x2..4", 500, 42),
                  case_records(bt, CASE_DIMS, CASE_SEEDS),
-                 scan_report(bt, SCAN_DIMS, 2000, 42)))
+                 scan_report(bt, SCAN_DIMS, 2000, 42),
+                 suite_report(bt, CASE_DIMS, 100, 42)))
     return 0
 
 

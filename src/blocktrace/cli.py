@@ -167,12 +167,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_scan(args) -> int:
     try:
-        dims = parse_dims(args.dims)
-        check_tol(args.tol)
+        report = open_question_scan(parse_dims(args.dims), args.trials, args.seed, args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = open_question_scan(dims, args.trials, args.seed, args.tol)
     _emit(serialize.dump(report), args.out)
     return 1 if report["sanity_violations"] else 0
 

@@ -892,25 +892,30 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
-def _evaluate(case: TheoremCase, stack, tol: float) -> tuple:
+def _evaluate(case: TheoremCase, stack, tol: float, verdicts=None) -> tuple:
     """(m, n, columns) of one case on a dims group's instances, stacked
-    along a leading trial axis: every part column, for all trials at once."""
+    along a leading trial axis: every part column, for all trials at once.
+    With verdicts, a _Verdicts batch, the slack columns of a psd-slack or
+    ppt-of-derived case are filled in when that batch is decided."""
     if isinstance(stack, BlockMatrix):
-        d = Derived(stack)
-        if case.check_kind in _SLACK_KINDS:
-            return stack.m, stack.n, _psd_cols(case.fn(d), len(stack.dense), tol)
-        return stack.m, stack.n, case.fn(d, tol)
+        if case.check_kind not in _SLACK_KINDS:
+            return stack.m, stack.n, case.fn(Derived(stack), tol)
+        slacks = case.fn(Derived(stack))  # its Derived is freed before any verdict
+        if verdicts is None:
+            return stack.m, stack.n, _psd_cols(slacks, len(stack.dense), tol)
+        return stack.m, stack.n, verdicts.add(slacks, len(stack.dense))
     first = stack[0] if isinstance(stack, tuple) else stack
     return (*first.shape[-2:], case.fn(stack, tol))
 
 
-def _one_trial(instance):
-    """A plain instance as a stack of one trial."""
+def _each(instance, fn):
+    """fn applied to every array of an instance, or of a stack of them,
+    of any input class."""
     if isinstance(instance, BlockMatrix):
-        return BlockMatrix(instance.m, instance.n, instance.dense[None])
+        return BlockMatrix(instance.m, instance.n, fn(instance.dense))
     if isinstance(instance, tuple):
-        return tuple(np.asarray(x)[None] for x in instance)
-    return np.asarray(instance)[None]
+        return tuple(fn(x) for x in instance)
+    return fn(instance)
 
 
 # Trial j of a dims group that _evaluate checked as one stack.
@@ -926,7 +931,8 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     if case is None:
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
-        instance = _Row(_evaluate(case, _one_trial(instance), tol), 0)
+        one_trial = _each(instance, lambda x: np.asarray(x)[None])
+        instance = _Row(_evaluate(case, one_trial, tol), 0)
     (m, n, columns), j = instance
     parts = tuple([Part(label, witnesses[j], holds[j])
                    for label, witnesses, holds in columns if holds[j] is not None])
@@ -953,6 +959,7 @@ class RunConfig:
     tol: float = PSD_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "cases", tuple(dict.fromkeys(self.cases)))  # each id once
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if not self.dims:
@@ -964,7 +971,9 @@ class RunConfig:
 
 
 # Cap on the bytes of the instance stacks one chunk of trials draws at once,
-# so memory stays flat in the trial count.
+# so memory stays flat in the trial count.  Within a chunk, a dims group's
+# share of it, _CHUNK_BYTES // len(dims), caps both one draw of an input
+# class's cases and the slacks that wait for one merged verdict.
 _CHUNK_BYTES = 1 << 20
 
 def _chunk_trials(input_class: str, dims) -> int:
@@ -974,54 +983,119 @@ def _chunk_trials(input_class: str, dims) -> int:
     return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
 
 
-def _trial_instances(base: int, token: str, dims, trials: int, draw, step: int):
-    """(seed, (m, n), item) of trials 0..trials-1, in index order.
+def _trial_instances(base: int, tokens, dims, trials: int, draw, step: int):
+    """(token, seed, (m, n), item) of trials 0..trials-1 of every token.
 
-    Trial t has dims[t % len(dims)] and seed derive_seed(base, token, t).
-    Each chunk of `step` trials derives its seeds in one call and handles its
-    trials one dims group at a time: draw(m, n, seeds) gives one item per
-    seed, such as the row of a stacked evaluation."""
+    Trial t of a token has dims[t % len(dims)] and seed
+    derive_seed(base, token, t).  Each chunk of `step` trials derives each
+    token's seeds in one call and handles its trials one dims group at a
+    time: draw(m, n, seeds) takes one seed array per token and gives one
+    list per token with an item per seed, such as the row of a stacked
+    evaluation.  A chunk yields token after token, each in index order."""
     period = len(dims)
     for lo in range(0, trials, step):
-        seeds = derive_seed(base, token, np.arange(lo, min(lo + step, trials)))
-        items = [None] * len(seeds)
+        t = np.arange(lo, min(lo + step, trials))
+        seeds = [derive_seed(base, token, t) for token in tokens]
+        items = [[None] * len(t) for _ in tokens]
         for g, (m, n) in enumerate(dims):
             first = (g - lo) % period
-            if first < len(seeds):
-                items[first::period] = draw(m, n, seeds[first::period])
-        for j, (seed, item) in enumerate(zip(seeds.tolist(), items)):
-            yield seed, dims[(lo + j) % period], item
+            if first < len(t):
+                drawn = draw(m, n, [s[first::period] for s in seeds])
+                for out, got in zip(items, drawn):
+                    out[first::period] = got
+        for token, token_seeds, token_items in zip(tokens, seeds, items):
+            for j, (seed, item) in enumerate(zip(token_seeds.tolist(), token_items)):
+                yield token, seed, dims[(lo + j) % period], item
 
 
-def run_case_trials(case_id: str, config: RunConfig) -> dict:
-    """Aggregate config.trials trials of one case, cycling over dims; each
-    dims group of a chunk is evaluated as one stack, then read row by row."""
-    case = REGISTRY[case_id]
-    trials = failures = premise_misses = 0
-    worst_witness = worst_seed = worst_dims = None
-    step = _chunk_trials(case.input_class, config.dims)
+class _Verdicts:
+    """Labeled slack stacks of several cases of one dims group, decided
+    together by one _psd_cols call on decide(), or before a case's slacks
+    would take them past cap bytes.  add() returns the case's column list,
+    which is filled in then."""
+
+    def __init__(self, tol: float, cap: int):
+        self.tol, self.cap, self.trials = tol, cap, 0
+        self.slacks, self.owners, self.nbytes = [], [], 0
+
+    def add(self, slacks: list, trials: int) -> list:
+        nbytes = sum(s.nbytes for _, s in slacks)
+        if self.nbytes + nbytes > self.cap:
+            self.decide()
+        columns = []
+        self.slacks += slacks
+        self.owners.append((columns, len(slacks)))
+        self.trials = trials
+        self.nbytes += nbytes
+        return columns
+
+    def decide(self) -> None:
+        if self.slacks:
+            decided = iter(_psd_cols(self.slacks, self.trials, self.tol))
+            for columns, count in self.owners:
+                columns.extend(next(decided) for _ in range(count))
+        self.slacks, self.owners, self.nbytes = [], [], 0
+
+
+def _class_entries(case_ids: list, config: RunConfig) -> dict:
+    """The entry of each of case_ids, requested cases of one input class.
+
+    In each dims group of a chunk, the cases' seed slices are concatenated
+    and drawn by one make_instance call, and each case evaluates its own
+    rows of that stack.  The slack cases of a group share one merged PSD
+    verdict.  A draw holds at most _CHUNK_BYTES // len(dims) bytes of
+    instances and a verdict as many bytes of slacks, so many cases split
+    into several of each.  Then check_case reads every trial's row, case
+    by case in trial order."""
+    input_class = REGISTRY[case_ids[0]].input_class
+    entries = INPUT_CLASSES[input_class].entries
+    period, tol = len(config.dims), config.tol
 
     def rows(m, n, seeds):
-        group = _evaluate(case, make_instance(case_id, m, n, seeds), config.tol)
-        return [_Row(group, j) for j in range(len(seeds))]
+        height, share = len(seeds[0]), _CHUNK_BYTES // period
+        per_draw = max(1, share // (16 * entries(m, n) * height))
+        verdicts = _Verdicts(tol, share)
+        out = []
+        for b in range(0, len(case_ids), per_draw):
+            stack = make_instance(case_ids[b], m, n, np.concatenate(seeds[b:b + per_draw]))
+            for i, case_id in enumerate(case_ids[b:b + per_draw]):
+                own = _each(stack, lambda x: x[i * height:(i + 1) * height])
+                group = _evaluate(REGISTRY[case_id], own, tol, verdicts)
+                out.append([_Row(group, j) for j in range(height)])
+        verdicts.decide()
+        return out
 
-    for seed, (m, n), row in _trial_instances(
-            config.seed, case_id, config.dims, config.trials, rows, step):
-        report = check_case(case_id, row, config.tol, seed)
-        trials += 1
-        premise_misses += report.premise_misses
+    result = {c: {"trials": 0, "failures": 0, "premise_misses": 0, "worst_witness": None,
+                  "worst_seed": None, "worst_dims": None} for c in case_ids}
+    for case_id, seed, (m, n), row in _trial_instances(
+            config.seed, case_ids, config.dims, config.trials, rows,
+            _chunk_trials(input_class, config.dims)):
+        report = check_case(case_id, row, tol, seed)
+        entry = result[case_id]
+        entry["trials"] += 1
+        entry["premise_misses"] += report.premise_misses
         if report.parts and not report.holds:
-            failures += 1
-        if report.parts and (worst_witness is None or report.witness < worst_witness):
-            worst_witness, worst_seed, worst_dims = report.witness, seed, f"{m}x{n}"
-    return {
-        "trials": trials,
-        "failures": failures,
-        "premise_misses": premise_misses,
-        "worst_witness": worst_witness,
-        "worst_seed": worst_seed,
-        "worst_dims": worst_dims,
-    }
+            entry["failures"] += 1
+        if report.parts and (entry["worst_witness"] is None
+                             or report.witness < entry["worst_witness"]):
+            entry.update(worst_witness=report.witness, worst_seed=seed, worst_dims=f"{m}x{n}")
+    return result
+
+
+def run_case_trials(case_id: str, config: RunConfig, finished: dict | None = None) -> dict:
+    """Aggregate config.trials trials of one case, cycling over dims.
+
+    Alone, the case runs by itself.  run_suite passes one `finished` dict
+    to every case it runs: the first case of an input class to arrive runs
+    all the requested cases of that class together and leaves the others'
+    entries there, and each of them returns its entry from there."""
+    if finished is None:
+        return _class_entries([case_id], config)[case_id]
+    if case_id not in finished:
+        input_class = REGISTRY[case_id].input_class
+        finished.update(_class_entries(sorted(
+            c for c in {case_id, *config.cases} if REGISTRY[c].input_class == input_class), config))
+    return finished.pop(case_id)
 
 
 def run_suite(config: RunConfig, threads: int = 1) -> dict:
@@ -1032,7 +1106,8 @@ def run_suite(config: RunConfig, threads: int = 1) -> dict:
     cases run: the checks are Python that holds the interpreter lock, and a
     thread pool measured slower than this serial loop."""
     ids = sorted(config.cases)
-    results = {c: run_case_trials(c, config) for c in ids}
+    finished = {}
+    results = {c: run_case_trials(c, config, finished) for c in ids}
     return {
         "config": {
             "cases": ids,
@@ -1058,7 +1133,10 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
 
     The residual is provably PSD, which the scan asserts as a sanity
     invariant; the statistics are for human inspection of how much slack
-    remains for a uniform PSD subtraction."""
+    remains for a uniform PSD subtraction.  ValueError when trials is
+    negative or tol is not a finite non-negative number."""
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     dims = tuple(dims)
     check_tol(tol)
     residual = REGISTRY["open-question-residual"]
@@ -1066,11 +1144,11 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     sanity_violations = 0
 
     def verdicts(m, n, seeds):
-        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, seeds), tol)
-        return list(zip(witnesses, holds))
+        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, seeds[0]), tol)
+        return [list(zip(witnesses, holds))]
 
-    for trial_seed, _, (lam_min, holds) in _trial_instances(
-            seed, "open-question-scan", dims, trials, verdicts, _chunk_trials("psd", dims)):
+    for _, trial_seed, _, (lam_min, holds) in _trial_instances(
+            seed, ("open-question-scan",), dims, trials, verdicts, _chunk_trials("psd", dims)):
         values.append(lam_min)
         seeds.append(trial_seed)
         if not holds:

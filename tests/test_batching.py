@@ -158,23 +158,34 @@ def _reference_case_trials(case_id: str, config: RunConfig) -> dict:
 @settings(max_examples=3, deadline=None)
 @given(st.integers(0, 2**64 - 1))
 def test_run_case_trials_matches_scalar_loop(seed):
+    """Each case alone, and all 44 in one run_suite call, where the cases of
+    an input class share their draws (split in several at 4x4) and their
+    PSD verdicts."""
     config = RunConfig(tuple(case_ids()), DIMS_1_4, 37, seed)
     assert len(config.cases) == 44
+    together = run_suite(config)["cases"]
     for case_id in config.cases:
-        assert run_case_trials(case_id, config) == _reference_case_trials(case_id, config)
+        want = _reference_case_trials(case_id, config)
+        assert run_case_trials(case_id, config) == want
+        assert together[case_id] == want
 
 
 def test_trial_instances_match_scalar_draws():
     dims = ((2, 3), (1, 1), (4, 2))
     for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih"):
+        tokens = (case_id, "other-" + case_id)
+
         def draw(m, n, seeds, case_id=case_id):
-            stacked = make_instance(case_id, m, n, seeds)
-            return [_row(stacked, j) for j in range(len(seeds))]
-        got = list(suite._trial_instances(7, case_id, dims, 23, draw, step=5))
-        assert len(got) == 23
-        for t, (seed, mn, instance) in enumerate(got):
-            assert seed == derive_seed(7, case_id, t) and mn == dims[t % 3]
-            assert _bytes(instance) == _bytes(make_instance(case_id, *mn, seed))
+            stacks = [make_instance(case_id, m, n, s) for s in seeds]
+            return [[_row(stacked, j) for j in range(len(s))] for stacked, s in zip(stacks, seeds)]
+        got = list(suite._trial_instances(7, tokens, dims, 23, draw, step=5))
+        assert len(got) == 2 * 23
+        for token in tokens:
+            mine = [item for item in got if item[0] == token]
+            assert len(mine) == 23
+            for t, (_, seed, mn, instance) in enumerate(mine):
+                assert seed == derive_seed(7, token, t) and mn == dims[t % 3]
+                assert _bytes(instance) == _bytes(make_instance(case_id, *mn, seed))
 
 
 @pytest.mark.parametrize("cap", [1, 3000, 10_000])
@@ -295,6 +306,13 @@ def test_stack_height_changes_nothing(monkeypatch):
 
 
 ROW_DIMS = ((2, 2), (3, 2), (2, 3))
+# Two other cases of each target's input class; one of them is checked by
+# another kind than the target.
+SIBLINGS = {
+    "ando": ("choi-tr1", "eqm1-majorization"),
+    "choi-tr1": ("ando", "hiroshima-conditional"),
+    "lin-2x2-ppt": ("choi-block-ppt", "coro55-norms"),
+}
 
 
 @pytest.mark.parametrize("case_id", ["ando", "choi-tr1", "lin-2x2-ppt"])
@@ -303,7 +321,8 @@ ROW_DIMS = ((2, 2), (3, 2), (2, 3))
 def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
     """Chunks of 10 trials over three dims: trials 0, 3, 6, 9 are one stack
     of the first chunk, and trial 10 opens the second chunk.  Negating the
-    PSD instance of one trial makes exactly that trial fail."""
+    PSD instance of one trial makes exactly that trial fail, also when two
+    other cases of its input class share its draws and verdicts."""
     config = RunConfig((case_id,), ROW_DIMS, 30, 5)
     target = derive_seed(config.seed, case_id, trial)
     real = suite.make_instance
@@ -323,6 +342,12 @@ def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
     assert entry["failures"] == 1
     assert (entry["worst_seed"], entry["worst_dims"]) == (target, f"{m}x{n}")
     assert entry["worst_witness"] < 0
+    together = run_suite(RunConfig((case_id, *SIBLINGS[case_id]), ROW_DIMS, 30, 5))["cases"]
+    assert together[case_id] == entry
+    for sibling in SIBLINGS[case_id]:
+        assert REGISTRY[sibling].input_class == REGISTRY[case_id].input_class
+        assert together[sibling] == run_case_trials(sibling, RunConfig((sibling,), ROW_DIMS, 30, 5))
+        assert together[sibling]["failures"] == 0
 
 
 def _bits(x):

@@ -264,6 +264,23 @@ def test_scan_rejects_bad_tol(capsys, tol):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_scan_rejects_negative_trials(capsys):
+    assert main(["scan", "--dims", "2x2", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_verify_runs_a_repeated_case_once(capsys):
+    args = ["verify", "--dims", "2x2", "--trials", "3", "--format", "json", "--cases"]
+    assert main(args + ["ando", "ando", "choi-tr1"]) == 0
+    repeated = capsys.readouterr().out
+    assert main(args + ["ando", "choi-tr1"]) == 0
+    assert repeated == capsys.readouterr().out
+    report = json.loads(repeated)
+    assert report["config"]["cases"] == list(report["cases"]) == ["ando", "choi-tr1"]
+    assert report["cases"]["ando"]["trials"] == 3
+
+
 def test_zero_tol_is_accepted(capsys):
     assert main(["verify", "--cases", "ck-lih", "--dims", "2x2", "--trials", "3",
                  "--tol", "0"]) == 0

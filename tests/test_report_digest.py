@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import json
 import struct
 from pathlib import Path
 
@@ -17,19 +18,21 @@ SEEDS = (0, 1)
 def _inputs():
     return (report_digest.verify_report(bt, "2x2", 3, 1),
             report_digest.case_records(bt, DIMS, SEEDS),
-            report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1))
+            report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1),
+            report_digest.suite_report(bt, DIMS, 3, 1))
 
 
 def test_equal_reports_give_equal_digests():
-    verify, records, scan = _inputs()
+    verify, records, scan, suite = _inputs()
     assert verify.startswith("{") and '"trials": 3' in verify
     assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
-    assert report_digest.digest(verify, records, scan) == report_digest.digest(*_inputs())
+    assert len(json.loads(suite)["cases"]) == len(bt.case_ids())
+    assert report_digest.digest(verify, records, scan, suite) == report_digest.digest(*_inputs())
 
 
 def test_one_flipped_witness_bit_changes_the_digest():
-    verify, records, scan = _inputs()
-    want = report_digest.digest(verify, records, scan)
+    verify, records, scan, suite = _inputs()
+    want = report_digest.digest(verify, records, scan, suite)
     case_id, seed, m, n, _, parts = records[7]
     _, bits, _ = parts[0]
     report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
@@ -37,4 +40,8 @@ def test_one_flipped_witness_bit_changes_the_digest():
     flipped = copy.deepcopy(records)
     flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     assert flipped != records
-    assert report_digest.digest(verify, flipped, scan) != want
+    assert report_digest.digest(verify, flipped, scan, suite) != want
+    worst_seed = json.loads(suite)["cases"]["ando"]["worst_seed"]
+    other_seed = suite.replace(str(worst_seed), str(worst_seed ^ 1))
+    assert other_seed != suite
+    assert report_digest.digest(verify, records, scan, other_seed) != want

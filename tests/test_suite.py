@@ -220,9 +220,9 @@ def test_run_suite_starts_no_thread(monkeypatch):
     seen = []
     real = suite.run_case_trials
 
-    def spy(case_id, config):
+    def spy(case_id, config, *rest):
         seen.append((threading.active_count(), threading.current_thread() is threading.main_thread()))
-        return real(case_id, config)
+        return real(case_id, config, *rest)
 
     monkeypatch.setattr(suite, "run_case_trials", spy)
     config = RunConfig(("ando", "ck-lih", "lin-2x2-ppt"), ((2, 2), (2, 3)), 3, 7)
@@ -298,6 +298,8 @@ def test_open_question_scan_empty():
     report = open_question_scan([(2, 2)], trials=0, seed=0)
     assert report["trials"] == 0
     assert report["min_lambda_min"] is None
+    with pytest.raises(ValueError, match="trials"):
+        open_question_scan([(2, 2)], trials=-1, seed=0)
 
 
 def test_input_classes_match_registry():
