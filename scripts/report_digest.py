@@ -12,7 +12,10 @@ The digest covers:
     trials, seed 42;
   - the run_suite report of all 44 cases at dims 1..8x1..8, 100 trials,
     seed 42, a shape where the cases of an input class take several draws
-    per dims group and their merged PSD verdicts are decided in parts.
+    per dims group and their merged PSD verdicts are decided in parts;
+  - the check_case report of each exact-integer case on fixed int64-extreme
+    matrices (entries +-(2^63 - 1), -2^63 and 0 at dims 1x1, 1x2, 2x2 and
+    6x6), whose sums exceed int64.
 
 Run it on two checkouts; equal digests mean equal reports:
 
@@ -32,10 +35,15 @@ import struct
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SWEEP_EXCLUDED = ("psi-not-2-positive", "open-question-residual")
 CASE_DIMS = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
 CASE_SEEDS = tuple(range(6))
 SCAN_DIMS = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
+EXACT_CASES = ("ck-classical", "ck-lih", "ck-improved")
+EXTREME_DIMS = ((1, 1), (1, 2), (2, 2), (6, 6))
+EXTREME_VALUES = (2**63 - 1, -(2**63 - 1), -(2**63), 0)
 
 
 def load(src: str):
@@ -55,6 +63,10 @@ def verify_report(bt, dims: str, trials: int, seed: int) -> str:
     return out.getvalue()
 
 
+def _parts(report) -> list:
+    return [[p.label, struct.pack("<d", p.witness).hex(), bool(p.holds)] for p in report.parts]
+
+
 def case_records(bt, dims, seeds) -> list:
     """[case, seed, m, n, premise misses, [[label, witness bits, holds], ...]]
     of check_case on every case's instance at each dims and seed."""
@@ -63,10 +75,26 @@ def case_records(bt, dims, seeds) -> list:
         for m, n in dims:
             for seed in seeds:
                 r = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
-                records.append([case_id, seed, r.m, r.n, r.premise_misses,
-                                [[p.label, struct.pack("<d", p.witness).hex(), bool(p.holds)]
-                                 for p in r.parts]])
+                records.append([case_id, seed, r.m, r.n, r.premise_misses, _parts(r)])
     return records
+
+
+def extreme_matrices(dims) -> list:
+    """Integer matrices at each dims: every entry one of EXTREME_VALUES, and
+    entry (i, j) = EXTREME_VALUES[(i n + j + shift) % 4] for each shift."""
+    out = []
+    for m, n in dims:
+        out += [[[v] * n for _ in range(m)] for v in EXTREME_VALUES]
+        out += [[[EXTREME_VALUES[(i * n + j + shift) % 4] for j in range(n)] for i in range(m)]
+                for shift in range(4)]
+    return out
+
+
+def extreme_records(bt, matrices) -> list:
+    """[case, entries, [[label, witness bits, holds], ...]] of check_case on
+    each exact-integer case and each int64 matrix."""
+    return [[case_id, x, _parts(bt.check_case(case_id, np.array(x, dtype=np.int64)))]
+            for case_id in EXACT_CASES for x in matrices]
 
 
 def scan_report(bt, dims, trials: int, seed: int) -> str:
@@ -78,9 +106,10 @@ def suite_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.run_suite(bt.RunConfig(tuple(bt.case_ids()), dims, trials, seed)))
 
 
-def digest(verify_text: str, records: list, scan_text: str, suite_text: str) -> str:
+def digest(verify_text: str, records: list, scan_text: str, suite_text: str,
+           extremes: list) -> str:
     text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text,
-                       "suite": suite_text})
+                       "suite": suite_text, "extremes": extremes})
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -93,7 +122,8 @@ def main(argv=None) -> int:
     print(digest(verify_report(bt, "2..4x2..4", 500, 42),
                  case_records(bt, CASE_DIMS, CASE_SEEDS),
                  scan_report(bt, SCAN_DIMS, 2000, 42),
-                 suite_report(bt, CASE_DIMS, 100, 42)))
+                 suite_report(bt, CASE_DIMS, 100, 42),
+                 extreme_records(bt, extreme_matrices(EXTREME_DIMS))))
     return 0
 
 

@@ -450,18 +450,22 @@ def _trace_2x2(gap, d: Derived, tol):
 def _ck(gaps, x, tol):
     """One exact column per (label, gap) of gaps, where the integer
     inequality is gap(m, n, total, sq, row_sq, col_sq) >= 0 over the exact
-    sums of each matrix of the stack x."""
+    sums of each matrix of the integer stack x, all taken at once.
+
+    With |entries| <= K, every sum and every term of a gap is at most
+    5 (mn)^2 K^2 in absolute value, so int64 is exact when
+    8 (mn)^2 K^2 < 2^62; otherwise the same expressions run on Python ints
+    (object dtype).  K is taken in Python ints: abs(-2^63) wraps in int64."""
     m, n = x.shape[-2:]
-    cols = [(label, [], []) for label, _ in gaps]
-    for rows in x.tolist():
-        total = sum(sum(r) for r in rows)
-        sq = sum(v * v for r in rows for v in r)
-        row_sq = sum(sum(r) ** 2 for r in rows)
-        col_sq = sum(sum(col) ** 2 for col in zip(*rows))
-        for (_, gap), (_, witnesses, holds) in zip(gaps, cols):
-            g = gap(m, n, total, sq, row_sq, col_sq)
-            witnesses.append(float(g))
-            holds.append(g >= 0)
+    k = max(-int(x.min()), int(x.max()))
+    x = x.astype(np.int64 if 8 * (m * n * k) ** 2 < 1 << 62 else object, copy=False)
+    row, col = x.sum(axis=-1), x.sum(axis=-2)
+    sums = (row.sum(axis=-1), (x * x).sum(axis=(-2, -1)),
+            (row * row).sum(axis=-1), (col * col).sum(axis=-1))
+    cols = []
+    for label, gap in gaps:
+        g = gap(m, n, *sums)
+        cols.append((label, g.astype(np.float64).tolist(), (g >= 0).tolist()))
     return cols
 
 
@@ -835,6 +839,21 @@ def _block_2x2_entries(m: int, n: int) -> int:
     return (2 * n) ** 2
 
 
+def _matrix_unit_instances(m: int, n: int, seed):
+    return _gen("matrix-unit-E", 1, n, seed)
+
+
+def _fixed_problem(draw, name: str):
+    """problem of a class whose draw at each dims ignores the seed: any
+    input other than that fixed instance of its dims is refused."""
+    def problem(a: BlockMatrix, tol):
+        want = draw(a.m, a.n, 0)
+        if want.m != a.m or not np.array_equal(want.dense, a.dense):
+            return f"input matrix is not the {name} instance of its dims"
+        return None
+    return problem
+
+
 @dataclass(frozen=True)
 class InputClass:
     """One kind of case input.
@@ -865,9 +884,10 @@ INPUT_CLASSES = {
                             lambda m, n: 2 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
                            lambda m, n: m * n),
-    "matrix-unit-E": InputClass(lambda m, n, seed: _gen("matrix-unit-E", 1, n, seed),
-                                _load_block, _block_2x2_entries),
-    "zero": InputClass(_zero_instances, _load_block),
+    "matrix-unit-E": InputClass(_matrix_unit_instances, _load_block, _block_2x2_entries,
+                                _fixed_problem(_matrix_unit_instances, "matrix-unit")),
+    "zero": InputClass(_zero_instances, _load_block,
+                       problem=_fixed_problem(_zero_instances, "zero")),
     "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), n, n), _load_square,
                          lambda m, n: n * n),
 }

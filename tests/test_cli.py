@@ -12,7 +12,8 @@ from blocktrace import serialize
 from blocktrace.blocks import BlockMatrix
 from blocktrace.cli import main, parse_dims
 from blocktrace.generate import GenSpec, gen
-from blocktrace.suite import case_ids, check_case, make_instance
+from blocktrace.suite import _CK_LIH, case_ids, check_case, make_instance
+from test_suite import I64_MAX, I64_MIN, ck_oracle
 
 
 def test_parse_dims_grammar():
@@ -76,18 +77,53 @@ def test_case_precondition_rejected(tmp_path, capsys):
 
 
 def test_case_detects_failure(tmp_path, capsys):
-    """The expected-failure fixture exercises exit code 1: feeding the
-    matrix-unit instance to a case whose statement it genuinely violates."""
-    inst = tmp_path / "e.json"
-    e = gen(GenSpec("matrix-unit-E", n=3))
-    serialize.dump(serialize.block_to_obj(e), inst)
-    # E is PSD and satisfies the registry statements, so use the case whose
-    # semantics is 'violation detected': a PSD instance far from violating
-    # it makes the case fail
-    ones = tmp_path / "ones.json"
-    serialize.dump(serialize.block_to_obj(gen(GenSpec("ones-kron", m=2, n=3))), ones)
-    assert main(["case", "--id", "psi-not-2-positive", "--input", str(ones)]) == 1
-    capsys.readouterr()
+    """Exit code 1 from the expected-failure case: on the canonical
+    matrix-unit instance at n = 1, diag(1, 0), psi is zero on the 1x1 blocks
+    and no violation exists; at n = 3 the violation is detected."""
+    for n, code in ((1, 1), (3, 0)):
+        inst = tmp_path / f"e{n}.json"
+        serialize.dump(serialize.block_to_obj(gen(GenSpec("matrix-unit-E", n=n))), inst)
+        assert main(["case", "--id", "psi-not-2-positive", "--input", str(inst)]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["holds"] is (code == 0)
+        assert report["witness"] == (0.0 if n == 1 else pytest.approx(-1.0))
+
+
+def test_case_refuses_non_canonical_fixed_inputs(tmp_path, capsys):
+    """matrix-unit-E and zero cases take only their one instance per dims."""
+    ones = gen(GenSpec("ones-kron", m=2, n=3))
+    refused = {
+        "psi-not-2-positive": [ones, BlockMatrix(3, 1, np.diag([1.0, 0.0, 0.0]) + 0j),
+                               BlockMatrix(2, 1, np.diag([0.0, 1.0]) + 0j)],
+        "eq18-matrix": [ones, BlockMatrix(2, 2, 1e-300 * np.eye(4) + 0j)],
+    }
+    for case_id, instances in refused.items():
+        for a in instances:
+            inst = tmp_path / "inst.json"
+            serialize.dump(serialize.block_to_obj(a), inst)
+            assert main(["case", "--id", case_id, "--input", str(inst)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "instance" in captured.err
+            assert captured.out == ""
+    inst = tmp_path / "zero.json"
+    serialize.dump(serialize.block_to_obj(make_instance("eq18-matrix", 3, 2, 0)), inst)
+    assert main(["case", "--id", "eq18-matrix", "--input", str(inst)]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def test_case_ck_exact_on_int64_extremes(tmp_path, capsys):
+    """case --input with extreme int64 entries gives the Python-int
+    oracle's parts, not a wrapped or approximate result."""
+    x = np.array([[I64_MAX, I64_MIN], [I64_MIN, 0]], dtype=np.int64)
+    inst = tmp_path / "ints.json"
+    serialize.dump(serialize.int_matrix_to_obj(x), inst)
+    code = main(["case", "--id", "ck-lih", "--input", str(inst)])
+    captured = capsys.readouterr()
+    want = [{"label": label, "witness": w[0], "holds": h[0]}
+            for label, w, h in ck_oracle(_CK_LIH, x[None])]
+    assert json.loads(captured.out)["parts"] == want
+    assert code == (0 if all(p["holds"] for p in want) else 1)
+    assert captured.err == ""
 
 
 def test_case_malformed_input(tmp_path, capsys):

@@ -19,20 +19,34 @@ def _inputs():
     return (report_digest.verify_report(bt, "2x2", 3, 1),
             report_digest.case_records(bt, DIMS, SEEDS),
             report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1),
-            report_digest.suite_report(bt, DIMS, 3, 1))
+            report_digest.suite_report(bt, DIMS, 3, 1),
+            report_digest.extreme_records(bt, report_digest.extreme_matrices(((2, 2),))))
 
 
 def test_equal_reports_give_equal_digests():
-    verify, records, scan, suite = _inputs()
+    verify, records, scan, suite, extremes = _inputs()
     assert verify.startswith("{") and '"trials": 3' in verify
     assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
     assert len(json.loads(suite)["cases"]) == len(bt.case_ids())
-    assert report_digest.digest(verify, records, scan, suite) == report_digest.digest(*_inputs())
+    assert len(extremes) == len(report_digest.EXACT_CASES) * 8
+    assert report_digest.digest(verify, records, scan, suite, extremes) == \
+        report_digest.digest(*_inputs())
+
+
+def test_extreme_records_are_exact():
+    """x = [[M, -M], [-2^63, 0]] with M = 2^63 - 1 has the classical gap
+    total^2 + 4 sq - 2 row_sq - 2 col_sq = 9 * 2^126 - 6 * 2^64 + 4, far
+    outside int64."""
+    matrices = report_digest.extreme_matrices(((2, 2),))
+    assert matrices[4] == [[2**63 - 1, -(2**63 - 1)], [-(2**63), 0]]
+    case_id, _, parts = report_digest.extreme_records(bt, matrices)[4]
+    assert case_id == "ck-classical"
+    assert parts == [["main", struct.pack("<d", 9 * 2**126 - 6 * 2**64 + 4).hex(), True]]
 
 
 def test_one_flipped_witness_bit_changes_the_digest():
-    verify, records, scan, suite = _inputs()
-    want = report_digest.digest(verify, records, scan, suite)
+    verify, records, scan, suite, extremes = _inputs()
+    want = report_digest.digest(verify, records, scan, suite, extremes)
     case_id, seed, m, n, _, parts = records[7]
     _, bits, _ = parts[0]
     report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
@@ -40,8 +54,11 @@ def test_one_flipped_witness_bit_changes_the_digest():
     flipped = copy.deepcopy(records)
     flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     assert flipped != records
-    assert report_digest.digest(verify, flipped, scan, suite) != want
+    assert report_digest.digest(verify, flipped, scan, suite, extremes) != want
     worst_seed = json.loads(suite)["cases"]["ando"]["worst_seed"]
     other_seed = suite.replace(str(worst_seed), str(worst_seed ^ 1))
     assert other_seed != suite
-    assert report_digest.digest(verify, records, scan, other_seed) != want
+    assert report_digest.digest(verify, records, scan, other_seed, extremes) != want
+    flipped = copy.deepcopy(extremes)
+    flipped[0][2][0][1] = f"{int(flipped[0][2][0][1], 16) ^ 1:016x}"
+    assert report_digest.digest(verify, records, scan, suite, flipped) != want

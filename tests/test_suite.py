@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import threading
@@ -164,6 +165,72 @@ def test_integer_cases_imply_each_other():
         # exactness: witnesses are integers
         for p in improved.parts + classical.parts + two_sided.parts:
             assert float(p.witness).is_integer()
+
+
+CK_GAPS = {"ck-classical": suite._CK_CLASSICAL, "ck-lih": suite._CK_LIH,
+           "ck-improved": suite._CK_IMPROVED}
+I64_MAX, I64_MIN = 2**63 - 1, -(2**63)
+
+
+def ck_oracle(gaps, x) -> list:
+    """The (label, witnesses, holds) columns of the integer inequalities on
+    the stack x, one matrix at a time, in Python ints summed row by row."""
+    m, n = x.shape[-2:]
+    cols = [(label, [], []) for label, _ in gaps]
+    for rows in x.tolist():
+        total = sum(sum(r) for r in rows)
+        sq = sum(v * v for r in rows for v in r)
+        row_sq = sum(sum(r) ** 2 for r in rows)
+        col_sq = sum(sum(col) ** 2 for col in zip(*rows))
+        for (_, gap), (_, witnesses, holds) in zip(gaps, cols):
+            g = gap(m, n, total, sq, row_sq, col_sq)
+            witnesses.append(float(g))
+            holds.append(g >= 0)
+    return cols
+
+
+def _assert_ck_matches_oracle(x):
+    for case_id, gaps in CK_GAPS.items():
+        got = suite._ck(gaps, x, 0.0)
+        assert got == ck_oracle(gaps, x), case_id
+        for _, witnesses, holds in got:
+            assert all(type(w) is float for w in witnesses)
+            assert all(type(h) is bool for h in holds)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_ck_stack_matches_python_int_oracle(m):
+    for n in range(1, 7):
+        seeds = derive_seed(9, "ck-oracle", np.arange(40))
+        _assert_ck_matches_oracle(make_instance("ck-lih", m, n, seeds))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 2), (6, 6)])
+def test_ck_stack_exact_on_int64_extremes(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    values = np.array([I64_MAX, -I64_MAX, I64_MIN, 0], dtype=np.int64)
+    x = rng.choice(values, (60, m, n))
+    x[0], x[1] = I64_MIN, I64_MAX
+    _assert_ck_matches_oracle(x)
+    _assert_ck_matches_oracle(rng.choice(values[2:], (60, m, n)))  # -2^63 and 0 only
+    # K = k is the largest bound the int64 reductions take (8 (mn K)^2 < 2^62)
+    # and k + 1 the smallest that goes to Python ints; the powers of two
+    # sweep every magnitude up to the extremes
+    k = math.isqrt(2**59 - 1) // (m * n)
+    for bound in (k, k + 1, *(2**j for j in range(8, 63))):
+        _assert_ck_matches_oracle(rng.choice(np.array([bound, -bound, 0]), (20, m, n)))
+
+
+def test_ck_stack_exact_where_int64_arithmetic_wraps():
+    """The classical gap of this x is I64_MAX^2; in int64 it wraps to 1."""
+    x = np.array([[[I64_MAX, 0], [0, 0]]], dtype=np.int64)
+    rows, cols = x.sum(axis=-1), x.sum(axis=-2)
+    wrapped = (rows.sum(axis=-1), (x * x).sum(axis=(-2, -1)),
+               (rows * rows).sum(axis=-1), (cols * cols).sum(axis=-1))
+    _, gap = suite._CK_CLASSICAL[0]
+    assert gap(2, 2, *wrapped).tolist() == [1]
+    assert ck_oracle(suite._CK_CLASSICAL, x)[0][1] == [float(I64_MAX**2)]
+    _assert_ck_matches_oracle(x)
 
 
 def test_offdiag_symmetrization_is_exact():
