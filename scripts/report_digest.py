@@ -15,7 +15,10 @@ The digest covers:
     per dims group and their merged PSD verdicts are decided in parts;
   - the check_case report of each exact-integer case on fixed int64-extreme
     matrices (entries +-(2^63 - 1), -2^63 and 0 at dims 1x1, 1x2, 2x2 and
-    6x6), whose sums exceed int64.
+    6x6), whose sums exceed int64;
+  - the bits of every build_slack matrix of each psd-slack and
+    ppt-of-derived case at dims 1..4x1..4 and seeds 0..2 on its
+    make_instance input.
 
 Run it on two checkouts; equal digests mean equal reports:
 
@@ -44,6 +47,9 @@ SCAN_DIMS = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
 EXACT_CASES = ("ck-classical", "ck-lih", "ck-improved")
 EXTREME_DIMS = ((1, 1), (1, 2), (2, 2), (6, 6))
 EXTREME_VALUES = (2**63 - 1, -(2**63 - 1), -(2**63), 0)
+SLACK_DIMS = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
+SLACK_SEEDS = tuple(range(3))
+SLACK_KINDS = ("psd-slack", "ppt-of-derived")
 
 
 def load(src: str):
@@ -97,6 +103,23 @@ def extreme_records(bt, matrices) -> list:
             for case_id in EXACT_CASES for x in matrices]
 
 
+def slack_records(bt, dims, seeds) -> list:
+    """[case, seed, m, n, [[label, dtype, shape, sha256 of the bytes], ...]]
+    of build_slack on every slack case's instance at each dims and seed."""
+    records = []
+    for case_id in bt.case_ids():
+        if bt.suite.REGISTRY[case_id].check_kind not in SLACK_KINDS:
+            continue
+        for m, n in dims:
+            for seed in seeds:
+                slacks = bt.build_slack(case_id, bt.make_instance(case_id, m, n, seed))
+                records.append([case_id, seed, m, n, [
+                    [label, s.dtype.str, list(s.shape),
+                     hashlib.sha256(np.ascontiguousarray(s).tobytes()).hexdigest()]
+                    for label, s in slacks]])
+    return records
+
+
 def scan_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.open_question_scan(dims, trials, seed))
 
@@ -107,9 +130,9 @@ def suite_report(bt, dims, trials: int, seed: int) -> str:
 
 
 def digest(verify_text: str, records: list, scan_text: str, suite_text: str,
-           extremes: list) -> str:
+           extremes: list, slacks: list) -> str:
     text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text,
-                       "suite": suite_text, "extremes": extremes})
+                       "suite": suite_text, "extremes": extremes, "slacks": slacks})
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -123,7 +146,8 @@ def main(argv=None) -> int:
                  case_records(bt, CASE_DIMS, CASE_SEEDS),
                  scan_report(bt, SCAN_DIMS, 2000, 42),
                  suite_report(bt, CASE_DIMS, 100, 42),
-                 extreme_records(bt, extreme_matrices(EXTREME_DIMS))))
+                 extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
+                 slack_records(bt, SLACK_DIMS, SLACK_SEEDS)))
     return 0
 
 

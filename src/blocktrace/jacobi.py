@@ -41,15 +41,15 @@ def _rotation(app: float, aqq: float, apq: complex):
     return c, s, phase
 
 
-def jacobi_eigh(a, tol: float = OFFDIAG_TOL, max_sweeps: int = MAX_SWEEPS) -> Spectrum:
+def jacobi_eigh(a) -> Spectrum:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi, non-increasing."""
     a = require_hermitian(a)
     n = a.shape[0]
     if n <= 1:
         return Spectrum(np.diag(a).real.copy(), EIGENVALUES_HERMITIAN)
     m = a.astype(np.complex128, copy=True)
-    threshold = tol * max(np.linalg.norm(m), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
+    threshold = OFFDIAG_TOL * max(np.linalg.norm(m), np.finfo(float).tiny)
+    for _ in range(MAX_SWEEPS):
         off = np.linalg.norm(m - np.diag(np.diag(m)))
         if off <= threshold:
             return Spectrum(np.sort(np.diag(m).real)[::-1], EIGENVALUES_HERMITIAN)
@@ -70,4 +70,4 @@ def jacobi_eigh(a, tol: float = OFFDIAG_TOL, max_sweeps: int = MAX_SWEEPS) -> Sp
     off = np.linalg.norm(m - np.diag(np.diag(m)))
     if off <= threshold:
         return Spectrum(np.sort(np.diag(m).real)[::-1], EIGENVALUES_HERMITIAN)
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off={off:.3e})")
+    raise JacobiConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (off={off:.3e})")

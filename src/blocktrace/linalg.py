@@ -70,11 +70,12 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(hermitian_defect(a) <= tol * scale_of(a))
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """a as complex128; ValueError unless each of its matrices is Hermitian."""
+def require_hermitian(a) -> np.ndarray:
+    """a as complex128; ValueError unless each of its matrices is Hermitian
+    within HERMITIAN_TOL."""
     a = _square(a)
     defects = hermitian_defect(a)
-    bad = defects > tol * scale_stack(a)
+    bad = defects > HERMITIAN_TOL * scale_stack(a)
     if bad.any():
         raise ValueError(f"matrix is not Hermitian (defect {defects[bad][0]:.3e})")
     return a
@@ -127,15 +128,15 @@ class Spectrum:
         return pad_sorted(self.values, length)
 
 
-def hermitian_eigvals_stack(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigvals_stack(a) -> np.ndarray:
     """Eigenvalues of every Hermitian matrix of a stack, each row sorted
     non-increasing, by one eigvalsh call after require_hermitian."""
-    return np.sort(np.linalg.eigvalsh(require_hermitian(a, tol)), axis=-1)[..., ::-1]
+    return np.sort(np.linalg.eigvalsh(require_hermitian(a)), axis=-1)[..., ::-1]
 
 
-def hermitian_eigvals(a, tol: float = HERMITIAN_TOL) -> Spectrum:
+def hermitian_eigvals(a) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
-    return Spectrum(hermitian_eigvals_stack(as_matrix(a), tol), EIGENVALUES_HERMITIAN)
+    return Spectrum(hermitian_eigvals_stack(as_matrix(a)), EIGENVALUES_HERMITIAN)
 
 
 def singular_values_stack(a) -> np.ndarray:

@@ -13,6 +13,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -96,10 +97,6 @@ def _jb(m: int, n: int) -> np.ndarray:
     return _frozen(j_block(m, n).dense)
 
 
-_left = kron_left  # I_m (x) x
-_right = kron_right  # x (x) I_n
-
-
 def _ct(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
@@ -147,35 +144,38 @@ def _scalar_col(label: str, gap, tol: float, scale) -> tuple:
     return _col(label, gap, gap >= -tol * np.fmax(1.0, scale))
 
 
+def _term(fn) -> cached_property:
+    """A Derived term, built once on first read and made read-only."""
+    return cached_property(lambda d: _frozen(fn(d)))
+
+
 class Derived:
     """Common derived objects of a block instance, or of a (T, mn, mn)
-    stack of them, computed lazily.  Per-matrix scalars (tr, lam_max,
-    lam_min) carry two unit axes, so they scale matrices directly."""
+    stack of them: the terms every bound is written in, each built once on
+    first read and read-only.  Per-matrix scalars (tr, lam_max, lam_min)
+    carry two unit axes, so they scale matrices directly."""
 
     def __init__(self, a: BlockMatrix):
         self.a = a
         self.m, self.n = a.m, a.n
         self.dense = a.dense
 
-    @cached_property
-    def tau(self):
-        return partial_transpose(self.a).dense
-
-    @cached_property
-    def tr1(self):
-        return partial_trace_1(self.a)
-
-    @cached_property
-    def tr2(self):
-        return partial_trace_2(self.a)
-
-    @cached_property
-    def tr(self):
-        return _unit(_tr(self.dense).real)
-
-    @cached_property
-    def d_a(self):
-        return block_diag(self.a).dense
+    tau = _term(lambda d: partial_transpose(d.a).dense)
+    tr1 = _term(lambda d: partial_trace_1(d.a))
+    tr2 = _term(lambda d: partial_trace_2(d.a))
+    tr = _term(lambda d: _unit(_tr(d.dense).real))
+    d_a = _term(lambda d: block_diag(d.a).dense)
+    l1 = _term(lambda d: kron_left(d.tr1, d.m))  # I_m (x) tr_1 A
+    r2 = _term(lambda d: kron_right(d.tr2, d.n))  # (tr_2 A) (x) I_n
+    r2_tau = _term(lambda d: kron_right(d.tr2.swapaxes(-1, -2), d.n))  # (tr_2 A^tau) (x) I_n
+    # (tr_2 D_A) (x) I_n
+    r2_da = _term(lambda d: kron_right(partial_trace_2(BlockMatrix(d.m, d.n, d.d_a)), d.n))
+    t = _term(lambda d: d.tr * d.identity)  # (tr A) I
+    g = _term(lambda d: d.l1 - d.dense)  # I_m (x) tr_1 A - A
+    # Eigenvalues of each matrix, non-increasing along the last axis.
+    lam = _term(lambda d: hermitian_eigvals_stack(_herm(d.dense)))
+    lam_tr1 = _term(lambda d: hermitian_eigvals_stack(_herm(d.tr1)))
+    lam_tr2 = _term(lambda d: hermitian_eigvals_stack(_herm(d.tr2)))
 
     @property
     def jb(self):
@@ -184,11 +184,6 @@ class Derived:
     @property
     def identity(self):
         return _eye(self.m * self.n)
-
-    @cached_property
-    def lam(self):
-        """Eigenvalues of each matrix, non-increasing along the last axis."""
-        return hermitian_eigvals_stack(_herm(self.dense))
 
     @property
     def lam_max(self):
@@ -206,10 +201,14 @@ def _blocks_2x2(a: BlockMatrix):
     return a.block(0, 0), a.block(0, 1), a.block(1, 1)
 
 
-def ando_residual(a: BlockMatrix) -> np.ndarray:
+def _residual(d: Derived) -> np.ndarray:
     """R(A) = (tr A) I + A - I_m (x) tr_1 A - (tr_2 A) (x) I_n."""
-    d = Derived(a)
-    return _herm(d.tr * d.identity + d.dense - _left(d.tr1, d.m) - _right(d.tr2, d.n))
+    return _herm(d.t + d.dense - d.l1 - d.r2)
+
+
+def ando_residual(a: BlockMatrix) -> np.ndarray:
+    """The residual R(A) of an instance, or of a stack of them."""
+    return _residual(Derived(a))
 
 
 @_constant
@@ -253,21 +252,15 @@ def _block_2x2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     return out
 
 
-def _trace_augmented(cross: bool, a: BlockMatrix) -> BlockMatrix:
-    """[[ (tr A)I + A, (tr B)I + B ], [ (tr B*)I + B*, (tr C)I + C ]]; with
-    cross, [[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
+def choi_block(a: BlockMatrix) -> BlockMatrix:
+    """[[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
     tr_b = _unit(_tr(bb))
-    off = np.subtract if cross else np.add
     return BlockMatrix(2, a.n, _block_2x2(
-        _unit(_tr(ab)) * eye + (cb if cross else ab), off(tr_b * eye, bb),
-        off(tr_b.conjugate() * eye, _ct(bb)), _unit(_tr(cb)) * eye + (ab if cross else cb),
+        _unit(_tr(ab)) * eye + cb, tr_b * eye - bb,
+        tr_b.conjugate() * eye - _ct(bb), _unit(_tr(cb)) * eye + ab,
     ))
-
-
-lin_block = partial(_trace_augmented, False)
-choi_block = partial(_trace_augmented, True)
 
 
 # ---------------------------------------------------------------------------
@@ -277,100 +270,74 @@ choi_block = partial(_trace_augmented, True)
 
 
 def _sb_choi_tr1(d):
-    return [("main", _left(d.tr1, d.m) - d.tau)]
+    return [("main", d.l1 - d.tau)]
 
 
-def _sb_li_tr1_improved(d):
-    return [("main", _left(d.tr1, d.m) + d.tau - 2 * d.d_a)]
+# The tr1 and tr2 sides of the improved, sandwich and lambda_min bounds:
+# base(d) + A^tau is bounded with corr(d) and multiplier k(d) - 1.  corr is
+# read only by the bounds that use it.
+_Side = namedtuple("_Side", "base corr k")
+_TR1 = _Side(attrgetter("l1"), attrgetter("d_a"), attrgetter("m"))
+_TR2 = _Side(attrgetter("r2_tau"), lambda d: d.tau * d.jb, attrgetter("n"))
 
 
-def _sb_tr1_sandwich(d):
-    mid = _left(d.tr1, d.m) + d.tau
+def _sb_improved(side, d):
+    return [("main", side.base(d) + d.tau - 2 * side.corr(d))]
+
+
+def _sb_sandwich(side, d):
+    mid = side.base(d) + d.tau
+    corr, k = side.corr(d), side.k(d)
     return [
-        ("upper", (d.m - 1) * d.lam_max * d.identity + 2 * d.d_a - mid),
-        ("lower", mid - (d.m - 1) * d.lam_min * d.identity - 2 * d.d_a),
+        ("upper", (k - 1) * d.lam_max * d.identity + 2 * corr - mid),
+        ("lower", mid - (k - 1) * d.lam_min * d.identity - 2 * corr),
     ]
 
 
-def _sb_tr1_lambda_min(d):
-    return [("main", _left(d.tr1, d.m) + d.tau - (d.m - 1) * d.lam_min * d.identity)]
-
-
-def _sb_tr2_hadamard(d):
-    return [("main", _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau - 2 * (d.tau * d.jb))]
-
-
-def _sb_tr2_sandwich(d):
-    mid = _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau
-    had = d.tau * d.jb
-    return [
-        ("upper", (d.n - 1) * d.lam_max * d.identity + 2 * had - mid),
-        ("lower", mid - (d.n - 1) * d.lam_min * d.identity - 2 * had),
-    ]
-
-
-def _sb_tr2_lambda_min(d):
-    return [("main",
-             _right(d.tr2.swapaxes(-1, -2), d.n) + d.tau - (d.n - 1) * d.lam_min * d.identity)]
+def _sb_lambda_min(side, d):
+    return [("main", side.base(d) + d.tau - (side.k(d) - 1) * d.lam_min * d.identity)]
 
 
 def _sb_choi_tr2_pm(d):
-    base = _right(d.tr2.swapaxes(-1, -2), d.n)
-    return [("plus", base - d.tau), ("minus", base + d.tau)]
+    return [("plus", d.r2_tau - d.tau), ("minus", d.r2_tau + d.tau)]
 
 
 def _sb_horodecki(d):
-    return [
-        ("tr1", _left(d.tr1, d.m) - d.dense),
-        ("tr2", _right(d.tr2, d.n) - d.dense),
-    ]
+    return [("tr1", d.g), ("tr2", d.r2 - d.dense)]
 
 
 def _sb_psi_copositive(d):
     return [("main", apply_map_blockwise("psi", d.a, transpose_blocks=True).dense)]
 
 
-def _sb_ando(d):
-    return [("main", ando_residual(d.a))]
+def _sb_residual(label, d):
+    return [(label, _residual(d))]
 
 
 def _sb_llh_minus(d):
-    lhs = d.tr * d.identity - _right(d.tr2, d.n)
-    g = _left(d.tr1, d.m) - d.dense
-    return [("plus", lhs - g), ("minus", lhs + g)]
+    lhs = d.t - d.r2
+    return [("plus", lhs - d.g), ("minus", lhs + d.g)]
 
 
 def _sb_llh_pm(d):
-    t = d.tr * d.identity
-    r2 = _right(d.tr2, d.n)
-    l1 = _left(d.tr1, d.m)
-    return [("plus", t + r2 - d.dense - l1), ("minus", t - r2 - d.dense + l1)]
+    return [("plus", d.t + d.r2 - d.dense - d.l1), ("minus", d.t - d.r2 - d.dense + d.l1)]
 
 
 def _sb_thm42(d):
-    tr2_da = partial_trace_2(block_diag(d.a))
-    return [("main",
-             d.tr * d.identity + _right(d.tr2, d.n) - d.dense - _left(d.tr1, d.m)
-             - 2 * _right(tr2_da, d.n) + 2 * d.d_a)]
+    return [("main", d.t + d.r2 - d.dense - d.l1 - 2 * d.r2_da + 2 * d.d_a)]
 
 
 def _sb_thm44(d):
-    g = _left(d.tr1, d.m) - d.dense
-    return [("main",
-             d.tr * d.identity - _right(d.tr2, d.n) - d.dense + _left(d.tr1, d.m)
-             - 2 * (g * d.jb))]
+    return [("main", d.t - d.r2 - d.dense + d.l1 - 2 * (d.g * d.jb))]
 
 
 def _sb_thm4p4(d):
-    tr2_da = partial_trace_2(block_diag(d.a))
-    return [("main",
-             d.tr * d.identity + _right(d.tr2, d.n) + _left(d.tr1, d.m) + d.dense
-             - 2 * _right(tr2_da, d.n) - 2 * d.d_a)]
+    return [("main", d.t + d.r2 + d.l1 + d.dense - 2 * d.r2_da - 2 * d.d_a)]
 
 
 def _sb_choi_hermitian_ando(d):
-    both = _left(d.tr1, d.m) + _right(d.tr2, d.n)
-    rhs = d.dense + d.tr * d.identity
+    both = d.l1 + d.r2
+    rhs = d.dense + d.t
     k = (d.m - 1) * (d.n - 1)
     return [
         ("max", both - rhs + k * d.lam_max * d.identity),
@@ -379,21 +346,20 @@ def _sb_choi_hermitian_ando(d):
 
 
 def _sb_prop_hermitian_minus(d):
-    lhs = d.tr * d.identity - _right(d.tr2, d.n)
-    g = _left(d.tr1, d.m) - d.dense
+    lhs = d.t - d.r2
     k_plus = (d.m - 1) * (d.n - 1)
     k_minus = (d.m - 1) * (d.n + 1)
     return [
-        ("ge-plus", lhs - g - k_plus * d.lam_min * d.identity),
-        ("ge-minus", lhs + g - k_minus * d.lam_min * d.identity),
-        ("le-plus", g + k_plus * d.lam_max * d.identity - lhs),
-        ("le-minus", -g + k_minus * d.lam_max * d.identity - lhs),
+        ("ge-plus", lhs - d.g - k_plus * d.lam_min * d.identity),
+        ("ge-minus", lhs + d.g - k_minus * d.lam_min * d.identity),
+        ("le-plus", d.g + k_plus * d.lam_max * d.identity - lhs),
+        ("le-minus", -d.g + k_minus * d.lam_max * d.identity - lhs),
     ]
 
 
 def _sb_prop_hermitian_plus(d):
-    lhs = d.tr * d.identity + _right(d.tr2, d.n)
-    rhs = _left(d.tr1, d.m) + d.dense
+    lhs = d.t + d.r2
+    rhs = d.l1 + d.dense
     k = (d.m + 1) * (d.n - 1)
     return [
         ("ge", lhs - rhs - k * d.lam_min * d.identity),
@@ -405,10 +371,6 @@ def _sb_eq18(d):
     return [("main", eq18_slack(d.m, d.n))]
 
 
-def _sb_open_question(d):
-    return [("ando-sanity", ando_residual(d.a))]
-
-
 def _derived(build):
     """Builder of the derived block matrix build(A) and its partial transpose,
     the two objects a ppt-of-derived case asserts to be PSD."""
@@ -416,6 +378,10 @@ def _derived(build):
         b = build(d.a)
         return [("derived", b.dense), ("derived-tau", partial_transpose(b).dense)]
     return slacks
+
+
+# Blockwise phi(X) = (tr X) I + X; at m = 2 it is the lin-2x2-ppt matrix.
+_sb_phi = _derived(partial(apply_map_blockwise, "phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +482,9 @@ def _case_eqm(middle, d: Derived, tol):
 def _case_hiroshima(d: Derived, tol):
     """Each majorization part exists in the trials whose domination premise
     holds; in the others it is absent, a premise miss."""
-    premises = _psd_cols([("tr1", _left(d.tr1, d.m) - d.dense),
-                          ("tr2", _right(d.tr2, d.n) - d.dense)], len(d.dense), tol)
+    premises = _psd_cols(_sb_horodecki(d), len(d.dense), tol)
     cols = []
-    for (label, _, premise), partial_trace in zip(premises, (d.tr1, d.tr2)):
-        lam_tr = hermitian_eigvals_stack(_herm(partial_trace))
+    for (label, _, premise), lam_tr in zip(premises, (d.lam_tr1, d.lam_tr2)):
         _, witnesses, holds = _vcol(label, majorizes(lam_tr, d.lam, tol))
         cols.append((label, witnesses, [h if p else None for h, p in zip(holds, premise)]))
     return cols
@@ -528,13 +492,11 @@ def _case_hiroshima(d: Derived, tol):
 
 def _case_ppt_majorization(d: Derived, tol):
     lam_tau = hermitian_eigvals_stack(_herm(d.tau))
-    lam_tr1 = hermitian_eigvals_stack(_herm(d.tr1))
-    lam_tr2 = hermitian_eigvals_stack(_herm(d.tr2))
     return [
-        _vcol("a-tr1", majorizes(lam_tr1, d.lam, tol)),
-        _vcol("a-tr2", majorizes(lam_tr2, d.lam, tol)),
-        _vcol("tau-tr1", majorizes(lam_tr1, lam_tau, tol)),
-        _vcol("tau-tr2", majorizes(lam_tr2, lam_tau, tol)),
+        _vcol("a-tr1", majorizes(d.lam_tr1, d.lam, tol)),
+        _vcol("a-tr2", majorizes(d.lam_tr2, d.lam, tol)),
+        _vcol("tau-tr1", majorizes(d.lam_tr1, lam_tau, tol)),
+        _vcol("tau-tr2", majorizes(d.lam_tr2, lam_tau, tol)),
     ]
 
 
@@ -545,10 +507,9 @@ def _offdiag_majorization(skew: bool, d: Derived, tol):
     return [_vcol("main", majorizes(lam_sum, lam_h, tol))]
 
 
-def _norm_sides(a: BlockMatrix):
+def _norm_sides(ab, bb, cb):
     """The _pm stack of (tr B)I +- B, and (tr(A + C))I + A + C."""
-    ab, bb, cb = _blocks_2x2(a)
-    eye = _eye(a.n)
+    eye = _eye(bb.shape[-1])
     rhs = _unit(_tr(ab + cb).real) * eye + ab + cb
     return _pm(_unit(_tr(bb)) * eye, bb), rhs
 
@@ -566,7 +527,7 @@ def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
 
 
 def _case_coro55_norms(d: Derived, tol):
-    lhs, rhs = _norm_sides(d.a)
+    lhs, rhs = _norm_sides(*_blocks_2x2(d.a))
     scale = scale_stack(rhs)
     return [_scalar_col(label, gap, tol, scale)
             for label, gap in zip(("plus", "minus"), _kyfan_gaps(lhs, rhs, 2.0))]
@@ -586,8 +547,7 @@ def _case_coro_half(d: Derived, tol):
 
 
 def _case_thm37_singular(d: Derived, tol):
-    lhs, rhs = _norm_sides(d.a)
-    return _pm_cols(sv_dominates(lhs, rhs, 2.0, tol))
+    return _pm_cols(sv_dominates(*_norm_sides(*_blocks_2x2(d.a)), 2.0, tol))
 
 
 def _case_lem39(pair, tol):
@@ -612,10 +572,8 @@ def _case_lem38(pair, tol):
 
 
 def _case_abs_block(x, tol):
-    eye = _eye(x.shape[-1])
     abs_x, abs_xs = matrix_abs_stack(np.stack([x, _ct(x)]))
-    rhs = _unit(_tr(abs_x + abs_xs).real) * eye + abs_x + abs_xs
-    return _pm_cols(sv_dominates(_pm(_unit(_tr(x)) * eye, x), rhs, 2.0, tol))
+    return _pm_cols(sv_dominates(*_norm_sides(abs_x, x, abs_xs), 2.0, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +600,25 @@ def _registry():
         TheoremCase("choi-tr1", "psd", "psd-slack",
                     "I_m(x)tr1(A^tau) dominates A^tau", _sb_choi_tr1),
         TheoremCase("li-tr1-improved", "psd", "psd-slack",
-                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A", _sb_li_tr1_improved),
+                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A", partial(_sb_improved, _TR1)),
         TheoremCase("tr1-hermitian-sandwich", "hermitian", "psd-slack",
-                    "eigenvalue sandwich for I_m(x)tr1(A^tau) + A^tau", _sb_tr1_sandwich),
+                    "eigenvalue sandwich for I_m(x)tr1(A^tau) + A^tau",
+                    partial(_sb_sandwich, _TR1)),
         TheoremCase("tr1-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr1 bound", _sb_tr1_lambda_min),
+                    "lambda_min variant of the tr1 bound", partial(_sb_lambda_min, _TR1)),
         TheoremCase("tr2-hadamard", "psd", "psd-slack",
-                    "tr2 bound with Hadamard-J correction", _sb_tr2_hadamard),
+                    "tr2 bound with Hadamard-J correction", partial(_sb_improved, _TR2)),
         TheoremCase("tr2-hermitian-sandwich", "hermitian", "psd-slack",
-                    "eigenvalue sandwich for (tr2 A^tau)(x)I_n + A^tau", _sb_tr2_sandwich),
+                    "eigenvalue sandwich for (tr2 A^tau)(x)I_n + A^tau",
+                    partial(_sb_sandwich, _TR2)),
         TheoremCase("tr2-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr2 bound", _sb_tr2_lambda_min),
+                    "lambda_min variant of the tr2 bound", partial(_sb_lambda_min, _TR2)),
         TheoremCase("choi-tr2-pm", "psd", "psd-slack",
                     "(tr2 A^tau)(x)I_n dominates +-A^tau", _sb_choi_tr2_pm),
         TheoremCase("horodecki-reduction", "ppt", "psd-slack",
                     "reduction criterion for PPT instances", _sb_horodecki),
         TheoremCase("phi-completely-ppt", "psd", "ppt-of-derived",
-                    "blockwise (tr X)I + X yields a PPT block matrix",
-                    _derived(partial(apply_map_blockwise, "phi"))),
+                    "blockwise (tr X)I + X yields a PPT block matrix", _sb_phi),
         TheoremCase("psi-completely-copositive", "psd", "psd-slack",
                     "blockwise (tr X)I - X on swapped blocks stays PSD", _sb_psi_copositive),
         TheoremCase("psi-not-2-positive", "matrix-unit-E", "expected-failure",
@@ -675,7 +634,8 @@ def _registry():
                     "trA trC + |trB|^2 >= tr(AC) + tr(B*B)",
                     partial(_trace_2x2, lambda ac, b2, tr_ac, tr_bb: ac + b2 - tr_ac - tr_bb)),
         TheoremCase("ando", "psd", "psd-slack",
-                    "(tr A)I - (tr2 A)(x)I_n dominates I_m(x)tr1 A - A", _sb_ando),
+                    "(tr A)I - (tr2 A)(x)I_n dominates I_m(x)tr1 A - A",
+                    partial(_sb_residual, "main")),
         TheoremCase("li-liu-huang-minus", "psd", "psd-slack",
                     "two-sided version of the Ando-type bound", _sb_llh_minus),
         TheoremCase("li-liu-huang-pm", "psd", "psd-slack",
@@ -711,10 +671,10 @@ def _registry():
                     "diagonal majorized by eigenvalues", _case_schur),
         TheoremCase("eqm1-majorization", "psd", "majorization",
                     "lambda(D_A) < lambda(A) < sum of block spectra",
-                    partial(_case_eqm, lambda d: d.lam)),
+                    partial(_case_eqm, attrgetter("lam"))),
         TheoremCase("eqm2-rotfeld-thompson", "psd", "majorization",
                     "lambda(D_A) < lambda(tr1 A) < sum of block spectra",
-                    partial(_case_eqm, lambda d: hermitian_eigvals_stack(_herm(d.tr1)))),
+                    partial(_case_eqm, attrgetter("lam_tr1"))),
         TheoremCase("hiroshima-conditional", "psd", "conditional-majorization",
                     "domination premise implies spectrum majorized by "
                     "partial trace", _case_hiroshima),
@@ -728,7 +688,7 @@ def _registry():
                     "skew-Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
                     partial(_offdiag_majorization, True)),
         TheoremCase("lin-2x2-ppt", "psd-2x2", "ppt-of-derived",
-                    "trace-augmented 2x2 block matrix is PPT", _derived(lin_block)),
+                    "trace-augmented 2x2 block matrix is PPT", _sb_phi),
         TheoremCase("choi-block-ppt", "psd-2x2", "ppt-of-derived",
                     "cross-trace-augmented 2x2 block matrix is PPT", _derived(choi_block)),
         TheoremCase("coro55-norms", "psd-2x2", "scalar",
@@ -750,7 +710,7 @@ def _registry():
                     _case_abs_block),
         TheoremCase("open-question-residual", "psd", "psd-slack",
                     "scan residual (tr A)I + A - I_m(x)tr1 A - (tr2 A)(x)I_n",
-                    _sb_open_question),
+                    partial(_sb_residual, "ando-sanity")),
     ]
     return {c.id: c for c in cases}
 
@@ -1153,12 +1113,10 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
 
     The residual is provably PSD, which the scan asserts as a sanity
     invariant; the statistics are for human inspection of how much slack
-    remains for a uniform PSD subtraction.  ValueError when trials is
-    negative or tol is not a finite non-negative number."""
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    dims = tuple(dims)
-    check_tol(tol)
+    remains for a uniform PSD subtraction.  The arguments are validated as
+    a RunConfig of the open-question-residual case: ValueError when dims is
+    empty, trials is negative or tol is not a finite non-negative number."""
+    dims = RunConfig(("open-question-residual",), tuple(dims), trials, seed, tol).dims
     residual = REGISTRY["open-question-residual"]
     values, seeds = [], []
     sanity_violations = 0

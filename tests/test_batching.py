@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blocktrace import linalg, suite
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
+from blocktrace.maps import apply_map_blockwise
 from blocktrace.orders import is_psd, sv_dominates
 from blocktrace.rng import Stream, derive_seed
 from blocktrace.suite import (
@@ -21,7 +22,6 @@ from blocktrace.suite import (
     check_case,
     choi_block,
     eq18_slack,
-    lin_block,
     make_instance,
     run_case_trials,
     run_suite,
@@ -259,7 +259,7 @@ def test_two_block_builders_match_np_block(n):
             [np.trace(ab) * eye + cb, np.trace(bb) * eye - bb],
             [np.trace(bb).conjugate() * eye - bb.conj().T, np.trace(cb) * eye + ab],
         ])
-        assert _same_bits(lin_block(a).dense, lin)
+        assert _same_bits(apply_map_blockwise("phi", a).dense, lin)
         assert _same_bits(choi_block(a).dense, choi)
         zero, one = np.zeros((n, n)), np.eye(n)
         for skew, u in ((False, np.block([[zero, one], [one, zero]])),

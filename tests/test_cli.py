@@ -306,6 +306,12 @@ def test_scan_rejects_negative_trials(capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_scan_rejects_empty_dims(capsys):
+    assert main(["scan", "--dims", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_verify_runs_a_repeated_case_once(capsys):
     args = ["verify", "--dims", "2x2", "--trials", "3", "--format", "json", "--cases"]
     assert main(args + ["ando", "ando", "choi-tr1"]) == 0

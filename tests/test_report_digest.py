@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import struct
 from pathlib import Path
+
+import numpy as np
 
 import blocktrace as bt
 
@@ -20,16 +23,22 @@ def _inputs():
             report_digest.case_records(bt, DIMS, SEEDS),
             report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1),
             report_digest.suite_report(bt, DIMS, 3, 1),
-            report_digest.extreme_records(bt, report_digest.extreme_matrices(((2, 2),))))
+            report_digest.extreme_records(bt, report_digest.extreme_matrices(((2, 2),))),
+            report_digest.slack_records(bt, DIMS, SEEDS))
+
+
+SLACK_IDS = [c for c, case in bt.suite.REGISTRY.items()
+             if case.check_kind in report_digest.SLACK_KINDS]
 
 
 def test_equal_reports_give_equal_digests():
-    verify, records, scan, suite, extremes = _inputs()
+    verify, records, scan, suite, extremes, slacks = _inputs()
     assert verify.startswith("{") and '"trials": 3' in verify
     assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
     assert len(json.loads(suite)["cases"]) == len(bt.case_ids())
     assert len(extremes) == len(report_digest.EXACT_CASES) * 8
-    assert report_digest.digest(verify, records, scan, suite, extremes) == \
+    assert len(slacks) == len(SLACK_IDS) * len(DIMS) * len(SEEDS)
+    assert report_digest.digest(verify, records, scan, suite, extremes, slacks) == \
         report_digest.digest(*_inputs())
 
 
@@ -45,8 +54,8 @@ def test_extreme_records_are_exact():
 
 
 def test_one_flipped_witness_bit_changes_the_digest():
-    verify, records, scan, suite, extremes = _inputs()
-    want = report_digest.digest(verify, records, scan, suite, extremes)
+    verify, records, scan, suite, extremes, slacks = _inputs()
+    want = report_digest.digest(verify, records, scan, suite, extremes, slacks)
     case_id, seed, m, n, _, parts = records[7]
     _, bits, _ = parts[0]
     report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
@@ -54,11 +63,29 @@ def test_one_flipped_witness_bit_changes_the_digest():
     flipped = copy.deepcopy(records)
     flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     assert flipped != records
-    assert report_digest.digest(verify, flipped, scan, suite, extremes) != want
+    assert report_digest.digest(verify, flipped, scan, suite, extremes, slacks) != want
     worst_seed = json.loads(suite)["cases"]["ando"]["worst_seed"]
     other_seed = suite.replace(str(worst_seed), str(worst_seed ^ 1))
     assert other_seed != suite
-    assert report_digest.digest(verify, records, scan, other_seed, extremes) != want
+    assert report_digest.digest(verify, records, scan, other_seed, extremes, slacks) != want
     flipped = copy.deepcopy(extremes)
     flipped[0][2][0][1] = f"{int(flipped[0][2][0][1], 16) ^ 1:016x}"
-    assert report_digest.digest(verify, records, scan, suite, flipped) != want
+    assert report_digest.digest(verify, records, scan, suite, flipped, slacks) != want
+
+
+def test_slack_records_hash_every_slack_bit():
+    """A record holds the sha256 of its slack's bytes, so a slack that
+    differs in one bit changes its record and the digest."""
+    *rest, slacks = _inputs()
+    want = report_digest.digest(*rest, slacks)
+    case_id, seed, m, n, labeled = slacks[5]
+    assert case_id in SLACK_IDS
+    label, dtype, shape, bits = labeled[0]
+    s = dict(bt.build_slack(case_id, bt.make_instance(case_id, m, n, seed)))[label]
+    assert [dtype, shape, bits] == [s.dtype.str, list(s.shape),
+                                    hashlib.sha256(s.tobytes()).hexdigest()]
+    s.view(np.uint8)[0] ^= 1
+    changed = copy.deepcopy(slacks)
+    changed[5][4][0][3] = hashlib.sha256(s.tobytes()).hexdigest()
+    assert changed != slacks
+    assert report_digest.digest(*rest, changed) != want

@@ -9,9 +9,10 @@ import pytest
 
 import blocktrace
 from blocktrace import serialize, suite
-from blocktrace.blocks import BlockMatrix, block_diag, j_block, partial_trace_2
+from blocktrace.blocks import (BlockMatrix, block_diag, j_block, kron_left, kron_right,
+                               partial_trace_1, partial_trace_2, partial_transpose)
 from blocktrace.generate import GenSpec, gen
-from blocktrace.linalg import hermitian_eigvals
+from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack, hermitian_part, trace_stack
 from blocktrace.orders import is_psd
 from blocktrace.rng import derive_seed
 from blocktrace.suite import (
@@ -367,6 +368,44 @@ def test_open_question_scan_empty():
     assert report["min_lambda_min"] is None
     with pytest.raises(ValueError, match="trials"):
         open_question_scan([(2, 2)], trials=-1, seed=0)
+    with pytest.raises(ValueError, match="dims"):
+        open_question_scan((), trials=5, seed=1)
+    with pytest.raises(ValueError, match="tol"):
+        open_question_scan([(2, 2)], trials=5, seed=1, tol=-1.0)
+
+
+def _spelled_terms(a: BlockMatrix) -> dict:
+    """Each shared term of Derived, written out from the blocks and linalg
+    operators."""
+    m, n = a.m, a.n
+    tr1, tr2 = partial_trace_1(a), partial_trace_2(a)
+    return {
+        "l1": kron_left(tr1, m),
+        "r2": kron_right(tr2, n),
+        "r2_tau": kron_right(partial_trace_2(partial_transpose(a)), n),
+        "t": trace_stack(a.dense).real[..., None, None] * np.eye(m * n, dtype=np.complex128),
+        "g": kron_left(tr1, m) - a.dense,
+        "r2_da": kron_right(partial_trace_2(block_diag(a)), n),
+        "lam_tr1": hermitian_eigvals_stack(hermitian_part(tr1)),
+        "lam_tr2": hermitian_eigvals_stack(hermitian_part(tr2)),
+    }
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("height", [None, 5])
+def test_derived_terms_match_their_formulas(dims, height):
+    """On one instance and on a (T, mn, mn) stack, every shared term of
+    Derived has the bits of its formula and cannot be written to."""
+    seed = 7 if height is None else np.arange(height, dtype=np.uint64)
+    a = make_instance("ando", *dims, seed)
+    d = Derived(a)
+    for name, want in _spelled_terms(a).items():
+        got = getattr(d, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+        assert getattr(d, name) is got, name
+        with pytest.raises(ValueError):
+            got[...] = 7
 
 
 def test_input_classes_match_registry():
