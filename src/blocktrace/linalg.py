@@ -128,10 +128,25 @@ class Spectrum:
         return pad_sorted(self.values, length)
 
 
+def _eigvals_descending(a: np.ndarray) -> np.ndarray:
+    return np.sort(np.linalg.eigvalsh(a), axis=-1)[..., ::-1]
+
+
 def hermitian_eigvals_stack(a) -> np.ndarray:
     """Eigenvalues of every Hermitian matrix of a stack, each row sorted
     non-increasing, by one eigvalsh call after require_hermitian."""
-    return np.sort(np.linalg.eigvalsh(require_hermitian(a)), axis=-1)[..., ::-1]
+    return _eigvals_descending(require_hermitian(a))
+
+
+def hermitian_part_eigvals(x) -> np.ndarray:
+    """Eigenvalues of the Hermitian part (X + X*) / 2 of every matrix of a
+    stack, each row sorted non-increasing; equal bit for bit to
+    hermitian_eigvals_stack(hermitian_part(x)).
+
+    No Hermiticity check runs: hermitian_part's output is exactly Hermitian,
+    because entry (j, i) rounds the conjugate of entry (i, j)'s sum, IEEE
+    addition commutes, and rounding and halving commute with negation."""
+    return _eigvals_descending(_square(hermitian_part(x)))
 
 
 def hermitian_eigvals(a) -> Spectrum:

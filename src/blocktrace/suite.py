@@ -13,7 +13,9 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .blocks import (
 )
 from .generate import GenSpec, gen, ginibre
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
-from .linalg import (hermitian_eigvals_stack, is_hermitian, matrix_abs_stack, pad_sorted,
-                     scale_stack, singular_values_stack)
+from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, is_hermitian,
+                     matrix_abs_stack, pad_sorted, scale_stack, singular_values_stack)
 from .linalg import hermitian_part as _herm
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
@@ -42,15 +44,19 @@ from .rng import Stream, derive_seed
 # result containers
 
 
-@dataclass(frozen=True)
-class Part:
+# Named tuples: a report and its parts are built for every trial, and a
+# tuple is the cheapest immutable record to build.
+class Part(NamedTuple):
     label: str
     witness: float
     holds: bool
 
 
-@dataclass(frozen=True)
-class SlackReport:
+_witness, _holds = itemgetter(1), itemgetter(2)  # Part fields
+_INF = float("inf")
+
+
+class SlackReport(NamedTuple):
     case_id: str
     trial_seed: int
     m: int
@@ -60,11 +66,13 @@ class SlackReport:
 
     @property
     def holds(self) -> bool:
-        return all(p.holds for p in self.parts)
+        return all(map(_holds, self.parts))
 
     @property
     def witness(self) -> float:
-        return min((p.witness for p in self.parts), default=float("inf"))
+        """The least part witness, inf without parts.  Of tied parts the
+        first wins, so a 0.0 before a -0.0 gives 0.0."""
+        return min(map(_witness, self.parts), default=_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +127,13 @@ def _psd_cols(slacks: list, trials: int, tol: float) -> list:
     for i, out in enumerate(stack):  # each slack is released once copied
         _herm(slacks[i][1], out)
         slacks[i] = None
-    v = is_psd(stack, tol)
+    # is_psd's verdict without its Hermiticity check, which the exactly
+    # Hermitian _herm output always passes.  eigvalsh sorts ascending.
+    lam_min = np.linalg.eigvalsh(stack)[..., 0]
+    holds = lam_min >= -tol * scale_stack(stack)
     shape = (len(labels), trials)
-    return list(zip(labels, np.broadcast_to(v.witness.reshape(len(labels), -1), shape).tolist(),
-                    np.broadcast_to(v.holds.reshape(len(labels), -1), shape).tolist()))
+    return list(zip(labels, np.broadcast_to(lam_min.reshape(len(labels), -1), shape).tolist(),
+                    np.broadcast_to(holds.reshape(len(labels), -1), shape).tolist()))
 
 
 def _vcol(label: str, verdict) -> tuple:
@@ -173,9 +184,9 @@ class Derived:
     t = _term(lambda d: d.tr * d.identity)  # (tr A) I
     g = _term(lambda d: d.l1 - d.dense)  # I_m (x) tr_1 A - A
     # Eigenvalues of each matrix, non-increasing along the last axis.
-    lam = _term(lambda d: hermitian_eigvals_stack(_herm(d.dense)))
-    lam_tr1 = _term(lambda d: hermitian_eigvals_stack(_herm(d.tr1)))
-    lam_tr2 = _term(lambda d: hermitian_eigvals_stack(_herm(d.tr2)))
+    lam = _term(lambda d: hermitian_part_eigvals(d.dense))
+    lam_tr1 = _term(lambda d: hermitian_part_eigvals(d.tr1))
+    lam_tr2 = _term(lambda d: hermitian_part_eigvals(d.tr2))
 
     @property
     def jb(self):
@@ -394,7 +405,7 @@ def _case_psi_not_2_positive(d: Derived, tol):
     At n = 1, psi(x) = x - x = 0 on 1x1 blocks, so psi(E) is zero and no
     violation exists: the case reports witness 0 and holds=False."""
     w = apply_map_blockwise("psi", d.a).dense
-    lam_min = hermitian_eigvals_stack(_herm(w))[..., -1]
+    lam_min = hermitian_part_eigvals(w)[..., -1]
     return [_col("violation-detected", lam_min, lam_min <= -1.0 + tol)]
 
 
@@ -463,7 +474,7 @@ def _case_schur(d: Derived, tol):
 def _summed_block_spectra(d: Derived) -> np.ndarray:
     """Sorted-vector sum lambda(A_11) + ... + lambda(A_mm), by one eigvalsh
     call over every diagonal block."""
-    spectra = hermitian_eigvals_stack(_herm(np.einsum("...iirs->...irs", d.a.as_blocks())))
+    spectra = hermitian_part_eigvals(np.einsum("...iirs->...irs", d.a.as_blocks()))
     acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
     for i in range(d.m):
         acc += spectra[..., i, :]
@@ -491,7 +502,7 @@ def _case_hiroshima(d: Derived, tol):
 
 
 def _case_ppt_majorization(d: Derived, tol):
-    lam_tau = hermitian_eigvals_stack(_herm(d.tau))
+    lam_tau = hermitian_part_eigvals(d.tau)
     return [
         _vcol("a-tr1", majorizes(d.lam_tr1, d.lam, tol)),
         _vcol("a-tr2", majorizes(d.lam_tr2, d.lam, tol)),
@@ -502,8 +513,9 @@ def _case_ppt_majorization(d: Derived, tol):
 
 def _offdiag_majorization(skew: bool, d: Derived, tol):
     h = symmetrize_offdiag(d.a, skew)
-    msum = _herm(h.block(0, 0) + h.block(1, 1))
-    lam_h, lam_sum = hermitian_eigvals_stack(h.dense), hermitian_eigvals_stack(msum)
+    # h is exactly Hermitian, so its Hermitian part is h itself.
+    lam_h = hermitian_part_eigvals(h.dense)
+    lam_sum = hermitian_part_eigvals(h.block(0, 0) + h.block(1, 1))
     return [_vcol("main", majorizes(lam_sum, lam_h, tol))]
 
 
@@ -560,8 +572,8 @@ def _case_lem39(pair, tol):
 def _case_lem38(pair, tol):
     m_fac, n_fac = pair
     n_rows = m_fac.shape[-2]
-    star = hermitian_eigvals_stack(_herm(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac))
-    plain = hermitian_eigvals_stack(_herm(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac)))
+    star = hermitian_part_eigvals(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac)
+    plain = hermitian_part_eigvals(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac))
     cross = _ct(m_fac) @ n_fac
     shift = 0.5 * _tr(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac - cross - _ct(cross)).real
     lhs = pad_sorted(star, max(star.shape[-1], n_rows))[..., :n_rows]
@@ -1045,21 +1057,29 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
         verdicts.decide()
         return out
 
-    result = {c: {"trials": 0, "failures": 0, "premise_misses": 0, "worst_witness": None,
-                  "worst_seed": None, "worst_dims": None} for c in case_ids}
-    for case_id, seed, (m, n), row in _trial_instances(
+    # Per case: trials, failures, premise misses, worst witness, its seed
+    # and dims.  _trial_instances yields a chunk's trials case by case, so
+    # each run of one case is aggregated in locals.
+    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
+    for case_id, run in groupby(_trial_instances(
             config.seed, case_ids, config.dims, config.trials, rows,
-            _chunk_trials(input_class, config.dims)):
-        report = check_case(case_id, row, tol, seed)
-        entry = result[case_id]
-        entry["trials"] += 1
-        entry["premise_misses"] += report.premise_misses
-        if report.parts and not report.holds:
-            entry["failures"] += 1
-        if report.parts and (entry["worst_witness"] is None
-                             or report.witness < entry["worst_witness"]):
-            entry.update(worst_witness=report.witness, worst_seed=seed, worst_dims=f"{m}x{n}")
-    return result
+            _chunk_trials(input_class, config.dims)), itemgetter(0)):
+        trials, failures, misses, worst, worst_seed, worst_dims = totals[case_id]
+        for _, seed, dims, row in run:
+            report = check_case(case_id, row, tol, seed)
+            trials += 1
+            misses += report.premise_misses
+            if report.parts:
+                if not report.holds:
+                    failures += 1
+                witness = report.witness
+                if worst is None or witness < worst:
+                    worst, worst_seed, worst_dims = witness, seed, dims
+        totals[case_id] = trials, failures, misses, worst, worst_seed, worst_dims
+    return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
+                      "worst_witness": worst, "worst_seed": worst_seed,
+                      "worst_dims": None if dims is None else "{}x{}".format(*dims)}
+            for case_id, (trials, failures, misses, worst, worst_seed, dims) in totals.items()}
 
 
 def run_case_trials(case_id: str, config: RunConfig, finished: dict | None = None) -> dict:

@@ -131,6 +131,22 @@ def test_psd_verdicts_equal_is_psd_per_matrix():
         is_psd(bad)
 
 
+def test_psd_cols_equal_is_psd_per_part():
+    """_psd_cols decides its merged stack without is_psd; each column is
+    is_psd of that part's Hermitian part, witness and holds bit for bit."""
+    g = Stream(12).complex_gaussians((2, 3, 5, 5))
+    parts = g @ g.conj().swapaxes(-1, -2) + 1e-3 * Stream(13).complex_gaussians((2, 3, 5, 5))
+    parts[0, 1] -= 3 * np.eye(5)
+    parts[1, 2] *= 1e6
+    cols = suite._psd_cols([("a", parts[0].copy()), ("b", parts[1].copy())], 3, 1e-8)
+    assert [label for label, _, _ in cols] == ["a", "b"]
+    for (_, witnesses, holds), part in zip(cols, parts):
+        want = is_psd(linalg.hermitian_part(part), 1e-8)
+        assert np.array(witnesses).tobytes() == want.witness.tobytes()
+        assert holds == want.holds.tolist()
+    assert cols[0][2] == [True, False, True]
+
+
 def _reference_case_trials(case_id: str, config: RunConfig) -> dict:
     """The runner as one scalar trial at a time, in index order."""
     trials = failures = premise_misses = 0

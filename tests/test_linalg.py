@@ -7,6 +7,9 @@ from blocktrace.linalg import (
     Spectrum,
     hermitian_defect,
     hermitian_eigvals,
+    hermitian_eigvals_stack,
+    hermitian_part,
+    hermitian_part_eigvals,
     is_hermitian,
     kyfan_norm,
     matrix_abs,
@@ -29,6 +32,24 @@ def test_hermitian_predicates():
     require_hermitian(h)
     with pytest.raises(ValueError):
         require_hermitian(h + 1e-3 * 1j * np.eye(4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6))
+def test_hermitian_part_is_exactly_hermitian(seed, height, k):
+    """The invariant that lets hermitian_part_eigvals skip require_hermitian,
+    on non-Hermitian complex stacks whose entries span 1e-300..1e300."""
+    rng = np.random.default_rng(seed)
+
+    def component():
+        return rng.standard_normal((height, k, k)) * 10.0 ** rng.integers(-300, 301, (height, k, k))
+    x = component() + 1j * component()
+    assert (hermitian_defect(x) > 0).all()
+    h = hermitian_part(x)
+    assert (hermitian_defect(h) == 0.0).all()
+    with np.errstate(over="ignore"):  # the check's Frobenius scale overflows
+        want = hermitian_eigvals_stack(h)
+    assert hermitian_part_eigvals(x).tobytes() == want.tobytes()
 
 
 def test_scale_of_floors_at_one():

@@ -20,7 +20,9 @@ from blocktrace.suite import (
     INPUT_CLASSES,
     REGISTRY,
     Derived,
+    Part,
     RunConfig,
+    SlackReport,
     ando_residual,
     build_slack,
     case_ids,
@@ -273,6 +275,45 @@ def test_run_case_trials_aggregates():
     assert entry["failures"] == 0
     assert entry["worst_witness"] is not None
     assert entry["worst_dims"] in ("2x2", "2x3")
+
+
+def test_report_fields_are_read_only():
+    report = check_case("ando", make_instance("ando", 2, 2, 3))
+    for obj, field in ((report, "case_id"), (report, "parts"), (report, "premise_misses"),
+                       (report.parts[0], "witness"), (report.parts[0], "holds")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
+def test_report_without_parts_holds_with_infinite_witness():
+    report = SlackReport("hiroshima-conditional", 0, 2, 2, (), 2)
+    assert report.witness == math.inf
+    assert report.holds is True
+    assert report.premise_misses == 2
+    assert SlackReport("ando", 0, 2, 2, ()).premise_misses == 0
+
+
+def test_report_witness_keeps_the_first_of_tied_zeros():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        report = SlackReport("x", 0, 1, 1, (Part("a", first, True), Part("b", second, False)))
+        assert math.copysign(1.0, report.witness) == math.copysign(1.0, first)
+    # The zero-witness cases at n = 1 report their part's +0.0.
+    for case_id in ("eq18-matrix", "psi-not-2-positive"):
+        report = check_case(case_id, make_instance(case_id, 2, 1, 0))
+        assert math.copysign(1.0, report.witness) == math.copysign(1.0, report.parts[0].witness)
+        assert report.witness == 0.0
+
+
+@pytest.mark.parametrize("case_id, dims", [("eq18-matrix", (3, 3)), ("eq18-matrix", (2, 1)),
+                                           ("psi-not-2-positive", (2, 1))])
+def test_run_case_trials_gives_tied_worst_to_earliest_trial(case_id, dims):
+    """Every trial of these fixed-instance cases has the same witness."""
+    config = RunConfig((case_id,), (dims,), 5, 11)
+    entry = run_case_trials(case_id, config)
+    first = check_case(case_id, make_instance(case_id, *dims, 0))
+    assert entry["worst_seed"] == derive_seed(11, case_id, 0)
+    assert math.copysign(1.0, entry["worst_witness"]) == math.copysign(1.0, first.witness)
+    assert entry["worst_witness"] == first.witness
 
 
 def test_suite_report_deterministic_and_thread_invariant():
