@@ -103,14 +103,14 @@ class Stream:
     slicing happens on the last axis so each row matches its seed's stream.
     """
 
-    def __init__(self, seed, counter: int = 0):
+    def __init__(self, seed):
         if isinstance(seed, np.ndarray):
             self.seed = seed.astype(np.uint64)
             self.batch = self.seed.shape
         else:
             self.seed = int(seed) & _MASK64
             self.batch = ()
-        self.counter = int(counter)
+        self.counter = 0
 
     def words(self, count: int) -> np.ndarray:
         out = splitmix64(self.seed, self.counter, count)

@@ -91,12 +91,8 @@ def pair_from_obj(obj: dict):
     return matrix_from_obj(a), matrix_from_obj(b)
 
 
-def dump(obj: dict, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def dump(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def load(path) -> dict:

@@ -13,7 +13,6 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -956,6 +955,10 @@ class RunConfig:
             raise ValueError("trials must be non-negative")
         if not self.dims:
             raise ValueError("dims must be nonempty")
+        for item in self.dims:
+            if np.shape(item) != (2,) or not all(
+                    isinstance(k, (int, np.integer)) and k >= 1 for k in item):
+                raise ValueError(f"dims items must be pairs of integers >= 1, got {item!r}")
         check_tol(self.tol)
         unknown = [c for c in self.cases if c not in REGISTRY]
         if unknown:
@@ -975,29 +978,21 @@ def _chunk_trials(input_class: str, dims) -> int:
     return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
 
 
-def _trial_instances(base: int, tokens, dims, trials: int, draw, step: int):
-    """(token, seed, (m, n), item) of trials 0..trials-1 of every token.
+def _groups(base: int, tokens, dims, trials: int, step: int):
+    """(m, n, t, seeds) of every dims group of every chunk of `step` trials.
 
     Trial t of a token has dims[t % len(dims)] and seed
-    derive_seed(base, token, t).  Each chunk of `step` trials derives each
-    token's seeds in one call and handles its trials one dims group at a
-    time: draw(m, n, seeds) takes one seed array per token and gives one
-    list per token with an item per seed, such as the row of a stacked
-    evaluation.  A chunk yields token after token, each in index order."""
+    derive_seed(base, token, t).  t holds the group's trial indices in
+    ascending order, and seeds[k][i] is the seed of trial t[i] of
+    tokens[k]; each chunk derives each token's seeds in one call."""
     period = len(dims)
     for lo in range(0, trials, step):
         t = np.arange(lo, min(lo + step, trials))
         seeds = [derive_seed(base, token, t) for token in tokens]
-        items = [[None] * len(t) for _ in tokens]
         for g, (m, n) in enumerate(dims):
             first = (g - lo) % period
             if first < len(t):
-                drawn = draw(m, n, [s[first::period] for s in seeds])
-                for out, got in zip(items, drawn):
-                    out[first::period] = got
-        for token, token_seeds, token_items in zip(tokens, seeds, items):
-            for j, (seed, item) in enumerate(zip(token_seeds.tolist(), token_items)):
-                yield token, seed, dims[(lo + j) % period], item
+                yield m, n, t[first::period], [s[first::period] for s in seeds]
 
 
 class _Verdicts:
@@ -1038,48 +1033,45 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
     verdict.  A draw holds at most _CHUNK_BYTES // len(dims) bytes of
     instances and a verdict as many bytes of slacks, so many cases split
     into several of each.  Then check_case reads every trial's row, case
-    by case in trial order."""
+    by case, and each case's run of the group is aggregated in locals."""
     input_class = REGISTRY[case_ids[0]].input_class
     entries = INPUT_CLASSES[input_class].entries
-    period, tol = len(config.dims), config.tol
-
-    def rows(m, n, seeds):
-        height, share = len(seeds[0]), _CHUNK_BYTES // period
+    share, tol = _CHUNK_BYTES // len(config.dims), config.tol
+    # Per case: trials, failures, premise misses, worst witness, its trial,
+    # seed and dims.
+    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None, None))
+    for m, n, t, seeds in _groups(config.seed, case_ids, config.dims, config.trials,
+                                  _chunk_trials(input_class, config.dims)):
+        height = len(t)
         per_draw = max(1, share // (16 * entries(m, n) * height))
         verdicts = _Verdicts(tol, share)
-        out = []
+        groups = []
         for b in range(0, len(case_ids), per_draw):
             stack = make_instance(case_ids[b], m, n, np.concatenate(seeds[b:b + per_draw]))
             for i, case_id in enumerate(case_ids[b:b + per_draw]):
                 own = _each(stack, lambda x: x[i * height:(i + 1) * height])
-                group = _evaluate(REGISTRY[case_id], own, tol, verdicts)
-                out.append([_Row(group, j) for j in range(height)])
+                groups.append(_evaluate(REGISTRY[case_id], own, tol, verdicts))
         verdicts.decide()
-        return out
-
-    # Per case: trials, failures, premise misses, worst witness, its seed
-    # and dims.  _trial_instances yields a chunk's trials case by case, so
-    # each run of one case is aggregated in locals.
-    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
-    for case_id, run in groupby(_trial_instances(
-            config.seed, case_ids, config.dims, config.trials, rows,
-            _chunk_trials(input_class, config.dims)), itemgetter(0)):
-        trials, failures, misses, worst, worst_seed, worst_dims = totals[case_id]
-        for _, seed, dims, row in run:
-            report = check_case(case_id, row, tol, seed)
-            trials += 1
-            misses += report.premise_misses
-            if report.parts:
-                if not report.holds:
-                    failures += 1
-                witness = report.witness
-                if worst is None or witness < worst:
-                    worst, worst_seed, worst_dims = witness, seed, dims
-        totals[case_id] = trials, failures, misses, worst, worst_seed, worst_dims
+        t = t.tolist()
+        for case_id, group, case_seeds in zip(case_ids, groups, seeds):
+            trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
+            for j, seed in enumerate(case_seeds.tolist()):
+                report = check_case(case_id, _Row(group, j), tol, seed)
+                trials += 1
+                misses += report.premise_misses
+                if report.parts:
+                    if not report.holds:
+                        failures += 1
+                    witness = report.witness
+                    # Groups arrive out of trial order; a tie stays with
+                    # the earliest trial.
+                    if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
+                        worst, worst_t, worst_seed, worst_dims = witness, t[j], seed, (m, n)
+            totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed, worst_dims
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,
                       "worst_dims": None if dims is None else "{}x{}".format(*dims)}
-            for case_id, (trials, failures, misses, worst, worst_seed, dims) in totals.items()}
+            for case_id, (trials, failures, misses, worst, _, worst_seed, dims) in totals.items()}
 
 
 def run_case_trials(case_id: str, config: RunConfig, finished: dict | None = None) -> dict:
@@ -1138,20 +1130,7 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     empty, trials is negative or tol is not a finite non-negative number."""
     dims = RunConfig(("open-question-residual",), tuple(dims), trials, seed, tol).dims
     residual = REGISTRY["open-question-residual"]
-    values, seeds = [], []
-    sanity_violations = 0
-
-    def verdicts(m, n, seeds):
-        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, seeds[0]), tol)
-        return [list(zip(witnesses, holds))]
-
-    for _, trial_seed, _, (lam_min, holds) in _trial_instances(
-            seed, ("open-question-scan",), dims, trials, verdicts, _chunk_trials("psd", dims)):
-        values.append(lam_min)
-        seeds.append(trial_seed)
-        if not holds:
-            sanity_violations += 1
-    if not values:
+    if not trials:
         return {
             "trials": 0,
             "min_lambda_min": None,
@@ -1160,13 +1139,19 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
             "histogram": {"edges": [], "counts": []},
             "sanity_violations": 0,
         }
-    arr = np.array(values)
+    arr, seeds = np.empty(trials), np.empty(trials, dtype=np.uint64)
+    sanity_violations = 0
+    for m, n, t, (group_seeds,) in _groups(seed, ("open-question-scan",), dims, trials,
+                                           _chunk_trials("psd", dims)):
+        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, group_seeds), tol)
+        arr[t], seeds[t] = witnesses, group_seeds
+        sanity_violations += holds.count(False)
     counts, edges = np.histogram(arr, bins=_SCAN_BINS)
     argmin = int(np.argmin(arr))
     return {
         "trials": trials,
         "min_lambda_min": float(arr.min()),
-        "argmin_seed": seeds[argmin],
+        "argmin_seed": int(seeds[argmin]),
         "mean_lambda_min": float(arr.mean()),
         "histogram": {
             "edges": [float(e) for e in edges],

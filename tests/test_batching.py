@@ -76,11 +76,13 @@ def test_array_derive_seed_rejects_negative_values():
 
 
 def test_batched_stream_rows_match_single_streams():
-    batch = Stream(SEEDS, counter=3)
+    batch = Stream(SEEDS)
+    batch.words(3)
     draws = [batch.words(5), batch.doubles(4), batch.gaussians(7),
              batch.complex_gaussians((2, 3)), batch.integers(-4, 9, (3, 2))]
     for i, seed in enumerate(SEEDS.tolist()):
-        single = Stream(seed, counter=3)
+        single = Stream(seed)
+        single.words(3)
         want = [single.words(5), single.doubles(4), single.gaussians(7),
                 single.complex_gaussians((2, 3)), single.integers(-4, 9, (3, 2))]
         for got, expected in zip(draws, want):
@@ -186,22 +188,23 @@ def test_run_case_trials_matches_scalar_loop(seed):
         assert together[case_id] == want
 
 
-def test_trial_instances_match_scalar_draws():
+def test_groups_match_scalar_draws():
+    """Chunks of 5 trials over three dims cut inside the dims groups."""
     dims = ((2, 3), (1, 1), (4, 2))
     for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih"):
         tokens = (case_id, "other-" + case_id)
-
-        def draw(m, n, seeds, case_id=case_id):
-            stacks = [make_instance(case_id, m, n, s) for s in seeds]
-            return [[_row(stacked, j) for j in range(len(s))] for stacked, s in zip(stacks, seeds)]
-        got = list(suite._trial_instances(7, tokens, dims, 23, draw, step=5))
-        assert len(got) == 2 * 23
+        seen = {token: [] for token in tokens}
+        for m, n, t, seeds in suite._groups(7, tokens, dims, 23, step=5):
+            t = t.tolist()
+            assert t == sorted(t) and len(seeds) == len(tokens)
+            for token, token_seeds in zip(tokens, seeds):
+                stacked = make_instance(case_id, m, n, token_seeds)
+                for i, (trial, seed) in enumerate(zip(t, token_seeds.tolist(), strict=True)):
+                    assert seed == derive_seed(7, token, trial) and (m, n) == dims[trial % 3]
+                    assert _bytes(_row(stacked, i)) == _bytes(make_instance(case_id, m, n, seed))
+                seen[token] += t
         for token in tokens:
-            mine = [item for item in got if item[0] == token]
-            assert len(mine) == 23
-            for t, (_, seed, mn, instance) in enumerate(mine):
-                assert seed == derive_seed(7, token, t) and mn == dims[t % 3]
-                assert _bytes(instance) == _bytes(make_instance(case_id, *mn, seed))
+            assert sorted(seen[token]) == list(range(23))
 
 
 @pytest.mark.parametrize("cap", [1, 3000, 10_000])
@@ -243,7 +246,8 @@ def test_random_ppt_matches_per_term_loop(seed):
     for m in range(1, 9):
         for n in range(1, 9):
             for terms in (None, 1, 2, 3):
-                got_stream, want_stream = Stream(seed, counter=3), Stream(seed, counter=3)
+                got_stream, want_stream = Stream(seed), Stream(seed)
+                got_stream.words(3), want_stream.words(3)
                 got = random_ppt(got_stream, m, n, terms)
                 want = _reference_random_ppt(want_stream, m, n, terms)
                 assert got.shape == want.shape

@@ -82,7 +82,8 @@ def test_case_detects_failure(tmp_path, capsys):
     and no violation exists; at n = 3 the violation is detected."""
     for n, code in ((1, 1), (3, 0)):
         inst = tmp_path / f"e{n}.json"
-        serialize.dump(serialize.block_to_obj(gen(GenSpec("matrix-unit-E", n=n))), inst)
+        e = gen(GenSpec("matrix-unit-E", n=n))
+        inst.write_text(serialize.dump(serialize.block_to_obj(e)) + "\n")
         assert main(["case", "--id", "psi-not-2-positive", "--input", str(inst)]) == code
         report = json.loads(capsys.readouterr().out)
         assert report["holds"] is (code == 0)
@@ -100,13 +101,14 @@ def test_case_refuses_non_canonical_fixed_inputs(tmp_path, capsys):
     for case_id, instances in refused.items():
         for a in instances:
             inst = tmp_path / "inst.json"
-            serialize.dump(serialize.block_to_obj(a), inst)
+            inst.write_text(serialize.dump(serialize.block_to_obj(a)) + "\n")
             assert main(["case", "--id", case_id, "--input", str(inst)]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and "instance" in captured.err
             assert captured.out == ""
     inst = tmp_path / "zero.json"
-    serialize.dump(serialize.block_to_obj(make_instance("eq18-matrix", 3, 2, 0)), inst)
+    zero = make_instance("eq18-matrix", 3, 2, 0)
+    inst.write_text(serialize.dump(serialize.block_to_obj(zero)) + "\n")
     assert main(["case", "--id", "eq18-matrix", "--input", str(inst)]) == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
@@ -116,7 +118,7 @@ def test_case_ck_exact_on_int64_extremes(tmp_path, capsys):
     oracle's parts, not a wrapped or approximate result."""
     x = np.array([[I64_MAX, I64_MIN], [I64_MIN, 0]], dtype=np.int64)
     inst = tmp_path / "ints.json"
-    serialize.dump(serialize.int_matrix_to_obj(x), inst)
+    inst.write_text(serialize.dump(serialize.int_matrix_to_obj(x)) + "\n")
     code = main(["case", "--id", "ck-lih", "--input", str(inst)])
     captured = capsys.readouterr()
     want = [{"label": label, "witness": w[0], "holds": h[0]}
@@ -221,7 +223,7 @@ def test_case_round_trip_every_case(tmp_path, capsys, case_id):
     path = tmp_path / "inst.json"
     for seed in (0, 1, 5):
         instance = make_instance(case_id, 2, 3, seed)
-        serialize.dump(_to_obj(instance), path)
+        path.write_text(serialize.dump(_to_obj(instance)) + "\n")
         assert main(["case", "--id", case_id, "--input", str(path)]) == 0
         got = json.loads(capsys.readouterr().out)["parts"]
         want = check_case(case_id, instance).parts

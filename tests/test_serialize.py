@@ -11,7 +11,7 @@ from blocktrace.rng import Stream
 def test_complex_matrix_round_trip_exact(tmp_path):
     a = Stream(0).complex_gaussians((3, 4))
     path = tmp_path / "m.json"
-    serialize.dump(serialize.matrix_to_obj(a), path)
+    path.write_text(serialize.dump(serialize.matrix_to_obj(a)) + "\n")
     b = serialize.matrix_from_obj(serialize.load(path))
     assert np.array_equal(a, b)  # binary64 survives JSON bit-for-bit
 
@@ -19,7 +19,7 @@ def test_complex_matrix_round_trip_exact(tmp_path):
 def test_block_round_trip(tmp_path):
     a = gen(GenSpec("psd", m=2, n=3, seed=1))
     path = tmp_path / "b.json"
-    serialize.dump(serialize.block_to_obj(a), path)
+    path.write_text(serialize.dump(serialize.block_to_obj(a)) + "\n")
     b = serialize.block_from_obj(serialize.load(path))
     assert (b.m, b.n) == (2, 3)
     assert np.array_equal(a.dense, b.dense)
@@ -28,7 +28,7 @@ def test_block_round_trip(tmp_path):
 def test_int_matrix_round_trip(tmp_path):
     x = gen(GenSpec("real-int", m=3, n=2, seed=2))
     path = tmp_path / "i.json"
-    serialize.dump(serialize.int_matrix_to_obj(x), path)
+    path.write_text(serialize.dump(serialize.int_matrix_to_obj(x)) + "\n")
     y = serialize.int_matrix_from_obj(serialize.load(path))
     assert np.array_equal(x, y)
     assert y.dtype == np.int64
@@ -37,7 +37,7 @@ def test_int_matrix_round_trip(tmp_path):
 def test_pair_round_trip(tmp_path):
     pair = gen(GenSpec("gram-pair", m=2, n=3, seed=3))
     path = tmp_path / "p.json"
-    serialize.dump(serialize.pair_to_obj(pair), path)
+    path.write_text(serialize.dump(serialize.pair_to_obj(pair)) + "\n")
     p, q = serialize.pair_from_obj(serialize.load(path))
     assert np.array_equal(pair[0], p)
     assert np.array_equal(pair[1], q)

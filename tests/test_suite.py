@@ -268,6 +268,15 @@ def test_run_config_validation():
         RunConfig(("ando",), ((2, 2),), -1, 0)
 
 
+@pytest.mark.parametrize("bad", [(2, 0), (0, 2), (-1, 3), (2, 2.0), (2,), (2, 2, 2)])
+def test_dims_must_be_pairs_of_positive_integers(bad):
+    for case_id in ("ando", "lem38-eigen", "abs-block-corollary"):
+        with pytest.raises(ValueError, match="dims"):
+            run_suite(RunConfig((case_id,), ((2, 2), bad), 3, 1))
+    with pytest.raises(ValueError, match="dims"):
+        open_question_scan([bad], trials=3, seed=1)
+
+
 def test_run_case_trials_aggregates():
     config = RunConfig(("ando",), ((2, 2), (2, 3)), 6, 42)
     entry = run_case_trials("ando", config)
@@ -314,6 +323,25 @@ def test_run_case_trials_gives_tied_worst_to_earliest_trial(case_id, dims):
     assert entry["worst_seed"] == derive_seed(11, case_id, 0)
     assert math.copysign(1.0, entry["worst_witness"]) == math.copysign(1.0, first.witness)
     assert entry["worst_witness"] == first.witness
+
+
+def test_tied_worst_goes_to_earliest_trial_across_dims_groups(monkeypatch):
+    """Trials 0, 2, 4 (2x2) are aggregated before trials 1, 3, 5 (2x3).
+    Trial 0 has witness 1.0 and every other trial 0.0, so trial 2 reaches
+    the tie first, and trial 1 must take it over."""
+    config = RunConfig(("ando",), ((2, 2), (2, 3)), 6, 5)
+    first = derive_seed(5, "ando", 0)
+    real = suite.check_case
+
+    def check(case_id, instance, tol, seed):
+        report = real(case_id, instance, tol, seed)
+        witness = 1.0 if seed == first else 0.0
+        return report._replace(parts=tuple(p._replace(witness=witness) for p in report.parts))
+
+    monkeypatch.setattr(suite, "check_case", check)
+    entry = run_case_trials("ando", config)
+    assert (entry["worst_seed"], entry["worst_dims"]) == (derive_seed(5, "ando", 1), "2x3")
+    assert entry["worst_witness"] == 0.0
 
 
 def test_suite_report_deterministic_and_thread_invariant():
