@@ -895,8 +895,11 @@ def _evaluate(case: TheoremCase, stack, tol: float, verdicts=None) -> tuple:
         if verdicts is None:
             return stack.m, stack.n, _psd_cols(slacks, len(stack.dense), tol)
         return stack.m, stack.n, verdicts.add(slacks, len(stack.dense))
-    first = stack[0] if isinstance(stack, tuple) else stack
-    return (*first.shape[-2:], case.fn(stack, tol))
+    if isinstance(stack, tuple):  # a gram pair: n x m factors at dims (m, n)
+        n, m = stack[0].shape[-2:]
+    else:
+        m, n = stack.shape[-2:]
+    return m, n, case.fn(stack, tol)
 
 
 def _each(instance, fn):
@@ -1045,15 +1048,15 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
         height = len(t)
         per_draw = max(1, share // (16 * entries(m, n) * height))
         verdicts = _Verdicts(tol, share)
-        groups = []
+        evaluated = []
         for b in range(0, len(case_ids), per_draw):
             stack = make_instance(case_ids[b], m, n, np.concatenate(seeds[b:b + per_draw]))
             for i, case_id in enumerate(case_ids[b:b + per_draw]):
                 own = _each(stack, lambda x: x[i * height:(i + 1) * height])
-                groups.append(_evaluate(REGISTRY[case_id], own, tol, verdicts))
+                evaluated.append(_evaluate(REGISTRY[case_id], own, tol, verdicts))
         verdicts.decide()
         t = t.tolist()
-        for case_id, group, case_seeds in zip(case_ids, groups, seeds):
+        for case_id, group, case_seeds in zip(case_ids, evaluated, seeds):
             trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
             for j, seed in enumerate(case_seeds.tolist()):
                 report = check_case(case_id, _Row(group, j), tol, seed)

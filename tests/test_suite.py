@@ -277,6 +277,18 @@ def test_dims_must_be_pairs_of_positive_integers(bad):
         open_question_scan([bad], trials=3, seed=1)
 
 
+@pytest.mark.parametrize("case_id, dims, want", [
+    ("lem39-singular", (2, 3), (2, 3)), ("lem38-eigen", (2, 3), (2, 3)),
+    ("lem38-eigen", (3, 2), (3, 2)), ("ck-lih", (2, 3), (2, 3)), ("ando", (2, 3), (2, 3)),
+    ("coro55-norms", (4, 3), (2, 3)), ("psi-not-2-positive", (4, 3), (2, 3)),
+    ("abs-block-corollary", (4, 3), (3, 3))])
+def test_report_dims_are_the_drawn_instance_dims(case_id, dims, want):
+    """psd-2x2 and matrix-unit-E draw 2 blocks whatever m is, and square
+    draws an n x n matrix; gram-pair reports m and n, not its factor shape."""
+    report = check_case(case_id, make_instance(case_id, *dims, 0))
+    assert (report.m, report.n) == want
+
+
 def test_run_case_trials_aggregates():
     config = RunConfig(("ando",), ((2, 2), (2, 3)), 6, 42)
     entry = run_case_trials("ando", config)
