@@ -13,6 +13,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -409,18 +410,16 @@ def _case_psi_not_2_positive(d: Derived, tol):
 
 
 def _trace_2x2(gap, d: Derived, tol):
-    """One scalar part, gap(trA trC, |trB|^2, tr(AC), tr(B*B)) >= 0, in
-    Python floats row by row."""
+    """One scalar part, gap(trA trC, |trB|^2, tr(AC), tr(B*B)) >= 0.
+
+    |trB|^2 is libm hypot, then libm pow(., 2), as Python's abs(z) ** 2
+    takes it; a plain numpy square can round it differently."""
     ab, bb, cb = _blocks_2x2(d.a)
-    witnesses, holds = [], []
-    for tr_a, tr_c, tr_b, tr_ac, tr_bb in zip(
-            _tr(ab).real.tolist(), _tr(cb).real.tolist(), _tr(bb).tolist(),
-            _tr(ab @ cb).real.tolist(), _tr(_ct(bb) @ bb).real.tolist()):
-        scale = abs(tr_a * tr_c) + abs(tr_b) ** 2 + abs(tr_ac) + tr_bb
-        g = gap(tr_a * tr_c, abs(tr_b) ** 2, tr_ac, tr_bb)
-        witnesses.append(float(g))
-        holds.append(g >= -tol * max(1.0, scale))
-    return [("main", witnesses, holds)]
+    ac, tr_b = _tr(ab).real * _tr(cb).real, _tr(bb)
+    b2 = np.float_power(np.hypot(tr_b.real, tr_b.imag), 2.0)
+    tr_ac, tr_bb = _tr(ab @ cb).real, _tr(_ct(bb) @ bb).real
+    scale = np.abs(ac) + b2 + np.abs(tr_ac) + tr_bb
+    return [_scalar_col("main", gap(ac, b2, tr_ac, tr_bb), tol, scale)]
 
 
 def _ck(gaps, x, tol):
@@ -806,8 +805,8 @@ def _psd_2x2_problem(a: BlockMatrix, tol):
     return _psd_problem(a, tol)
 
 
-def _block_2x2_entries(m: int, n: int) -> int:
-    return (2 * n) ** 2
+def _block_2x2_nbytes(m: int, n: int) -> int:
+    return 16 * (2 * n) ** 2
 
 
 def _matrix_unit_instances(m: int, n: int, seed):
@@ -834,12 +833,12 @@ class InputClass:
     load(obj) reads the JSON object of one instance and raises ValueError
     when it is malformed, non-finite, of the wrong shape, or, for a block
     class, not Hermitian within HERMITIAN_TOL.
-    entries(m, n) counts the complex entries of one instance, which sizes
-    the chunks of trials.  problem(instance, tol) names the precondition
-    that a `case --input` instance fails, or is None."""
+    nbytes(m, n) is the bytes of one instance, which size the chunks of
+    trials.  problem(instance, tol) names the precondition that a
+    `case --input` instance fails, or is None."""
     draw: Callable
     load: Callable
-    entries: Callable = lambda m, n: (m * n) ** 2
+    nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
     problem: Callable = lambda instance, tol: None
 
 
@@ -850,17 +849,17 @@ INPUT_CLASSES = {
     "hermitian": InputClass(partial(_gen, "hermitian"), _load_block),
     "ppt": InputClass(partial(_gen, "ppt"), _load_block, problem=_ppt_problem),
     "psd-2x2": InputClass(lambda m, n, seed: _gen("psd", 2, n, seed), _load_block,
-                          _block_2x2_entries, _psd_2x2_problem),
+                          _block_2x2_nbytes, _psd_2x2_problem),
     "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed), _load_pair,
-                            lambda m, n: 2 * m * n),
+                            lambda m, n: 2 * 16 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
-                           lambda m, n: m * n),
-    "matrix-unit-E": InputClass(_matrix_unit_instances, _load_block, _block_2x2_entries,
+                           lambda m, n: 8 * m * n),
+    "matrix-unit-E": InputClass(_matrix_unit_instances, _load_block, _block_2x2_nbytes,
                                 _fixed_problem(_matrix_unit_instances, "matrix-unit")),
     "zero": InputClass(_zero_instances, _load_block,
                        problem=_fixed_problem(_zero_instances, "zero")),
     "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), n, n), _load_square,
-                         lambda m, n: n * n),
+                         lambda m, n: 16 * n * n),
 }
 
 
@@ -883,23 +882,28 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
-def _evaluate(case: TheoremCase, stack, tol: float, verdicts=None) -> tuple:
-    """(m, n, columns) of one case on a dims group's instances, stacked
-    along a leading trial axis: every part column, for all trials at once.
-    With verdicts, a _Verdicts batch, the slack columns of a psd-slack or
-    ppt-of-derived case are filled in when that batch is decided."""
+def _evaluate(cases: list, stack, height: int, tol: float) -> list:
+    """(m, n, columns) of each of cases on one draw of a dims group, case i
+    on its rows [i * height, (i + 1) * height): every part column, for all
+    its trials at once.  The slacks of every psd-slack and ppt-of-derived
+    case among them are decided together by one _psd_cols call."""
     if isinstance(stack, BlockMatrix):
-        if case.check_kind not in _SLACK_KINDS:
-            return stack.m, stack.n, case.fn(Derived(stack), tol)
-        slacks = case.fn(Derived(stack))  # its Derived is freed before any verdict
-        if verdicts is None:
-            return stack.m, stack.n, _psd_cols(slacks, len(stack.dense), tol)
-        return stack.m, stack.n, verdicts.add(slacks, len(stack.dense))
-    if isinstance(stack, tuple):  # a gram pair: n x m factors at dims (m, n)
+        m, n = stack.m, stack.n
+    elif isinstance(stack, tuple):  # a gram pair: n x m factors at dims (m, n)
         n, m = stack[0].shape[-2:]
     else:
         m, n = stack.shape[-2:]
-    return m, n, case.fn(stack, tol)
+    columns, slacks = [], []  # per case, its columns or its count of slacks
+    for i, case in enumerate(cases):
+        own = _each(stack, lambda x: x[i * height:(i + 1) * height])
+        if case.check_kind in _SLACK_KINDS:
+            case_slacks = case.fn(Derived(own))  # its Derived is freed before the verdict
+            slacks += case_slacks
+            columns.append(len(case_slacks))
+        else:
+            columns.append(case.fn(Derived(own) if isinstance(own, BlockMatrix) else own, tol))
+    decided = iter(_psd_cols(slacks, height, tol) if slacks else ())
+    return [(m, n, list(islice(decided, c)) if isinstance(c, int) else c) for c in columns]
 
 
 def _each(instance, fn):
@@ -926,7 +930,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
-        instance = _Row(_evaluate(case, one_trial, tol), 0)
+        instance = _Row(_evaluate([case], one_trial, 1, tol)[0], 0)
     (m, n, columns), j = instance
     parts = tuple([Part(label, witnesses[j], holds[j])
                    for label, witnesses, holds in columns if holds[j] is not None])
@@ -970,14 +974,14 @@ class RunConfig:
 
 # Cap on the bytes of the instance stacks one chunk of trials draws at once,
 # so memory stays flat in the trial count.  Within a chunk, a dims group's
-# share of it, _CHUNK_BYTES // len(dims), caps both one draw of an input
-# class's cases and the slacks that wait for one merged verdict.
+# share of it, _CHUNK_BYTES // len(dims), caps one draw of an input class's
+# cases; the merged verdict of a draw decides at most 4 slacks per instance.
 _CHUNK_BYTES = 1 << 20
 
 def _chunk_trials(input_class: str, dims) -> int:
     """Trials per chunk: as many as keep its instance stacks near _CHUNK_BYTES."""
-    entries = INPUT_CLASSES[input_class].entries
-    cycle_bytes = sum(16 * entries(m, n) for m, n in dims)
+    nbytes = INPUT_CLASSES[input_class].nbytes
+    cycle_bytes = sum(nbytes(m, n) for m, n in dims)
     return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
 
 
@@ -998,47 +1002,18 @@ def _groups(base: int, tokens, dims, trials: int, step: int):
                 yield m, n, t[first::period], [s[first::period] for s in seeds]
 
 
-class _Verdicts:
-    """Labeled slack stacks of several cases of one dims group, decided
-    together by one _psd_cols call on decide(), or before a case's slacks
-    would take them past cap bytes.  add() returns the case's column list,
-    which is filled in then."""
-
-    def __init__(self, tol: float, cap: int):
-        self.tol, self.cap, self.trials = tol, cap, 0
-        self.slacks, self.owners, self.nbytes = [], [], 0
-
-    def add(self, slacks: list, trials: int) -> list:
-        nbytes = sum(s.nbytes for _, s in slacks)
-        if self.nbytes + nbytes > self.cap:
-            self.decide()
-        columns = []
-        self.slacks += slacks
-        self.owners.append((columns, len(slacks)))
-        self.trials = trials
-        self.nbytes += nbytes
-        return columns
-
-    def decide(self) -> None:
-        if self.slacks:
-            decided = iter(_psd_cols(self.slacks, self.trials, self.tol))
-            for columns, count in self.owners:
-                columns.extend(next(decided) for _ in range(count))
-        self.slacks, self.owners, self.nbytes = [], [], 0
-
-
 def _class_entries(case_ids: list, config: RunConfig) -> dict:
     """The entry of each of case_ids, requested cases of one input class.
 
     In each dims group of a chunk, the cases' seed slices are concatenated
-    and drawn by one make_instance call, and each case evaluates its own
-    rows of that stack.  The slack cases of a group share one merged PSD
-    verdict.  A draw holds at most _CHUNK_BYTES // len(dims) bytes of
-    instances and a verdict as many bytes of slacks, so many cases split
-    into several of each.  Then check_case reads every trial's row, case
-    by case, and each case's run of the group is aggregated in locals."""
+    and drawn by one make_instance call, and one _evaluate call checks
+    every case on its own rows of that stack, with one merged PSD verdict
+    for their slacks.  A draw holds at most _CHUNK_BYTES // len(dims) bytes
+    of instances, so many cases split into several draws.  Then check_case
+    reads every trial's row, case by case, and each case's run of the
+    group is aggregated in locals."""
     input_class = REGISTRY[case_ids[0]].input_class
-    entries = INPUT_CLASSES[input_class].entries
+    nbytes = INPUT_CLASSES[input_class].nbytes
     share, tol = _CHUNK_BYTES // len(config.dims), config.tol
     # Per case: trials, failures, premise misses, worst witness, its trial,
     # seed and dims.
@@ -1046,15 +1021,12 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
     for m, n, t, seeds in _groups(config.seed, case_ids, config.dims, config.trials,
                                   _chunk_trials(input_class, config.dims)):
         height = len(t)
-        per_draw = max(1, share // (16 * entries(m, n) * height))
-        verdicts = _Verdicts(tol, share)
+        per_draw = max(1, share // (nbytes(m, n) * height))
         evaluated = []
         for b in range(0, len(case_ids), per_draw):
             stack = make_instance(case_ids[b], m, n, np.concatenate(seeds[b:b + per_draw]))
-            for i, case_id in enumerate(case_ids[b:b + per_draw]):
-                own = _each(stack, lambda x: x[i * height:(i + 1) * height])
-                evaluated.append(_evaluate(REGISTRY[case_id], own, tol, verdicts))
-        verdicts.decide()
+            evaluated += _evaluate([REGISTRY[c] for c in case_ids[b:b + per_draw]],
+                                   stack, height, tol)
         t = t.tolist()
         for case_id, group, case_seeds in zip(case_ids, evaluated, seeds):
             trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
@@ -1146,7 +1118,8 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     sanity_violations = 0
     for m, n, t, (group_seeds,) in _groups(seed, ("open-question-scan",), dims, trials,
                                            _chunk_trials("psd", dims)):
-        _, _, [(_, witnesses, holds)] = _evaluate(residual, _gen("psd", m, n, group_seeds), tol)
+        [(_, _, [(_, witnesses, holds)])] = _evaluate(
+            [residual], _gen("psd", m, n, group_seeds), len(t), tol)
         arr[t], seeds[t] = witnesses, group_seeds
         sanity_violations += holds.count(False)
     counts, edges = np.histogram(arr, bins=_SCAN_BINS)

@@ -301,7 +301,7 @@ def test_eq18_slack_matches_kron_formula(n):
 def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
     """check_case on every row of one stacked evaluation of the dims group."""
     stacked = make_instance(case_id, m, n, seeds)
-    group = suite._evaluate(REGISTRY[case_id], stacked, tol)
+    [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), tol)
     return stacked, [check_case(case_id, suite._Row(group, j), tol, seed)
                      for j, seed in enumerate(seeds.tolist())]
 
@@ -314,6 +314,96 @@ def test_each_row_equals_check_case_alone(case_id):
         stacked, reports = _group_reports(case_id, m, n, seeds)
         for j, (seed, report) in enumerate(zip(seeds.tolist(), reports)):
             assert report == check_case(case_id, _row(stacked, j), seed=seed), (m, n, seed)
+
+
+# Cases of several check kinds that share one draw of their input class.
+MIXED_DRAWS = {
+    "psd": (("ando", "choi-tr1", "phi-completely-ppt", "eqm1-majorization",
+             "hiroshima-conditional"), ((2, 2), (2, 3), (3, 2))),
+    "psd-2x2": (("lin-2x2-ppt", "choi-block-ppt", "coro55-norms"), ((2, 1), (2, 2), (2, 3))),
+}
+
+
+def _column_bits(evaluated) -> tuple:
+    """An _evaluate entry with each witness column as its float64 bytes."""
+    m, n, columns = evaluated
+    return m, n, [(label, np.array(w, dtype=np.float64).tobytes(), h) for label, w, h in columns]
+
+
+@pytest.mark.parametrize("height", [1, 3])
+@pytest.mark.parametrize("input_class", sorted(MIXED_DRAWS))
+def test_one_evaluate_call_equals_one_call_per_case(monkeypatch, input_class, height):
+    """One _evaluate call on the draw that the cases share, with one merged
+    verdict for all their slacks, gives each case the columns of its own
+    call on its own draw: labels, witness bits, holds and the None of a
+    missed premise."""
+    cases, dims = MIXED_DRAWS[input_class]
+    real_cols, calls = suite._psd_cols, []
+
+    def psd_cols(slacks, trials, tol):
+        calls.append([label for label, _ in slacks])
+        return real_cols(slacks, trials, tol)
+
+    monkeypatch.setattr(suite, "_psd_cols", psd_cols)
+    misses = 0
+    for m, n in dims:
+        for base in range(8):
+            seeds = [derive_seed(base, c, np.arange(height)) for c in cases]
+            stack = make_instance(cases[0], m, n, np.concatenate(seeds))
+            calls.clear()
+            got = suite._evaluate([REGISTRY[c] for c in cases], stack, height, suite.PSD_TOL)
+            # One call for the slacks of every slack case, and hiroshima's
+            # own call for its premises.
+            merged = [label for c in cases if REGISTRY[c].check_kind in suite._SLACK_KINDS
+                      for label, _ in build_slack(c, make_instance(c, m, n, 0))]
+            assert sorted(calls) == sorted([merged] + [["tr1", "tr2"]] * (
+                "hiroshima-conditional" in cases))
+            assert len(got) == len(cases)
+            for case_id, case_seeds, entry in zip(cases, seeds, got):
+                [want] = suite._evaluate([REGISTRY[case_id]], make_instance(
+                    case_id, m, n, case_seeds), height, suite.PSD_TOL)
+                assert _column_bits(entry) == _column_bits(want), (case_id, m, n, base)
+                misses += sum(h is None for _, _, holds in entry[2] for h in holds)
+    assert (misses > 0) == ("hiroshima-conditional" in cases)
+
+
+def test_slack_verdicts_stay_within_four_draws(monkeypatch):
+    """With a small chunk cap over mixed dims, where some draws hold many
+    cases and some one, each _psd_cols call decides at most 4x the bytes
+    of the draw it came from: 4 is the most slack labels of any case."""
+    slack_ids = [c for c in case_ids() if REGISTRY[c].check_kind in suite._SLACK_KINDS]
+    most = max(len(build_slack(c, make_instance(c, 2, 2, 0))) for c in slack_ids)
+    assert most == 4
+    config = RunConfig(tuple(case_ids()), ((1, 3), (4, 4), (2, 2), (3, 1)), 30, 8)
+    want = run_suite(config)
+    real_draw, real_cols = suite.make_instance, suite._psd_cols
+    drawn, decided = [], []
+
+    def draw(case_id, m, n, seeds):
+        stack = real_draw(case_id, m, n, seeds)
+        drawn.append(len(_bytes(stack)))
+        return stack
+
+    def psd_cols(slacks, trials, tol):
+        decided.append((drawn[-1], sum(s.nbytes for _, s in slacks), len(slacks)))
+        return real_cols(slacks, trials, tol)
+
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", 20_000)
+    monkeypatch.setattr(suite, "make_instance", draw)
+    monkeypatch.setattr(suite, "_psd_cols", psd_cols)
+    assert run_suite(config) == want
+    assert all(nbytes <= most * draw_bytes for draw_bytes, nbytes, _ in decided)
+    # Some draws merge the slacks of several cases, and some hold one case.
+    assert max(count for _, _, count in decided) > most
+    assert min(count for _, _, count in decided) == 1
+
+
+@pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
+def test_nbytes_is_the_bytes_of_one_instance(input_class):
+    row = suite.INPUT_CLASSES[input_class]
+    for m, n in DIMS_1_4:
+        for t in (1, 3, 5):
+            assert row.nbytes(m, n) * t == len(_bytes(row.draw(m, n, SEEDS[:t]))), (m, n, t)
 
 
 def test_stack_height_changes_nothing(monkeypatch):

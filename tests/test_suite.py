@@ -236,6 +236,42 @@ def test_ck_stack_exact_where_int64_arithmetic_wraps():
     _assert_ck_matches_oracle(x)
 
 
+TRACE_2X2_IDS = ("trace-2x2-besenyei", "trace-2x2-kittaneh-lin", "trace-2x2-plus")
+
+
+def trace_2x2_rows(gap, a: BlockMatrix, tol) -> list:
+    """The trace-2x2 column of the stack a, one matrix at a time in Python
+    floats, with |tr B|^2 as abs(z) ** 2."""
+    n = a.n
+    witnesses, holds = [], []
+    for x in a.dense:
+        ab, bb, cb = x[:n, :n], x[:n, n:], x[n:, n:]
+        tr_a, tr_c = trace_stack(ab).real.item(), trace_stack(cb).real.item()
+        tr_b = trace_stack(bb).item()
+        tr_ac = trace_stack(ab @ cb).real.item()
+        tr_bb = trace_stack(bb.conj().T @ bb).real.item()
+        scale = abs(tr_a * tr_c) + abs(tr_b) ** 2 + abs(tr_ac) + tr_bb
+        g = gap(tr_a * tr_c, abs(tr_b) ** 2, tr_ac, tr_bb)
+        witnesses.append(float(g))
+        holds.append(g >= -tol * max(1.0, scale))
+    return [("main", witnesses, holds)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_2x2_matches_python_float_rows(n):
+    """Witness bits and holds of the stacked trace-2x2 check equal the
+    row-by-row Python-float reference, over 2,000 seeds per case."""
+    for case_id in TRACE_2X2_IDS:
+        gap = REGISTRY[case_id].fn.args[0]
+        a = make_instance(case_id, 2, n, derive_seed(11, case_id, np.arange(2000)))
+        for tol in (suite.PSD_TOL, 0.0):
+            [(label, witnesses, holds)] = suite._trace_2x2(gap, Derived(a), tol)
+            [(_, want_witnesses, want_holds)] = trace_2x2_rows(gap, a, tol)
+            assert label == "main" and holds == want_holds
+            assert all(type(w) is float for w in witnesses)
+            assert np.array(witnesses).tobytes() == np.array(want_witnesses).tobytes()
+
+
 def test_offdiag_symmetrization_is_exact():
     a = gen(GenSpec("psd", m=2, n=3, seed=3))
     h = symmetrize_offdiag(a, skew=False)
