@@ -325,9 +325,9 @@ MIXED_DRAWS = {
 
 
 def _column_bits(evaluated) -> tuple:
-    """An _evaluate entry with each witness column as its float64 bytes."""
+    """An _evaluate entry with each witness column as its bits."""
     m, n, columns = evaluated
-    return m, n, [(label, np.array(w, dtype=np.float64).tobytes(), h) for label, w, h in columns]
+    return m, n, [(label, _bits(w), h) for label, w, h in columns]
 
 
 @pytest.mark.parametrize("height", [1, 3])
