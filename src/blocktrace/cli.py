@@ -60,11 +60,9 @@ def parse_dims(text: str) -> tuple:
             ms, ns = _parse_range(m_part), _parse_range(n_part)
         except ValueError as exc:
             raise ValueError(f"bad dimension item {item!r}") from exc
-        for m in ms:
-            for n in ns:
-                if m < 1 or n < 1:
-                    raise ValueError(f"bad dimension item {item!r}")
-                out.append((m, n))
+        if not ms or not ns or ms[0] < 1 or ns[0] < 1:  # an empty range too
+            raise ValueError(f"bad dimension item {item!r}")
+        out.extend((m, n) for m in ms for n in ns)
     if not out:
         raise ValueError("empty dimension list")
     return tuple(out)

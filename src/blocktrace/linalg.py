@@ -3,12 +3,18 @@
 Matrices are plain ``numpy`` arrays of ``complex128``.  The ``*_stack``
 kernels act on every matrix of a (..., r, c) stack at once; each one-matrix
 kernel is a thin wrapper over its stacked kernel, so the two agree bit for
-bit.  Everything here is a pure function; nothing mutates its inputs.
+bit.  Every kernel is a pure function; nothing mutates its inputs.
+``one_blas_thread`` scopes the process's OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -192,3 +198,70 @@ def kyfan_norm(a, k: int) -> float:
     if not 1 <= k <= min(a.shape):
         raise ValueError(f"k={k} out of range for shape {a.shape}")
     return float(np.sum(singular_values(a).values[:k]))
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy bundles: the
+# scipy-openblas 64-bit-integer build first, then a plain OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS that numpy loaded
+    from its bundled numpy.libs, or None when there is none (MKL,
+    Accelerate or a system BLAS).  Looked up on the first call only."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_scope_lock = threading.Lock()
+_scope_depth = 0
+_scope_saved = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the enclosed block with OpenBLAS on one thread, then restore the
+    thread count it had.
+
+    The engine's spectral kernels run on many small stacks.  From mn >= 36,
+    OpenBLAS splits each eigvalsh and matmul call across its threads, which
+    gains no wall time at these sizes but keeps the other cores spinning
+    between calls; one thread gives the same bits.  The count is
+    process-wide, so scopes that nest or overlap in several threads share
+    one depth counter: the first to enter saves the count and the last to
+    exit restores it, also when the block raises.  While any scope is open,
+    every thread's BLAS calls run on one thread.  Without a bundled
+    OpenBLAS this does nothing."""
+    global _scope_depth, _scope_saved
+    handle = _openblas()
+    if handle is None:
+        yield
+        return
+    get, put = handle
+    with _scope_lock:
+        if _scope_depth == 0:
+            _scope_saved = get()
+            put(1)
+        _scope_depth += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope_depth -= 1
+            if _scope_depth == 0:
+                put(_scope_saved)

@@ -35,6 +35,7 @@ from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_ei
 from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, is_hermitian,
                      matrix_abs_stack, pad_sorted, scale_stack, singular_values_stack)
 from .linalg import hermitian_part as _herm
+from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
 from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
@@ -1071,10 +1072,12 @@ def run_suite(config: RunConfig, threads: int = 1) -> dict:
 
     `threads` is accepted for compatibility and no longer changes how the
     cases run: the checks are Python that holds the interpreter lock, and a
-    thread pool measured slower than this serial loop."""
+    thread pool measured slower than this serial loop.  The cases run with
+    OpenBLAS on one thread (linalg.one_blas_thread)."""
     ids = sorted(config.cases)
     finished = {}
-    results = {c: run_case_trials(c, config, finished) for c in ids}
+    with one_blas_thread():
+        results = {c: run_case_trials(c, config, finished) for c in ids}
     return {
         "config": {
             "cases": ids,
@@ -1102,7 +1105,8 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     invariant; the statistics are for human inspection of how much slack
     remains for a uniform PSD subtraction.  The arguments are validated as
     a RunConfig of the open-question-residual case: ValueError when dims is
-    empty, trials is negative or tol is not a finite non-negative number."""
+    empty, trials is negative or tol is not a finite non-negative number.
+    The scan runs with OpenBLAS on one thread, as run_suite does."""
     dims = RunConfig(("open-question-residual",), tuple(dims), trials, seed, tol).dims
     residual = REGISTRY["open-question-residual"]
     if not trials:
@@ -1116,13 +1120,14 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
         }
     arr, seeds = np.empty(trials), np.empty(trials, dtype=np.uint64)
     sanity_violations = 0
-    for m, n, t, (group_seeds,) in _groups(seed, ("open-question-scan",), dims, trials,
-                                           _chunk_trials("psd", dims)):
-        [(_, _, [(_, witnesses, holds)])] = _evaluate(
-            [residual], _gen("psd", m, n, group_seeds), len(t), tol)
-        arr[t], seeds[t] = witnesses, group_seeds
-        sanity_violations += holds.count(False)
-    counts, edges = np.histogram(arr, bins=_SCAN_BINS)
+    with one_blas_thread():
+        for m, n, t, (group_seeds,) in _groups(seed, ("open-question-scan",), dims, trials,
+                                               _chunk_trials("psd", dims)):
+            [(_, _, [(_, witnesses, holds)])] = _evaluate(
+                [residual], _gen("psd", m, n, group_seeds), len(t), tol)
+            arr[t], seeds[t] = witnesses, group_seeds
+            sanity_violations += holds.count(False)
+        counts, edges = np.histogram(arr, bins=_SCAN_BINS)
     argmin = int(np.argmin(arr))
     return {
         "trials": trials,

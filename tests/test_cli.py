@@ -21,9 +21,19 @@ def test_parse_dims_grammar():
     assert parse_dims("2x2,3x4") == ((2, 2), (3, 4))
     assert parse_dims("2..3x2..3") == ((2, 2), (2, 3), (3, 2), (3, 3))
     assert parse_dims("2..3x4") == ((2, 4), (3, 4))
-    for bad in ("", "2", "0x2", "ax2"):
+    for bad in ("", "2", "0x2", "ax2", "4..2x3", "2x2,4..2x3", "2x3..1"):
         with pytest.raises(ValueError):
             parse_dims(bad)
+    # An empty LO..HI range is a bad item, not one that expands to nothing.
+    with pytest.raises(ValueError, match=r"^bad dimension item '4\.\.2x3'$"):
+        parse_dims("2x2,4..2x3")
+
+
+@pytest.mark.parametrize("command", ["verify --cases ando", "scan --trials 3"])
+def test_empty_dims_range_exits_2(capsys, command):
+    assert main(command.split() + ["--dims", "2x2,4..2x3"]) == 2
+    captured = capsys.readouterr()
+    assert "bad dimension item '4..2x3'" in captured.err and captured.out == ""
 
 
 def test_verify_text_report(capsys):
