@@ -14,7 +14,7 @@ from blocktrace.suite import ando_residual
 # on the identity the residual is exactly (m-1)(n-1) I, the natural scale
 for m, n in [(2, 2), (3, 3), (4, 4)]:
     ident = BlockMatrix(m, n, np.eye(m * n, dtype=np.complex128))
-    lam = hermitian_eigvals(ando_residual(ident)).values
+    lam = hermitian_eigvals(ando_residual(ident))
     print(f"identity at {m}x{n}: residual spectrum is constant "
           f"{lam[0]:.0f} = (m-1)(n-1)")
 

@@ -20,7 +20,7 @@ from .blocks import (
     reshuffle,
 )
 from .generate import GenSpec, gen
-from .linalg import Spectrum, hermitian_eigvals, kyfan_norm, matrix_abs, singular_values
+from .linalg import hermitian_eigvals, kyfan_norm, matrix_abs, singular_values
 from .orders import is_ppt, is_psd, loewner_ge, majorizes, sv_dominates
 from .rng import Stream, derive_seed
 from .suite import (
@@ -45,7 +45,6 @@ __all__ = [
     "REGISTRY",
     "RunConfig",
     "SlackReport",
-    "Spectrum",
     "Stream",
     "TheoremCase",
     "block_diag",

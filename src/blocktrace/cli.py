@@ -9,8 +9,6 @@ Subcommands:
 Exit codes: 0 success, 1 a checked statement failed, 2 usage or input error.
 A reader that closes stdout early (`blocktrace verify | head -1`) ends the
 output quietly; the exit code is still the one the run earned.
-The BLOCKTRACE_THREADS environment variable is no longer read: the checks
-hold the interpreter lock, and a thread pool measured slower than serial.
 """
 
 from __future__ import annotations
@@ -82,16 +80,23 @@ def _text_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text: str, out_path, code: int = 0) -> int:
+    """Write text to out_path, or to stdout without one; returns code, or
+    USAGE_ERROR when out_path cannot be written."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        return
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
+        return code
     try:
         print(text, flush=True)
     except BrokenPipeError:
         # The reader is gone: send the flush at interpreter exit to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -105,11 +110,8 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     report = run_suite(config)
-    if args.format == "json":
-        _emit(serialize.dump(report), args.out)
-    else:
-        _emit(_text_report(report), args.out)
-    return 1 if total_failures(report) else 0
+    text = serialize.dump(report) if args.format == "json" else _text_report(report)
+    return _emit(text, args.out, 1 if total_failures(report) else 0)
 
 
 def _cmd_case(args) -> int:
@@ -142,8 +144,7 @@ def _cmd_case(args) -> int:
         ],
         "premise_misses": report.premise_misses,
     }
-    _emit(serialize.dump(obj), args.out)
-    return 0 if report.holds else 1
+    return _emit(serialize.dump(obj), args.out, 0 if report.holds else 1)
 
 
 def _cmd_gen(args) -> int:
@@ -159,8 +160,7 @@ def _cmd_gen(args) -> int:
         obj = serialize.int_matrix_to_obj(instance)
     else:
         obj = serialize.block_to_obj(instance)
-    _emit(serialize.dump(obj), args.out)
-    return 0
+    return _emit(serialize.dump(obj), args.out)
 
 
 def _cmd_scan(args) -> int:
@@ -169,8 +169,7 @@ def _cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(serialize.dump(report), args.out)
-    return 1 if report["sanity_violations"] else 0
+    return _emit(serialize.dump(report), args.out, 1 if report["sanity_violations"] else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .linalg import hermitian_part
-from .rng import Stream, box_muller
+from .rng import Stream, box_muller, check_seed
 
 KINDS = (
     "psd",
@@ -39,6 +39,8 @@ class GenSpec:
             raise ValueError(f"rank {self.rank} out of range for size {self.m * self.n}")
         if self.int_bound < 0:
             raise ValueError("int_bound must be non-negative")
+        if not isinstance(self.seed, np.ndarray):  # seed arrays come from derive_seed
+            check_seed(self.seed)
 
 
 def ginibre(stream: Stream, rows: int, cols: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import EIGENVALUES_HERMITIAN, Spectrum, require_hermitian
+from .linalg import require_hermitian
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 60
@@ -41,18 +41,18 @@ def _rotation(app: float, aqq: float, apq: complex):
     return c, s, phase
 
 
-def jacobi_eigh(a) -> Spectrum:
+def jacobi_eigh(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi, non-increasing."""
     a = require_hermitian(a)
     n = a.shape[0]
     if n <= 1:
-        return Spectrum(np.diag(a).real.copy(), EIGENVALUES_HERMITIAN)
+        return np.diag(a).real.copy()
     m = a.astype(np.complex128, copy=True)
     threshold = OFFDIAG_TOL * max(np.linalg.norm(m), np.finfo(float).tiny)
     for _ in range(MAX_SWEEPS):
         off = np.linalg.norm(m - np.diag(np.diag(m)))
         if off <= threshold:
-            return Spectrum(np.sort(np.diag(m).real)[::-1], EIGENVALUES_HERMITIAN)
+            return np.sort(np.diag(m).real)[::-1]
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = m[p, q]
@@ -69,5 +69,5 @@ def jacobi_eigh(a) -> Spectrum:
                 m[p, q] = np.conj(m[q, p])
     off = np.linalg.norm(m - np.diag(np.diag(m)))
     if off <= threshold:
-        return Spectrum(np.sort(np.diag(m).real)[::-1], EIGENVALUES_HERMITIAN)
+        return np.sort(np.diag(m).real)[::-1]
     raise JacobiConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (off={off:.3e})")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,9 +21,6 @@ import numpy as np
 # magnitude above accumulated rounding at the matrix sizes this package
 # targets (mn <= 256).
 HERMITIAN_TOL = 1e-10
-
-EIGENVALUES_HERMITIAN = "eigenvalues-hermitian"
-SINGULAR_VALUES = "singular-values"
 
 
 def as_matrix(a) -> np.ndarray:
@@ -59,11 +55,6 @@ def scale_stack(a) -> np.ndarray:
     return np.fmax(1.0, np.sqrt(squares.sum(axis=(-2, -1))))
 
 
-def scale_of(a: np.ndarray) -> float:
-    """Relative-tolerance scale: max(1, Frobenius norm)."""
-    return float(scale_stack(as_matrix(a)))
-
-
 def hermitian_defect(a):
     """max_{i,j} |a[i,j] - conj(a[j,i])| of a matrix or of each matrix of a stack."""
     a = _square(a)
@@ -72,16 +63,13 @@ def hermitian_defect(a):
     return np.abs(gaps).max(axis=(-2, -1), initial=0.0)
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(hermitian_defect(a) <= tol * scale_of(a))
-
-
 def require_hermitian(a) -> np.ndarray:
-    """a as complex128; ValueError unless each of its matrices is Hermitian
-    within HERMITIAN_TOL."""
+    """a as complex128; ValueError unless each of its matrices is finite and
+    Hermitian within HERMITIAN_TOL.  An inf or NaN entry makes its matrix's
+    defect inf or NaN, which the check refuses."""
     a = _square(a)
     defects = hermitian_defect(a)
-    bad = defects > HERMITIAN_TOL * scale_stack(a)
+    bad = ~(defects <= HERMITIAN_TOL * scale_stack(a)) | np.isinf(defects)
     if bad.any():
         raise ValueError(f"matrix is not Hermitian (defect {defects[bad][0]:.3e})")
     return a
@@ -102,36 +90,6 @@ def pad_sorted(values, length: int) -> np.ndarray:
     out = np.zeros(values.shape[:-1] + (length,))
     out[..., : values.shape[-1]] = values
     return np.sort(out, axis=-1)[..., ::-1]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """A real spectrum sorted in non-increasing order.
-
-    ``kind`` records the source: Hermitian eigenvalues or singular values
-    (the latter are additionally non-negative).
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("spectrum must be a 1-D real vector")
-        if np.any(v[:-1] < v[1:]):
-            raise ValueError("spectrum values must be non-increasing")
-        if self.kind == SINGULAR_VALUES and v.size and v[-1] < 0:
-            raise ValueError("singular values must be non-negative")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def padded(self, length: int) -> np.ndarray:
-        """Zero-pad to ``length`` (descending order is preserved for
-        non-negative spectra; padding sorts back in otherwise)."""
-        return pad_sorted(self.values, length)
 
 
 def _eigvals_descending(a: np.ndarray) -> np.ndarray:
@@ -155,9 +113,9 @@ def hermitian_part_eigvals(x) -> np.ndarray:
     return _eigvals_descending(_square(hermitian_part(x)))
 
 
-def hermitian_eigvals(a) -> Spectrum:
+def hermitian_eigvals(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
-    return Spectrum(hermitian_eigvals_stack(as_matrix(a)), EIGENVALUES_HERMITIAN)
+    return hermitian_eigvals_stack(as_matrix(a))
 
 
 def singular_values_stack(a) -> np.ndarray:
@@ -172,9 +130,9 @@ def singular_values_stack(a) -> np.ndarray:
     return np.sort(s, axis=-1)[..., ::-1]
 
 
-def singular_values(a) -> Spectrum:
+def singular_values(a) -> np.ndarray:
     """Singular values, sorted non-increasing."""
-    return Spectrum(singular_values_stack(as_matrix(a)), SINGULAR_VALUES)
+    return singular_values_stack(as_matrix(a))
 
 
 def matrix_abs_stack(x) -> np.ndarray:
@@ -197,7 +155,7 @@ def kyfan_norm(a, k: int) -> float:
     a = as_matrix(a)
     if not 1 <= k <= min(a.shape):
         raise ValueError(f"k={k} out of range for shape {a.shape}")
-    return float(np.sum(singular_values(a).values[:k]))
+    return float(np.sum(singular_values(a)[:k]))
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy bundles: the

@@ -15,8 +15,7 @@ import numpy as np
 
 from .blocks import BlockMatrix, partial_transpose
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as orders.hermitian_eigvals)
-from .linalg import (Spectrum, hermitian_eigvals_stack, pad_sorted, scale_stack,
-                     singular_values_stack)
+from .linalg import hermitian_eigvals_stack, pad_sorted, scale_stack, singular_values_stack
 
 PSD_TOL = 1e-8
 MAJORIZATION_TOL = 1e-8
@@ -75,8 +74,6 @@ def is_ppt(a: BlockMatrix, tol: float = PSD_TOL) -> OrderVerdict:
 
 
 def _descending(values) -> np.ndarray:
-    if isinstance(values, Spectrum):
-        values = values.values
     return np.sort(np.asarray(values, dtype=np.float64), axis=-1)[..., ::-1]
 
 

@@ -38,6 +38,13 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed) -> int:
+    """seed itself; ValueError unless it is an integer in [0, 2^64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return seed
+
+
 def _seed_words(seed) -> np.ndarray:
     """A seed, or a 1-D seed array as a column, reduced to uint64."""
     if isinstance(seed, np.ndarray):

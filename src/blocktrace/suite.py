@@ -32,14 +32,14 @@ from .blocks import (
 )
 from .generate import GenSpec, gen, ginibre
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
-from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, is_hermitian,
-                     matrix_abs_stack, pad_sorted, scale_stack, singular_values_stack)
+from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, matrix_abs_stack,
+                     pad_sorted, require_hermitian, scale_stack, singular_values_stack)
 from .linalg import hermitian_part as _herm
 from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
 from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
-from .rng import Stream, derive_seed
+from .rng import Stream, check_seed, derive_seed
 
 # ---------------------------------------------------------------------------
 # result containers
@@ -768,8 +768,7 @@ def _zero_instances(m: int, n: int, seed):
 
 def _load_block(obj) -> BlockMatrix:
     a = serialize.block_from_obj(obj)
-    if not is_hermitian(a.dense):
-        raise ValueError("input matrix is not Hermitian")
+    require_hermitian(a.dense)
     return a
 
 
@@ -967,6 +966,7 @@ class RunConfig:
             if np.shape(item) != (2,) or not all(
                     isinstance(k, (int, np.integer)) and k >= 1 for k in item):
                 raise ValueError(f"dims items must be pairs of integers >= 1, got {item!r}")
+        check_seed(self.seed)
         check_tol(self.tol)
         unknown = [c for c in self.cases if c not in REGISTRY]
         if unknown:

@@ -358,3 +358,36 @@ def test_closed_stdout_ends_quietly_with_earned_code(dims, code):
         os.close(write_end)
     assert out.returncode == code
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cases", "ando", "--dims", "2x2", "--trials", "1", "--seed", "-1"],
+    ["verify", "--cases", "ando", "--dims", "2x2", "--trials", "1", "--seed", str(2**64)],
+    ["scan", "--dims", "2x2", "--trials", "1", "--seed", "-1"],
+    ["scan", "--dims", "2x2", "--trials", "1", "--seed", str(2**64)],
+    ["gen", "--kind", "psd", "--seed", "-1"],
+    ["gen", "--kind", "psd", "--seed", str(2**64)],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_out_of_range_seed_is_refused(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be an integer in [0, 2^64)")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "case", "gen", "scan"])
+def test_unwritable_out_is_refused(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "psd", "--m", "2", "--n", "2", "--out", str(inst)]) == 0
+    argv = {
+        "verify": ["verify", "--cases", "ando", "--dims", "2x2", "--trials", "1"],
+        "case": ["case", "--id", "ando", "--input", str(inst)],
+        "gen": ["gen", "--kind", "psd"],
+        "scan": ["scan", "--dims", "2x2", "--trials", "1"],
+    }[command]
+    out = tmp_path / "missing" / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.parent.exists()

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import GenSpec, gen
+from blocktrace.jacobi import jacobi_eigh
+from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack
 from blocktrace.orders import is_ppt, is_psd, loewner_ge, majorizes, sv_dominates
 from blocktrace.rng import Stream
 
@@ -102,3 +104,24 @@ def test_sv_dominates_rectangular_padding():
     tall = np.ones((3, 1), dtype=np.complex128)
     square = 2 * np.eye(3, dtype=np.complex128)
     assert sv_dominates(tall, square).holds
+
+
+NON_FINITE_CHECKS = {
+    "is_psd": is_psd,
+    "loewner_ge": lambda a: loewner_ge(a, np.zeros((2, 2))),
+    "is_ppt": lambda a: is_ppt(BlockMatrix(2, 1, a)),
+    "hermitian_eigvals": hermitian_eigvals,
+    "hermitian_eigvals_stack": hermitian_eigvals_stack,
+    "jacobi_eigh": jacobi_eigh,
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", NON_FINITE_CHECKS.values(), ids=NON_FINITE_CHECKS)
+def test_non_finite_matrices_are_refused(check, bad):
+    """A non-finite entry fails the Hermiticity check: on the diagonal, where
+    its defect is NaN, and off it beside a finite partner, where it is inf."""
+    for a in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check(a)

@@ -78,7 +78,7 @@ def test_build_slack_matches_check():
     slack = build_slack("ando", a)
     assert [label for label, _ in slack] == ["main"]
     report = check_case("ando", a)
-    lam_min = hermitian_eigvals(slack[0][1]).values[-1]
+    lam_min = hermitian_eigvals(slack[0][1])[-1]
     assert report.witness == pytest.approx(float(lam_min))
 
 
@@ -110,7 +110,7 @@ def test_tightness_all_ones_input():
 def test_tightness_identity_residual():
     for m, n in [(2, 2), (3, 4), (4, 4)]:
         a = BlockMatrix(m, n, np.eye(m * n, dtype=np.complex128))
-        lam = hermitian_eigvals(ando_residual(a)).values
+        lam = hermitian_eigvals(ando_residual(a))
         assert np.allclose(lam, (m - 1) * (n - 1))
 
 
@@ -302,6 +302,21 @@ def test_run_config_validation():
         RunConfig(("ando",), (), 1, 0)
     with pytest.raises(ValueError):
         RunConfig(("ando",), ((2, 2),), -1, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "1"])
+def test_seed_must_be_a_64_bit_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(("ando",), ((2, 2),), 1, seed)
+    with pytest.raises(ValueError, match="seed"):
+        GenSpec("psd", seed=seed)
+
+
+def test_seed_bounds_and_seed_arrays_are_accepted():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        RunConfig(("ando",), ((2, 2),), 1, seed)
+        GenSpec("psd", seed=seed)
+    GenSpec("psd", seed=np.array([0, 2**64 - 1], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("bad", [(2, 0), (0, 2), (-1, 3), (2, 2.0), (2,), (2, 2, 2)])
