@@ -48,11 +48,23 @@ def trace_stack(a) -> np.ndarray:
 
 def scale_stack(a) -> np.ndarray:
     """Relative-tolerance scale max(1, Frobenius norm) of every matrix of a
-    (..., r, c) stack."""
+    (..., r, c) stack.  Where the sum of squares overflows, a matrix of
+    finite entries takes peak * sqrt(sum |a / peak|^2), peak its largest
+    modulus; a matrix with an inf entry keeps the scale inf."""
     a = np.asarray(a)
-    squares = a.real ** 2
-    squares += a.imag ** 2
-    return np.fmax(1.0, np.sqrt(squares.sum(axis=(-2, -1))))
+    with np.errstate(over="ignore"):  # an overflow is mended below
+        squares = a.real ** 2
+        squares += a.imag ** 2
+    norm = np.sqrt(squares.sum(axis=(-2, -1)))
+    over = np.isinf(norm)
+    if over.any():
+        moduli = np.abs(a[over])
+        peak = moduli.max(axis=(-2, -1), keepdims=True)
+        with np.errstate(invalid="ignore"):  # inf / inf where an entry is inf
+            rescaled = peak * np.sqrt(((moduli / peak) ** 2).sum(axis=(-2, -1), keepdims=True))
+        norm = np.array(norm)
+        norm[over] = np.where(np.isinf(peak), np.inf, rescaled)[..., 0, 0]
+    return np.fmax(1.0, norm)
 
 
 def hermitian_defect(a):

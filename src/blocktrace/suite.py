@@ -141,13 +141,8 @@ def _vcol(label: str, verdict) -> tuple:
     return _col(label, verdict.witness, verdict.holds)
 
 
-def _pm(base, x) -> np.ndarray:
-    """[base + x, base - x], the plus and minus sides along a new leading axis."""
-    return np.stack([base + x, base - x])
-
-
 def _pm_cols(verdict) -> list:
-    """The plus and minus columns of a verdict on a _pm stack."""
+    """The plus and minus columns of a verdict on a _norm_sides stack."""
     return [_col(label, w, h)
             for label, w, h in zip(("plus", "minus"), verdict.witness, verdict.holds)]
 
@@ -184,6 +179,8 @@ class Derived:
     r2_da = _term(lambda d: kron_right(partial_trace_2(BlockMatrix(d.m, d.n, d.d_a)), d.n))
     t = _term(lambda d: d.tr * d.identity)  # (tr A) I
     g = _term(lambda d: d.l1 - d.dense)  # I_m (x) tr_1 A - A
+    tau_j = _term(lambda d: d.tau * d.jb)  # A^tau o (J_m (x) I_n)
+    g_j = _term(lambda d: d.g * d.jb)  # g o (J_m (x) I_n)
     # Eigenvalues of each matrix, non-increasing along the last axis.
     lam = _term(lambda d: hermitian_part_eigvals(d.dense))
     lam_tr1 = _term(lambda d: hermitian_part_eigvals(d.tr1))
@@ -211,16 +208,6 @@ def _blocks_2x2(a: BlockMatrix):
     if a.m != 2:
         raise ValueError("case needs a 2x2 block instance")
     return a.block(0, 0), a.block(0, 1), a.block(1, 1)
-
-
-def _residual(d: Derived) -> np.ndarray:
-    """R(A) = (tr A) I + A - I_m (x) tr_1 A - (tr_2 A) (x) I_n."""
-    return _herm(d.t + d.dense - d.l1 - d.r2)
-
-
-def ando_residual(a: BlockMatrix) -> np.ndarray:
-    """The residual R(A) of an instance, or of a stack of them."""
-    return _residual(Derived(a))
 
 
 @_constant
@@ -255,24 +242,15 @@ def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
     return BlockMatrix(2, a.n, _herm(avg))
 
 
-def _block_2x2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    """[[top_left, top_right], [bottom_left, bottom_right]] of n x n blocks."""
-    n = top_left.shape[-1]
-    out = np.empty(top_left.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
-    out[..., :n, :n], out[..., :n, n:] = top_left, top_right
-    out[..., n:, :n], out[..., n:, n:] = bottom_left, bottom_right
-    return out
-
-
 def choi_block(a: BlockMatrix) -> BlockMatrix:
     """[[ (tr A)I + C, (tr B)I - B ], [ (tr B*)I - B*, (tr C)I + A ]]."""
     ab, bb, cb = _blocks_2x2(a)
     eye = _eye(a.n)
     tr_b = _unit(_tr(bb))
-    return BlockMatrix(2, a.n, _block_2x2(
-        _unit(_tr(ab)) * eye + cb, tr_b * eye - bb,
-        tr_b.conjugate() * eye - _ct(bb), _unit(_tr(cb)) * eye + ab,
-    ))
+    return BlockMatrix(2, a.n, np.block([
+        [_unit(_tr(ab)) * eye + cb, tr_b * eye - bb],
+        [tr_b.conjugate() * eye - _ct(bb), _unit(_tr(cb)) * eye + ab],
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,70 +259,56 @@ def choi_block(a: BlockMatrix) -> BlockMatrix:
 # builder; check_case and build_slack share it.
 
 
-def _sb_choi_tr1(d):
-    return [("main", d.l1 - d.tau)]
+def _fold(row, d: Derived) -> np.ndarray:
+    """Sum of row's (coef, term) pairs over the terms of d, folded left to
+    right from the first term (coef 1) by acc + x or acc - x, x = |coef| * term
+    when |coef| != 1: the bits of the hand-written a - b - 2 * c.  A
+    (-1+0j) * x would not be exact: it flips signed zeros."""
+    (_, first), *rest = row
+    acc = getattr(d, first)
+    for coef, name in rest:
+        x = getattr(d, name) if abs(coef) == 1 else abs(coef) * getattr(d, name)
+        acc = acc + x if coef > 0 else acc - x
+    return acc
 
 
-# The tr1 and tr2 sides of the improved, sandwich and lambda_min bounds:
-# base(d) + A^tau is bounded with corr(d) and multiplier k(d) - 1.  corr is
-# read only by the bounds that use it.
-_Side = namedtuple("_Side", "base corr k")
-_TR1 = _Side(attrgetter("l1"), attrgetter("d_a"), attrgetter("m"))
-_TR2 = _Side(attrgetter("r2_tau"), lambda d: d.tau * d.jb, attrgetter("n"))
+@dataclass(frozen=True)
+class LinearSlacks:
+    """Builder of slacks linear in A from a coefficient table, rows =
+    ((label, ((coef, term), ...)), ...) over Derived term names, by _fold."""
+    rows: tuple
+
+    def __call__(self, d: Derived) -> list:
+        return [(label, _fold(row, d)) for label, row in self.rows]
 
 
-def _sb_improved(side, d):
-    return [("main", side.base(d) + d.tau - 2 * side.corr(d))]
+# R(A) = (tr A) I + A - I_m (x) tr_1 A - (tr_2 A) (x) I_n
+_RESIDUAL = ((1, "t"), (1, "dense"), (-1, "l1"), (-1, "r2"))
+_HORODECKI = LinearSlacks((("tr1", ((1, "g"),)), ("tr2", ((1, "r2"), (-1, "dense")))))
 
 
-def _sb_sandwich(side, d):
-    mid = side.base(d) + d.tau
-    corr, k = side.corr(d), side.k(d)
+def ando_residual(a: BlockMatrix) -> np.ndarray:
+    """The residual R(A) of an instance, or of a stack of them."""
+    return _herm(_fold(_RESIDUAL, Derived(a)))
+
+
+# The sandwich and lambda_min bounds of base + A^tau, with correction corr and
+# multiplier k - 1, name their terms: ("l1", "d_a", "m") or ("r2_tau", "tau_j", "n").
+def _sb_sandwich(base, corr, k, d):
+    mid = getattr(d, base) + d.tau
+    corr, k = getattr(d, corr), getattr(d, k)
     return [
         ("upper", (k - 1) * d.lam_max * d.identity + 2 * corr - mid),
         ("lower", mid - (k - 1) * d.lam_min * d.identity - 2 * corr),
     ]
 
 
-def _sb_lambda_min(side, d):
-    return [("main", side.base(d) + d.tau - (side.k(d) - 1) * d.lam_min * d.identity)]
-
-
-def _sb_choi_tr2_pm(d):
-    return [("plus", d.r2_tau - d.tau), ("minus", d.r2_tau + d.tau)]
-
-
-def _sb_horodecki(d):
-    return [("tr1", d.g), ("tr2", d.r2 - d.dense)]
+def _sb_lambda_min(base, k, d):
+    return [("main", getattr(d, base) + d.tau - (getattr(d, k) - 1) * d.lam_min * d.identity)]
 
 
 def _sb_psi_copositive(d):
     return [("main", apply_map_blockwise("psi", d.a, transpose_blocks=True).dense)]
-
-
-def _sb_residual(label, d):
-    return [(label, _residual(d))]
-
-
-def _sb_llh_minus(d):
-    lhs = d.t - d.r2
-    return [("plus", lhs - d.g), ("minus", lhs + d.g)]
-
-
-def _sb_llh_pm(d):
-    return [("plus", d.t + d.r2 - d.dense - d.l1), ("minus", d.t - d.r2 - d.dense + d.l1)]
-
-
-def _sb_thm42(d):
-    return [("main", d.t + d.r2 - d.dense - d.l1 - 2 * d.r2_da + 2 * d.d_a)]
-
-
-def _sb_thm44(d):
-    return [("main", d.t - d.r2 - d.dense + d.l1 - 2 * (d.g * d.jb))]
-
-
-def _sb_thm4p4(d):
-    return [("main", d.t + d.r2 + d.l1 + d.dense - 2 * d.r2_da - 2 * d.d_a)]
 
 
 def _sb_choi_hermitian_ando(d):
@@ -492,7 +456,7 @@ def _case_eqm(middle, d: Derived, tol):
 def _case_hiroshima(d: Derived, tol):
     """Each majorization part exists in the trials whose domination premise
     holds; in the others it is absent, a premise miss."""
-    premises = _psd_cols(_sb_horodecki(d), len(d.dense), tol)
+    premises = _psd_cols(_HORODECKI(d), len(d.dense), tol)
     cols = []
     for (label, _, premise), lam_tr in zip(premises, (d.lam_tr1, d.lam_tr2)):
         _, witnesses, holds = _vcol(label, majorizes(lam_tr, d.lam, tol))
@@ -519,10 +483,11 @@ def _offdiag_majorization(skew: bool, d: Derived, tol):
 
 
 def _norm_sides(ab, bb, cb):
-    """The _pm stack of (tr B)I +- B, and (tr(A + C))I + A + C."""
+    """The stack [(tr B)I + B, (tr B)I - B] along a new leading axis, and
+    (tr(A + C))I + A + C."""
     eye = _eye(bb.shape[-1])
-    rhs = _unit(_tr(ab + cb).real) * eye + ab + cb
-    return _pm(_unit(_tr(bb)) * eye, bb), rhs
+    base = _unit(_tr(bb)) * eye
+    return np.stack([base + bb, base - bb]), _unit(_tr(ab + cb).real) * eye + ab + cb
 
 
 def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
@@ -596,9 +561,10 @@ class TheoremCase:
     """One registry row.
 
     fn of a psd-slack or ppt-of-derived case is its slack builder,
-    Derived -> [(label, matrix stack), ...]; every other case's fn is its
-    check, (payload stack, tol) -> part columns.  input_class names an entry
-    of INPUT_CLASSES."""
+    Derived -> [(label, matrix stack), ...]: a LinearSlacks coefficient
+    table for a slack linear in A, else a function.  Every other case's fn
+    is its check, (payload stack, tol) -> part columns.  input_class names
+    an entry of INPUT_CLASSES."""
     id: str
     input_class: str
     check_kind: str
@@ -608,26 +574,28 @@ class TheoremCase:
 
 def _registry():
     cases = [
-        TheoremCase("choi-tr1", "psd", "psd-slack",
-                    "I_m(x)tr1(A^tau) dominates A^tau", _sb_choi_tr1),
+        TheoremCase("choi-tr1", "psd", "psd-slack", "I_m(x)tr1(A^tau) dominates A^tau",
+                    LinearSlacks((("main", ((1, "l1"), (-1, "tau"))),))),
         TheoremCase("li-tr1-improved", "psd", "psd-slack",
-                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A", partial(_sb_improved, _TR1)),
+                    "I_m(x)tr1(A^tau) + A^tau dominates 2 D_A",
+                    LinearSlacks((("main", ((1, "l1"), (1, "tau"), (-2, "d_a"))),))),
         TheoremCase("tr1-hermitian-sandwich", "hermitian", "psd-slack",
                     "eigenvalue sandwich for I_m(x)tr1(A^tau) + A^tau",
-                    partial(_sb_sandwich, _TR1)),
+                    partial(_sb_sandwich, "l1", "d_a", "m")),
         TheoremCase("tr1-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr1 bound", partial(_sb_lambda_min, _TR1)),
-        TheoremCase("tr2-hadamard", "psd", "psd-slack",
-                    "tr2 bound with Hadamard-J correction", partial(_sb_improved, _TR2)),
+                    "lambda_min variant of the tr1 bound", partial(_sb_lambda_min, "l1", "m")),
+        TheoremCase("tr2-hadamard", "psd", "psd-slack", "tr2 bound with Hadamard-J correction",
+                    LinearSlacks((("main", ((1, "r2_tau"), (1, "tau"), (-2, "tau_j"))),))),
         TheoremCase("tr2-hermitian-sandwich", "hermitian", "psd-slack",
                     "eigenvalue sandwich for (tr2 A^tau)(x)I_n + A^tau",
-                    partial(_sb_sandwich, _TR2)),
-        TheoremCase("tr2-lambda-min", "psd", "psd-slack",
-                    "lambda_min variant of the tr2 bound", partial(_sb_lambda_min, _TR2)),
-        TheoremCase("choi-tr2-pm", "psd", "psd-slack",
-                    "(tr2 A^tau)(x)I_n dominates +-A^tau", _sb_choi_tr2_pm),
+                    partial(_sb_sandwich, "r2_tau", "tau_j", "n")),
+        TheoremCase("tr2-lambda-min", "psd", "psd-slack", "lambda_min variant of the tr2 bound",
+                    partial(_sb_lambda_min, "r2_tau", "n")),
+        TheoremCase("choi-tr2-pm", "psd", "psd-slack", "(tr2 A^tau)(x)I_n dominates +-A^tau",
+                    LinearSlacks((("plus", ((1, "r2_tau"), (-1, "tau"))),
+                                  ("minus", ((1, "r2_tau"), (1, "tau")))))),
         TheoremCase("horodecki-reduction", "ppt", "psd-slack",
-                    "reduction criterion for PPT instances", _sb_horodecki),
+                    "reduction criterion for PPT instances", _HORODECKI),
         TheoremCase("phi-completely-ppt", "psd", "ppt-of-derived",
                     "blockwise (tr X)I + X yields a PPT block matrix", _sb_phi),
         TheoremCase("psi-completely-copositive", "psd", "psd-slack",
@@ -646,17 +614,27 @@ def _registry():
                     partial(_trace_2x2, lambda ac, b2, tr_ac, tr_bb: ac + b2 - tr_ac - tr_bb)),
         TheoremCase("ando", "psd", "psd-slack",
                     "(tr A)I - (tr2 A)(x)I_n dominates I_m(x)tr1 A - A",
-                    partial(_sb_residual, "main")),
+                    LinearSlacks((("main", _RESIDUAL),))),
         TheoremCase("li-liu-huang-minus", "psd", "psd-slack",
-                    "two-sided version of the Ando-type bound", _sb_llh_minus),
+                    "two-sided version of the Ando-type bound",
+                    LinearSlacks((("plus", ((1, "t"), (-1, "r2"), (-1, "g"))),
+                                  ("minus", ((1, "t"), (-1, "r2"), (1, "g")))))),
         TheoremCase("li-liu-huang-pm", "psd", "psd-slack",
-                    "(tr A)I +- (tr2 A)(x)I_n dominates A +- I_m(x)tr1 A", _sb_llh_pm),
+                    "(tr A)I +- (tr2 A)(x)I_n dominates A +- I_m(x)tr1 A",
+                    LinearSlacks((("plus", ((1, "t"), (1, "r2"), (-1, "dense"), (-1, "l1"))),
+                                  ("minus", ((1, "t"), (-1, "r2"), (-1, "dense"), (1, "l1")))))),
         TheoremCase("thm42-improved", "psd", "psd-slack",
-                    "plus-side bound improved by 2(tr2 D_A)(x)I_n - 2 D_A", _sb_thm42),
+                    "plus-side bound improved by 2(tr2 D_A)(x)I_n - 2 D_A",
+                    LinearSlacks((("main", ((1, "t"), (1, "r2"), (-1, "dense"), (-1, "l1"),
+                                            (-2, "r2_da"), (2, "d_a"))),))),
         TheoremCase("thm44-improved", "psd", "psd-slack",
-                    "minus-side bound improved by a Hadamard-J correction", _sb_thm44),
+                    "minus-side bound improved by a Hadamard-J correction",
+                    LinearSlacks((("main", ((1, "t"), (-1, "r2"), (-1, "dense"), (1, "l1"),
+                                            (-2, "g_j"))),))),
         TheoremCase("thm4p4-analogue", "psd", "psd-slack",
-                    "all-plus analogue dominating 2(tr2 D_A)(x)I_n + 2 D_A", _sb_thm4p4),
+                    "all-plus analogue dominating 2(tr2 D_A)(x)I_n + 2 D_A",
+                    LinearSlacks((("main", ((1, "t"), (1, "r2"), (1, "l1"), (1, "dense"),
+                                            (-2, "r2_da"), (-2, "d_a"))),))),
         TheoremCase("choi-hermitian-ando", "hermitian", "psd-slack",
                     "(m-1)(n-1) lambda sandwich around the Ando combination",
                     _sb_choi_hermitian_ando),
@@ -721,7 +699,7 @@ def _registry():
                     _case_abs_block),
         TheoremCase("open-question-residual", "psd", "psd-slack",
                     "scan residual (tr A)I + A - I_m(x)tr1 A - (tr2 A)(x)I_n",
-                    partial(_sb_residual, "ando-sanity")),
+                    LinearSlacks((("ando-sanity", _RESIDUAL),))),
     ]
     return {c.id: c for c in cases}
 
@@ -929,6 +907,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     if case is None:
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
+        check_tol(tol)
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
         instance = _Row(_evaluate([case], one_trial, 1, tol)[0], 0)
     (m, n, columns), j = instance
@@ -958,8 +937,9 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(dict.fromkeys(self.cases)))  # each id once
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)) \
+                or self.trials < 0:
+            raise ValueError(f"trials must be a non-negative integer, got {self.trials!r}")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         for item in self.dims:

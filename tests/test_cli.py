@@ -123,6 +123,19 @@ def test_case_refuses_non_canonical_fixed_inputs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
+def test_case_refuses_huge_non_psd_and_non_hermitian_inputs(tmp_path, capsys):
+    """Entries of 1e200 overflow the squared Frobenius norm; the input
+    checks still refuse a non-PSD and a non-Hermitian matrix with exit 2."""
+    inst = tmp_path / "huge.json"
+    for x, message in ((np.diag([-1e200, 1.0]), "not positive semidefinite"),
+                       (np.array([[1e200, 1e200], [0.0, 1.0]]), "not Hermitian")):
+        inst.write_text(serialize.dump(serialize.block_to_obj(BlockMatrix(1, 2, x + 0j))) + "\n")
+        assert main(["case", "--id", "ando", "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
+
 def test_case_ck_exact_on_int64_extremes(tmp_path, capsys):
     """case --input with extreme int64 entries gives the Python-int
     oracle's parts, not a wrapped or approximate result."""

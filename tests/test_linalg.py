@@ -55,6 +55,26 @@ def test_scale_stack_floors_at_one():
     assert scale_stack(10 * np.eye(2)) == pytest.approx(10 * np.sqrt(2))
 
 
+def test_scale_stack_survives_overflowing_squares():
+    """Past ||A||_F ~ 1.3e154 the squared entries overflow.  A matrix of
+    finite entries still gets its finite Frobenius scale, one with an inf
+    entry keeps inf, and the other matrices of the stack keep their bits."""
+    small = _random_hermitian(1, 3)
+    scales = scale_stack(np.stack([small, 1e200 * np.eye(3), np.diag([np.inf, 1.0, 1.0])]))
+    assert scales[0] == scale_stack(small)
+    assert scales[1] == pytest.approx(1e200 * np.sqrt(3))
+    assert scales[2] == np.inf
+    assert scale_stack(np.diag([-1e200, 1.0])) == pytest.approx(1e200)
+    assert scale_stack(np.array([[1e300 + 1e300j, 0.0], [0.0, 1e300]])) == pytest.approx(
+        1e300 * np.sqrt(3))
+
+
+def test_require_hermitian_refuses_a_huge_defect():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian([[1e200, 1e200], [0.0, 1.0]])
+    require_hermitian(1e200 * np.eye(2))
+
+
 def test_eigvals_descending_and_match_numpy():
     h = _random_hermitian(3, 6)
     spec = hermitian_eigvals(h)

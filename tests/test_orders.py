@@ -37,6 +37,24 @@ def test_psd_tolerance_scales_with_input():
     assert is_psd(a.astype(np.complex128)).holds
 
 
+def test_huge_entries_get_finite_tolerances():
+    """Entries of 1e200 overflow the squared Frobenius norm; the tolerance
+    stays 1e-8 of the norm, so the verdicts are decided, not waved through."""
+    v = is_psd(np.diag([-1e200, 1.0]))
+    assert not v.holds and v.tolerance_used == pytest.approx(1e192)
+    v = loewner_ge(np.diag([1e200, 1.0]), np.diag([2e200, 0.0]))
+    assert not v.holds and v.tolerance_used == pytest.approx(1e192)
+    # A gap of -1 against a norm of 1e200 is inside the relative tolerance.
+    v = loewner_ge(np.diag([1.0, 1e200]), np.diag([2.0, 0.0]))
+    assert v.holds and v.tolerance_used == pytest.approx(1e192)
+    bell = np.zeros((4, 4), dtype=np.complex128)  # 1e200 |00 + 11><00 + 11|, PSD, not PPT
+    bell[np.ix_([0, 3], [0, 3])] = 1e200
+    v = is_ppt(BlockMatrix(2, 2, bell))
+    assert not v.holds and v.witness == pytest.approx(-1e200)
+    assert v.tolerance_used == pytest.approx(2e192)
+    assert is_ppt(BlockMatrix(2, 2, 1e200 * np.eye(4, dtype=np.complex128))).holds
+
+
 def test_loewner_order():
     a = np.diag([3.0, 2.0]).astype(np.complex128)
     b = np.diag([1.0, 1.0]).astype(np.complex128)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import threading
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +518,8 @@ def _spelled_terms(a: BlockMatrix) -> dict:
         "r2_tau": kron_right(partial_trace_2(partial_transpose(a)), n),
         "t": trace_stack(a.dense).real[..., None, None] * np.eye(m * n, dtype=np.complex128),
         "g": kron_left(tr1, m) - a.dense,
+        "tau_j": partial_transpose(a).dense * j_block(m, n).dense,
+        "g_j": (kron_left(tr1, m) - a.dense) * j_block(m, n).dense,
         "r2_da": kron_right(partial_trace_2(block_diag(a)), n),
         "lam_tr1": hermitian_eigvals_stack(hermitian_part(tr1)),
         "lam_tr2": hermitian_eigvals_stack(hermitian_part(tr2)),
@@ -538,6 +541,56 @@ def test_derived_terms_match_their_formulas(dims, height):
         assert getattr(d, name) is got, name
         with pytest.raises(ValueError):
             got[...] = 7
+
+
+LINEAR_CASES = [cid for cid, case in REGISTRY.items() if isinstance(case.fn, suite.LinearSlacks)]
+
+
+def _is_derived_term(name: str) -> bool:
+    return name == "dense" or isinstance(vars(Derived).get(name), cached_property)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_linear_slack_rows_name_derived_terms_and_are_linear(dims):
+    """Every coefficient-table row of the registry starts from coef 1 and
+    names only Derived terms, and its slack is linear in A: on seeded PSD
+    stacks, S(A + B) = S(A) + S(B) and S(2A) = 2 S(A) up to rounding."""
+    assert len(LINEAR_CASES) == 12
+    m, n = dims
+    a, b = (make_instance("ando", m, n, np.arange(k, k + 4, dtype=np.uint64)) for k in (0, 4))
+    both, twice = BlockMatrix(m, n, a.dense + b.dense), BlockMatrix(m, n, 2 * a.dense)
+    for cid in LINEAR_CASES:
+        fn = REGISTRY[cid].fn
+        for label, row in fn.rows:
+            assert row[0][0] == 1, (cid, label)
+            for coef, name in row:
+                assert isinstance(coef, int) and coef != 0, (cid, label)
+                assert _is_derived_term(name), (cid, label, name)
+        s_a, s_b, s_both, s_twice = (fn(Derived(x)) for x in (a, b, both, twice))
+        for (label, x), (_, y), (_, z), (_, w) in zip(s_a, s_b, s_both, s_twice):
+            assert x.shape == a.dense.shape, (cid, label)
+            np.testing.assert_allclose(z, x + y, rtol=0, atol=1e-12, err_msg=cid)
+            np.testing.assert_allclose(w, 2 * x, rtol=0, atol=1e-12, err_msg=cid)
+
+
+@pytest.mark.parametrize("seed", [3, np.arange(4, dtype=np.uint64)])
+def test_ando_residual_is_the_ando_slack(seed):
+    a = make_instance("ando", 3, 2, seed)
+    [(label, slack)] = build_slack("ando", a)
+    assert label == "main" and ando_residual(a).tobytes() == slack.tobytes()
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_check_case_refuses_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        check_case("ando", make_instance("ando", 2, 2, 0), tol)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, "3", None])
+def test_trials_must_be_a_non_negative_integer(trials):
+    with pytest.raises(ValueError, match="trials"):
+        RunConfig(("ando",), ((2, 2),), trials, 0)
+    assert RunConfig(("ando",), ((2, 2),), np.int64(3), 0).trials == 3
 
 
 def test_input_classes_match_registry():
