@@ -52,9 +52,8 @@ def scale_stack(a) -> np.ndarray:
     finite entries takes peak * sqrt(sum |a / peak|^2), peak its largest
     modulus; a matrix with an inf entry keeps the scale inf."""
     a = np.asarray(a)
-    with np.errstate(over="ignore"):  # an overflow is mended below
-        squares = a.real ** 2
-        squares += a.imag ** 2
+    squares = a.real ** 2
+    squares += a.imag ** 2
     norm = np.sqrt(squares.sum(axis=(-2, -1)))
     over = np.isinf(norm)
     if over.any():

@@ -123,6 +123,7 @@ def test_case_refuses_non_canonical_fixed_inputs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
 def test_case_refuses_huge_non_psd_and_non_hermitian_inputs(tmp_path, capsys):
     """Entries of 1e200 overflow the squared Frobenius norm; the input
     checks still refuse a non-PSD and a non-Hermitian matrix with exit 2."""

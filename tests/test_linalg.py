@@ -55,6 +55,7 @@ def test_scale_stack_floors_at_one():
     assert scale_stack(10 * np.eye(2)) == pytest.approx(10 * np.sqrt(2))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
 def test_scale_stack_survives_overflowing_squares():
     """Past ||A||_F ~ 1.3e154 the squared entries overflow.  A matrix of
     finite entries still gets its finite Frobenius scale, one with an inf
@@ -69,6 +70,7 @@ def test_scale_stack_survives_overflowing_squares():
         1e300 * np.sqrt(3))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
 def test_require_hermitian_refuses_a_huge_defect():
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian([[1e200, 1e200], [0.0, 1.0]])

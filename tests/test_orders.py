@@ -37,6 +37,7 @@ def test_psd_tolerance_scales_with_input():
     assert is_psd(a.astype(np.complex128)).holds
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
 def test_huge_entries_get_finite_tolerances():
     """Entries of 1e200 overflow the squared Frobenius norm; the tolerance
     stays 1e-8 of the norm, so the verdicts are decided, not waved through."""
