@@ -107,7 +107,8 @@ def _cmd_verify(args) -> int:
             cases = tuple(case_ids())
         config = RunConfig(cases, dims, args.trials, args.seed, args.tol)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # args[0], not str(exc): str of a KeyError quotes its message.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     report = run_suite(config)
     text = serialize.dump(report) if args.format == "json" else _text_report(report)

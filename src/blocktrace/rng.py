@@ -38,9 +38,15 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def is_int(x) -> bool:
+    """x is a Python or numpy integer and not a bool, which isinstance
+    counts as an int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_seed(seed) -> int:
-    """seed itself; ValueError unless it is an integer in [0, 2^64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK64:
+    """seed itself; ValueError unless it is an integer in [0, 2^64), not a bool."""
+    if not is_int(seed) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return seed
 

@@ -39,7 +39,7 @@ from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
 from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
-from .rng import Stream, check_seed, derive_seed
+from .rng import Stream, check_seed, derive_seed, is_int
 
 # ---------------------------------------------------------------------------
 # result containers
@@ -55,6 +55,9 @@ class Part(NamedTuple):
 
 _witness, _holds = itemgetter(1), itemgetter(2)  # Part fields
 _INF = float("inf")
+# _new(Part, (label, witness, holds)) builds a named tuple without its
+# Python-level __new__: the same class, fields and equality, at C speed.
+_new = tuple.__new__
 
 
 class SlackReport(NamedTuple):
@@ -903,17 +906,18 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
 
     run_case_trials passes instead the _Row of a trial whose dims group it
     evaluated at once; the report is built from that trial's row."""
-    case = REGISTRY.get(case_id)
-    if case is None:
+    if case_id not in REGISTRY:
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
         check_tol(tol)
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
-        instance = _Row(_evaluate([case], one_trial, 1, tol)[0], 0)
+        instance = _Row(_evaluate([REGISTRY[case_id]], one_trial, 1, tol)[0], 0)
     (m, n, columns), j = instance
-    parts = tuple([Part(label, witnesses[j], holds[j])
-                   for label, witnesses, holds in columns if holds[j] is not None])
-    return SlackReport(case_id, seed, m, n, parts, len(columns) - len(parts))
+    parts = []
+    for label, witnesses, holds in columns:  # a loop, not a comprehension: no frame
+        if (h := holds[j]) is not None:
+            parts.append(_new(Part, (label, witnesses[j], h)))
+    return _new(SlackReport, (case_id, seed, m, n, tuple(parts), len(columns) - len(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +925,9 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
 
 
 def check_tol(tol: float) -> float:
-    """tol itself; ValueError when it is NaN, infinite or negative."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    """tol itself; ValueError when it is a bool, NaN, infinite or negative."""
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     return tol
 
 
@@ -937,14 +941,12 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(dict.fromkeys(self.cases)))  # each id once
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)) \
-                or self.trials < 0:
+        if not is_int(self.trials) or self.trials < 0:
             raise ValueError(f"trials must be a non-negative integer, got {self.trials!r}")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         for item in self.dims:
-            if np.shape(item) != (2,) or not all(
-                    isinstance(k, (int, np.integer)) and k >= 1 for k in item):
+            if np.shape(item) != (2,) or not all(is_int(k) and k >= 1 for k in item):
                 raise ValueError(f"dims items must be pairs of integers >= 1, got {item!r}")
         check_seed(self.seed)
         check_tol(self.tol)
@@ -1011,18 +1013,20 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
         t = t.tolist()
         for case_id, group, case_seeds in zip(case_ids, evaluated, seeds):
             trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
-            for j, seed in enumerate(case_seeds.tolist()):
-                report = check_case(case_id, _Row(group, j), tol, seed)
-                trials += 1
+            trials += height
+            for j, seed, tj in zip(range(height), case_seeds.tolist(), t):
+                report = check_case(case_id, _new(_Row, (group, j)), tol, seed)
+                parts = report.parts
                 misses += report.premise_misses
-                if report.parts:
-                    if not report.holds:
+                if parts:
+                    # SlackReport.holds and .witness, on parts read once.
+                    if not all(map(_holds, parts)):
                         failures += 1
-                    witness = report.witness
+                    witness = min(map(_witness, parts), default=_INF)
                     # Groups arrive out of trial order; a tie stays with
                     # the earliest trial.
-                    if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
-                        worst, worst_t, worst_seed, worst_dims = witness, t[j], seed, (m, n)
+                    if worst is None or witness < worst or (witness == worst and tj < worst_t):
+                        worst, worst_t, worst_seed, worst_dims = witness, tj, seed, (m, n)
             totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed, worst_dims
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,

@@ -3,12 +3,14 @@ for bit: vectorized seeds, stacked draws, stacked PSD verdicts, the chunked
 runner, random_ppt's single draw and the builders that assemble blocks or
 reuse cached constants are each checked against a plain oracle."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktrace import linalg, suite
+from blocktrace import linalg, serialize, suite
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
 from blocktrace.maps import apply_map_blockwise
@@ -16,7 +18,9 @@ from blocktrace.orders import is_psd, sv_dominates
 from blocktrace.rng import Stream, derive_seed
 from blocktrace.suite import (
     REGISTRY,
+    Part,
     RunConfig,
+    SlackReport,
     build_slack,
     case_ids,
     check_case,
@@ -314,6 +318,59 @@ def test_each_row_equals_check_case_alone(case_id):
         stacked, reports = _group_reports(case_id, m, n, seeds)
         for j, (seed, report) in enumerate(zip(seeds.tolist(), reports)):
             assert report == check_case(case_id, _row(stacked, j), seed=seed), (m, n, seed)
+
+
+DIMS_1_3 = tuple((m, n) for m in range(1, 4) for n in range(1, 4))
+
+
+def _witness_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_row_reports_equal_public_constructors(case_id):
+    """check_case builds a trial's report from its row without the named
+    tuples' constructors; it must still be the report that Part(...) and
+    SlackReport(...) give, of the same types and with the same witness bits."""
+    seeds = np.array([0, 1, 5, BIG], dtype=np.uint64)
+    for m, n in DIMS_1_3:
+        stacked = make_instance(case_id, m, n, seeds)
+        [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), suite.PSD_TOL)
+        gm, gn, columns = group
+        for j, seed in enumerate(seeds.tolist()):
+            report = check_case(case_id, suite._Row(group, j), suite.PSD_TOL, seed)
+            parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns if h[j] is not None)
+            want = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
+            assert type(report) is SlackReport and report == want and repr(report) == repr(want)
+            assert report._replace(trial_seed=1) == want._replace(trial_seed=1)
+            assert [type(p) for p in report.parts] == [Part] * len(parts)
+            assert [_witness_bits(p.witness) for p in report.parts] == \
+                [_witness_bits(p.witness) for p in parts]
+            assert (report.holds, _witness_bits(report.witness)) == \
+                (want.holds, _witness_bits(want.witness))
+            if n == 1 and case_id in ("eq18-matrix", "psi-not-2-positive"):
+                # The exact zero witnesses at n = 1 are +0.0, never -0.0.
+                assert _witness_bits(report.witness) == _witness_bits(0.0)
+                assert report.holds is (case_id == "eq18-matrix")
+
+
+def test_run_suite_checks_each_trial_once_through_check_case(monkeypatch):
+    """One suite.check_case call per trial of every case, each on that
+    trial's seed, and the report is the one the calls return."""
+    config = RunConfig(("ck-lih", "hiroshima-conditional", "lem39-singular", "eq18-matrix",
+                        "ando"), ((2, 2), (2, 3)), 7, 3)
+    plain = serialize.dump(run_suite(config))
+    real, calls = suite.check_case, []
+
+    def spy(case_id, instance, tol, seed):
+        calls.append((case_id, seed))
+        return real(case_id, instance, tol, seed)
+
+    monkeypatch.setattr(suite, "check_case", spy)
+    assert serialize.dump(run_suite(config)) == plain
+    assert len(calls) == len(config.cases) * config.trials
+    assert sorted(calls) == sorted((c, derive_seed(config.seed, c, t))
+                                   for c in config.cases for t in range(config.trials))
 
 
 # Cases of several check kinds that share one draw of their input class.

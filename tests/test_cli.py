@@ -36,6 +36,12 @@ def test_empty_dims_range_exits_2(capsys, command):
     assert "bad dimension item '4..2x3'" in captured.err and captured.out == ""
 
 
+def test_verify_unknown_case_prints_the_bare_message(capsys):
+    assert main(["verify", "--cases", "ando", "nope", "--dims", "2x2", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown case ids: nope\n" and captured.out == ""
+
+
 def test_verify_text_report(capsys):
     code = main(["verify", "--cases", "ando", "choi-tr1", "--dims", "2x2",
                  "--trials", "3", "--seed", "1"])

@@ -15,7 +15,7 @@ from blocktrace.blocks import (BlockMatrix, block_diag, j_block, kron_left, kron
 from blocktrace.generate import GenSpec, gen
 from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack, hermitian_part, trace_stack
 from blocktrace.orders import is_psd
-from blocktrace.rng import derive_seed
+from blocktrace.rng import check_seed, derive_seed
 from blocktrace.suite import (
     EXPECTED_FAILURE_CASES,
     INPUT_CLASSES,
@@ -28,6 +28,7 @@ from blocktrace.suite import (
     build_slack,
     case_ids,
     check_case,
+    check_tol,
     eq18_slack,
     make_instance,
     open_question_scan,
@@ -584,6 +585,26 @@ def test_ando_residual_is_the_ando_slack(seed):
 def test_check_case_refuses_a_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         check_case("ando", make_instance("ando", 2, 2, 0), tol)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_refused_as_seed_tol_and_dims(flag):
+    """A bool is an int to isinstance, but never a seed, tol or dimension."""
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(("ando",), ((2, 2),), 1, flag)
+    with pytest.raises(ValueError, match="seed"):
+        check_seed(flag)
+    with pytest.raises(ValueError, match="seed"):
+        GenSpec("psd", seed=flag)
+    for tol in (flag, np.bool_(flag)):
+        with pytest.raises(ValueError, match="tol"):
+            RunConfig(("ando",), ((2, 2),), 1, 0, tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_tol(tol)
+    for dims in ((flag, 2), (2, flag)):
+        with pytest.raises(ValueError, match="dims"):
+            RunConfig(("ando",), ((2, 2), dims), 2, 0)
+    assert check_seed(np.uint64(1)) == 1 and check_tol(0) == 0
 
 
 @pytest.mark.parametrize("trials", [2.5, True, "3", None])
