@@ -24,6 +24,10 @@ Run it on two checkouts; equal digests mean equal reports:
 
     python3 scripts/report_digest.py --src ../parent/src
     python3 scripts/report_digest.py --src src
+
+stdout is the one combined digest.  stderr gets the digest of each section
+(verify, cases, scan, suite, extremes, slacks), so when two checkouts
+differ, the lines that differ name the sections that moved.
 """
 
 from __future__ import annotations
@@ -129,11 +133,21 @@ def suite_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.run_suite(bt.RunConfig(tuple(bt.case_ids()), dims, trials, seed)))
 
 
-def digest(verify_text: str, records: list, scan_text: str, suite_text: str,
-           extremes: list, slacks: list) -> str:
-    text = json.dumps({"verify": verify_text, "cases": records, "scan": scan_text,
-                       "suite": suite_text, "extremes": extremes, "slacks": slacks})
-    return hashlib.sha256(text.encode()).hexdigest()
+SECTIONS = ("verify", "cases", "scan", "suite", "extremes", "slacks")
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def digest(*sections) -> str:
+    """sha256 over the six sections, given in SECTIONS order."""
+    return _sha256(dict(zip(SECTIONS, sections, strict=True)))
+
+
+def section_digests(*sections) -> dict:
+    """{section: sha256 of that section's JSON text}, in SECTIONS order."""
+    return {name: _sha256(value) for name, value in zip(SECTIONS, sections, strict=True)}
 
 
 def main(argv=None) -> int:
@@ -142,12 +156,15 @@ def main(argv=None) -> int:
                         help="directory that holds the blocktrace package, e.g. src")
     args = parser.parse_args(argv)
     bt = load(args.src)
-    print(digest(verify_report(bt, "2..4x2..4", 500, 42),
-                 case_records(bt, CASE_DIMS, CASE_SEEDS),
-                 scan_report(bt, SCAN_DIMS, 2000, 42),
-                 suite_report(bt, CASE_DIMS, 100, 42),
-                 extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
-                 slack_records(bt, SLACK_DIMS, SLACK_SEEDS)))
+    sections = (verify_report(bt, "2..4x2..4", 500, 42),
+                case_records(bt, CASE_DIMS, CASE_SEEDS),
+                scan_report(bt, SCAN_DIMS, 2000, 42),
+                suite_report(bt, CASE_DIMS, 100, 42),
+                extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
+                slack_records(bt, SLACK_DIMS, SLACK_SEEDS))
+    for name, value in section_digests(*sections).items():
+        print(f"{name:<8} {value}", file=sys.stderr)
+    print(digest(*sections))
     return 0
 
 

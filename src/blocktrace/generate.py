@@ -8,7 +8,7 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .linalg import hermitian_part
-from .rng import Stream, box_muller, check_seed
+from .rng import Stream, box_muller, check_seed, is_int
 
 KINDS = (
     "psd",
@@ -33,12 +33,12 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if self.rank is not None and not 1 <= self.rank <= self.m * self.n:
-            raise ValueError(f"rank {self.rank} out of range for size {self.m * self.n}")
-        if self.int_bound < 0:
-            raise ValueError("int_bound must be non-negative")
+        if not (is_int(self.m) and is_int(self.n)) or self.m < 1 or self.n < 1:
+            raise ValueError(f"dimensions must be positive integers, got {self.m!r}x{self.n!r}")
+        if self.rank is not None and not (is_int(self.rank) and 1 <= self.rank <= self.m * self.n):
+            raise ValueError(f"rank {self.rank!r} out of range for size {self.m * self.n}")
+        if not is_int(self.int_bound) or self.int_bound < 0:
+            raise ValueError(f"int_bound must be a non-negative integer, got {self.int_bound!r}")
         if not isinstance(self.seed, np.ndarray):  # seed arrays come from derive_seed
             check_seed(self.seed)
 
@@ -67,8 +67,9 @@ def _rank1_psd(u: np.ndarray) -> np.ndarray:
     return _gram((re + 1j * im)[..., None])
 
 
-def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.ndarray:
-    """Separable mixture sum_t w_t (P_t (x) Q_t), rank-1 PSD factors, w_t > 0.
+def random_ppt(stream: Stream, m: int, n: int) -> np.ndarray:
+    """Separable mixture sum_t w_t (P_t (x) Q_t) of k = mn terms, rank-1 PSD
+    factors, w_t > 0.
 
     PPT by construction: the partial transpose transposes each Q_t, which
     preserves its positivity.  Separable states under-cover PPT-entangled
@@ -78,7 +79,7 @@ def random_ppt(stream: Stream, m: int, n: int, terms: int | None = None) -> np.n
     then 2n for Q_t, term by term, the layout of k rank-1 random_psd pairs.
     The factors are built as (..., k, size, size) stacks; the terms are then
     summed in place in order, one (batch, mn, mn) product each."""
-    k = terms if terms is not None else m * n
+    k = m * n
     batch = stream.batch
     weights = stream.doubles(k)
     u = stream.doubles(k * 2 * (m + n)).reshape(batch + (k, 2 * (m + n)))

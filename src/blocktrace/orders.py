@@ -73,17 +73,12 @@ def is_ppt(a: BlockMatrix, tol: float = PSD_TOL) -> OrderVerdict:
                         float(v.tolerance_used.max()))
 
 
-def _descending(values) -> np.ndarray:
-    return np.sort(np.asarray(values, dtype=np.float64), axis=-1)[..., ::-1]
-
-
 def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Test x majorized by y (x < y) along the last axis; leading axes
     broadcast and give a verdict of arrays.  Spectra of different lengths
     are zero-padded to the longer one before sorting."""
-    xv, yv = _descending(x), _descending(y)
-    length = max(xv.shape[-1], yv.shape[-1])
-    xp, yp = pad_sorted(xv, length), pad_sorted(yv, length)
+    length = max(np.shape(x)[-1], np.shape(y)[-1])
+    xp, yp = pad_sorted(x, length), pad_sorted(y, length)
     prefix_gaps = np.cumsum(yp, axis=-1) - np.cumsum(xp, axis=-1)
     worst = prefix_gaps.min(axis=-1)
     tolerance = tol * np.fmax(1.0, np.abs(yp).sum(axis=-1))

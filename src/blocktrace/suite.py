@@ -216,33 +216,28 @@ def _blocks_2x2(a: BlockMatrix):
 @_constant
 def eq18_slack(m: int, n: int) -> np.ndarray:
     """(m-2)n I + n J_m (x) I_n - J_m (x) J_n - (m-2) I_m (x) J_n; read-only."""
-    jm, jn = np.ones((m, m)), np.ones((n, n))
     return _frozen(_herm(
         (m - 2) * n * np.eye(m * n)
-        + n * np.kron(jm, np.eye(n))
-        - np.kron(jm, jn)
-        - (m - 2) * np.kron(np.eye(m), jn)
+        + n * _jb(m, n).real
+        - np.ones((m * n, m * n))
+        - (m - 2) * kron_left(np.ones((n, n)), m).real
     ))
-
-
-@_constant
-def _swap_unitary(n: int, skew: bool) -> tuple:
-    """(U, U*) for U = [[0, I], [+-I, 0]] with n x n blocks; -I when skew."""
-    u = np.zeros((2 * n, 2 * n))
-    u[:n, n:] = np.eye(n)
-    u[n:, :n] = -np.eye(n) if skew else np.eye(n)
-    return _frozen(u), _frozen(u.conj().T)
 
 
 def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
     """Average a PSD 2x2 block matrix with a unitary conjugate so the
     off-diagonal block becomes exactly Hermitian (or skew-Hermitian) while
-    positivity is preserved (average of two PSD matrices)."""
+    positivity is preserved (average of two PSD matrices).
+
+    The conjugate U A U* by U = [[0, I], [s I, 0]], s = -1 when skew and 1
+    otherwise, is the block swap [[A_22, s A_21], [s A_12, A_11]]."""
     if a.m != 2:
         raise ValueError("needs a 2x2 block matrix")
-    u, u_star = _swap_unitary(a.n, skew)
-    avg = (a.dense + u @ a.dense @ u_star) / 2
-    return BlockMatrix(2, a.n, _herm(avg))
+    b12, b21 = a.block(0, 1), a.block(1, 0)
+    if skew:
+        b12, b21 = -b12, -b21
+    swapped = np.block([[a.block(1, 1), b21], [b12, a.block(0, 0)]])
+    return BlockMatrix(2, a.n, _herm((a.dense + swapped) / 2))
 
 
 def choi_block(a: BlockMatrix) -> BlockMatrix:
@@ -539,10 +534,11 @@ def _case_lem39(pair, tol):
 def _case_lem38(pair, tol):
     m_fac, n_fac = pair
     n_rows = m_fac.shape[-2]
-    star = hermitian_part_eigvals(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac)
+    gram = _ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac
+    star = hermitian_part_eigvals(gram)
     plain = hermitian_part_eigvals(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac))
     cross = _ct(m_fac) @ n_fac
-    shift = 0.5 * _tr(_ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac - cross - _ct(cross)).real
+    shift = 0.5 * _tr(gram - cross - _ct(cross)).real
     lhs = pad_sorted(star, max(star.shape[-1], n_rows))[..., :n_rows]
     rhs = plain[..., :n_rows] + shift[..., None]
     witness = (rhs - lhs).min(axis=-1)
@@ -925,8 +921,9 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
 
 
 def check_tol(tol: float) -> float:
-    """tol itself; ValueError when it is a bool, NaN, infinite or negative."""
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
+    """tol itself; ValueError unless it is a finite non-negative real
+    number: an int or float, Python or numpy, and not a bool."""
+    if not (is_int(tol) or isinstance(tol, (float, np.floating))) or not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     return tol
 

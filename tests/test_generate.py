@@ -18,6 +18,19 @@ def test_spec_validation():
         GenSpec("psd", m=2, n=2, rank=5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", True), ("m", 2.0), ("n", True), ("n", 2.0), ("n", np.float64(2)),
+    ("rank", 1.0), ("rank", True), ("int_bound", 2.5), ("int_bound", True), ("int_bound", "3"),
+])
+def test_spec_sizes_must_be_integers(field, value):
+    """m, n, rank and int_bound are integers and not bools; anything else
+    is refused with ValueError, before any instance is drawn."""
+    kind = "real-int" if field == "int_bound" else "psd"
+    with pytest.raises(ValueError, match={"m": "dimensions", "n": "dimensions"}.get(field, field)):
+        GenSpec(kind, **{"m": 2, "n": 2, field: value})
+    assert getattr(GenSpec(kind, **{"m": 2, "n": 2, field: np.int64(1)}), field) == 1
+
+
 def test_determinism():
     a = gen(GenSpec("psd", m=2, n=3, seed=5))
     b = gen(GenSpec("psd", m=2, n=3, seed=5))

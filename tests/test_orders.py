@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import GenSpec, gen
 from blocktrace.jacobi import jacobi_eigh
-from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack
+from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
+                               hermitian_part_eigvals, pad_sorted, singular_values_stack)
 from blocktrace.orders import is_ppt, is_psd, loewner_ge, majorizes, sv_dominates
 from blocktrace.rng import Stream
 
@@ -144,3 +145,75 @@ def test_non_finite_matrices_are_refused(check, bad):
     for a in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="not Hermitian"):
             check(a)
+
+
+# ---------------------------------------------------------------------------
+# order contract: eigvalsh returns ascending values and svd descending ones,
+# so the kernels only reverse or pass them on, and pad_sorted is the one sort.
+
+
+def _descending(values):
+    return np.sort(np.asarray(values, dtype=np.float64), axis=-1)[..., ::-1]
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _contract_stack(k: int, seed: int) -> np.ndarray:
+    """k x k Hermitian matrices with ties and zeros: the zero matrix, a rank-one
+    g g*, 2I, I_2 (x) h (each eigenvalue of h twice, for even k), a diagonal
+    with repeated and zero entries, and a full-rank Hermitian matrix."""
+    stream = Stream(seed)
+    g = stream.complex_gaussians((k, 1))
+    h = stream.complex_gaussians((k, k))
+    half = stream.complex_gaussians((k // 2, k // 2))
+    pair = np.kron(np.eye(2), half + half.conj().T) if k % 2 == 0 else np.eye(k)
+    diag = np.diag([3.0, 3.0, 1.0, 0.0][: k] + [1.0] * max(0, k - 4))
+    return np.stack([np.zeros((k, k)), g @ g.conj().T, 2 * np.eye(k), pair, diag,
+                     h + h.conj().T]).astype(np.complex128)
+
+
+CONTRACT_SIZES = (1, 2, 4, 5, 20)
+
+
+@pytest.mark.parametrize("k", CONTRACT_SIZES)
+def test_spectral_kernels_give_the_bits_of_a_sort(k):
+    """Each kernel's rows equal, bit for bit, the descending sort of the raw
+    eigvalsh or svd output."""
+    stack = _contract_stack(k, k)
+    x = stack + Stream(k + 100).complex_gaussians(stack.shape)  # not Hermitian
+    assert _same_bits(hermitian_eigvals_stack(stack), _descending(np.linalg.eigvalsh(stack)))
+    assert _same_bits(hermitian_part_eigvals(x),
+                      _descending(np.linalg.eigvalsh(hermitian_part(x))))
+    for a in (stack, x, x[..., : max(1, k - 2), :]):  # square and wide
+        assert _same_bits(singular_values_stack(a),
+                          _descending(np.linalg.svd(a, compute_uv=False)))
+
+
+def _double_sorted_majorizes(y, x, tol):
+    """majorizes as it sorted each input twice: once on its own, then again
+    after zero padding."""
+    xv, yv = _descending(x), _descending(y)
+    length = max(xv.shape[-1], yv.shape[-1])
+    xp, yp = pad_sorted(xv, length), pad_sorted(yv, length)
+    prefix_gaps = np.cumsum(yp, axis=-1) - np.cumsum(xp, axis=-1)
+    worst = prefix_gaps.min(axis=-1)
+    tolerance = tol * np.fmax(1.0, np.abs(yp).sum(axis=-1))
+    return worst >= -tolerance, prefix_gaps[..., -1], worst, tolerance
+
+
+@pytest.mark.parametrize("k", CONTRACT_SIZES)
+def test_majorizes_sorts_once_with_the_bits_of_sorting_twice(k):
+    """On a Schur diagonal, unsorted and with negative entries, against the
+    spectrum of the matrix and against a shorter spectrum (zero padded)."""
+    stack = _contract_stack(k, k) - np.eye(k)
+    diagonal = np.diagonal(stack, axis1=-2, axis2=-1).real
+    assert (diagonal < 0).any()
+    spectra = (np.linalg.eigvalsh(stack), np.linalg.eigvalsh(stack[..., 1:, 1:]))
+    for y, x in ((spectra[0], diagonal), (diagonal, spectra[1]), (spectra[1], diagonal)):
+        v = majorizes(y, x, 1e-8)
+        got = (v.weak_holds, v.sum_gap, v.worst_prefix_gap, v.tolerance_used)
+        for a, b in zip(got, _double_sorted_majorizes(y, x, 1e-8)):
+            assert _same_bits(a, b)

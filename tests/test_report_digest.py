@@ -89,3 +89,19 @@ def test_slack_records_hash_every_slack_bit():
     changed[5][4][0][3] = hashlib.sha256(s.tobytes()).hexdigest()
     assert changed != slacks
     assert report_digest.digest(*rest, changed) != want
+
+
+def test_section_digests_name_the_section_that_moved():
+    """One digest per section, in SECTIONS order; a flipped witness bit in
+    the check_case records moves the cases digest and no other."""
+    inputs = _inputs()
+    sections = report_digest.section_digests(*inputs)
+    assert tuple(sections) == report_digest.SECTIONS
+    assert all(len(value) == 64 and int(value, 16) >= 0 for value in sections.values())
+    assert len(set(sections.values())) == len(sections)
+    assert sections == report_digest.section_digests(*_inputs())
+    records = copy.deepcopy(inputs[1])
+    bits = records[7][5][0][1]
+    records[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
+    moved = report_digest.section_digests(inputs[0], records, *inputs[2:])
+    assert [name for name in sections if moved[name] != sections[name]] == ["cases"]

@@ -449,10 +449,6 @@ def _cached_constants():
         "jb": d.jb,
         "eye": suite._eye(4),
         "eq18": eq18_slack(3, 2),
-        "swap": suite._swap_unitary(2, False)[0],
-        "swap-star": suite._swap_unitary(2, False)[1],
-        "skew": suite._swap_unitary(3, True)[0],
-        "skew-star": suite._swap_unitary(3, True)[1],
     }
 
 
@@ -476,7 +472,7 @@ def test_constants_are_shared_per_dims():
 
 @pytest.mark.parametrize("dims", [(2, 1), (2, 3), (3, 2)])
 def test_check_case_independent_of_cases_run_between(dims):
-    for cache in (suite._eye, suite._jb, eq18_slack, suite._swap_unitary):
+    for cache in (suite._eye, suite._jb, eq18_slack):
         cache.cache_clear()
     instances = {c: make_instance(c, *dims, derive_seed(3, c, 0)) for c in ALL_IDS}
     first = {c: check_case(c, instances[c]) for c in ALL_IDS}
@@ -581,10 +577,16 @@ def test_ando_residual_is_the_ando_slack(seed):
     assert label == "main" and ando_residual(a).tobytes() == slack.tobytes()
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1", None, 1j])
 def test_check_case_refuses_a_bad_tol(tol):
+    """Each boundary that takes a tol refuses a negative, NaN or infinite
+    one, and one that is not a real number, with ValueError."""
     with pytest.raises(ValueError, match="tol"):
         check_case("ando", make_instance("ando", 2, 2, 0), tol)
+    with pytest.raises(ValueError, match="tol"):
+        RunConfig(("ando",), ((2, 2),), 1, 0, tol)
+    with pytest.raises(ValueError, match="tol"):
+        open_question_scan([(2, 2)], 1, 0, tol)
 
 
 @pytest.mark.parametrize("flag", [True, False])
