@@ -437,7 +437,7 @@ def _summed_block_spectra(d: Derived) -> np.ndarray:
     call over every diagonal block."""
     spectra = hermitian_part_eigvals(np.einsum("...iirs->...irs", d.a.as_blocks()))
     acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
-    for i in range(d.m):
+    for i in range(d.m):  # in block order: spectra.sum(axis=-2) moves witness bits
         acc += spectra[..., i, :]
     return acc
 
