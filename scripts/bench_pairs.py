@@ -9,6 +9,9 @@ number of pairs the change won. A pair whose sides report different hashes,
 or where either side is not `correct`, stops the script with exit code 1
 before it reaches the summary.
 
+Each metric of each workload also gets a verdict, printed on stderr when
+the workload ends (see `verdict`): gain, worse, unresolved or flat.
+
     git clone -q . ../parent && git -C ../parent checkout -q <parent sha>
     git clone -q . ../change && git -C ../change checkout -q <change sha>
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
@@ -58,6 +61,38 @@ def pair_problem(pair: dict) -> str | None:
     return None
 
 
+def _quartiles(values: list) -> dict:
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+
+
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The verdict on one metric from the paired runs of each side.
+
+    - gain: the change wins at least 9 in 10 pairs (ties count for
+      neither), and its median is better than the parent's by more than
+      the parent's q3 - q1;
+    - worse: the change's median is worse than the parent's by more than
+      `bound`, a fraction of the parent's median;
+    - unresolved: the parent's q3 - q1 is wider than `bound` of its
+      median, and not every change run is better than every parent run;
+    - flat: any other result.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p, c = _quartiles(parent), _quartiles(change)
+    spread = p["q3"] - p["q1"]
+    gap = sign * (c["median"] - p["median"])  # > 0: the change is better
+    if 10 * wins >= 9 * len(parent) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(p["median"]):
+        return "worse"
+    every_run_better = min(sign * x for x in change) > max(sign * x for x in parent)
+    if spread > bound * abs(p["median"]) and not every_run_better:
+        return "unresolved"
+    return "flat"
+
+
 def summarize(pairs: list, spec: list) -> dict:
     out = {}
     for metric in spec:
@@ -66,9 +101,10 @@ def summarize(pairs: list, spec: list) -> dict:
         wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
         entry = {"unit": metric["unit"], "better": metric["better"], "change_wins": wins}
         for side, values in sides.items():
-            q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
-            entry[side] = {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+            entry[side] = _quartiles(values)
         entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+        entry["verdict"] = verdict(sides["parent"], sides["change"], metric["better"],
+                                   metric["bound"])
         out[name] = entry
     return out
 
@@ -97,10 +133,12 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: {problem}", file=sys.stderr)
                 return 1
             pairs.append(pair)
-        report["workloads"][workload] = {
-            "summary": summarize(pairs, spec["end_to_end"]),
-            "runs": pairs,
-        }
+        summary = summarize(pairs, spec["end_to_end"])
+        report["workloads"][workload] = {"summary": summary, "runs": pairs}
+        for name, entry in summary.items():
+            print(f"{workload} {name}: {entry['verdict']} (parent {entry['parent']['median']:.6g}, "
+                  f"change {entry['change']['median']:.6g}, {entry['change_wins']}/{len(pairs)} "
+                  "pairs won)", file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -39,8 +39,19 @@ class GenSpec:
             raise ValueError(f"rank {self.rank!r} out of range for size {self.m * self.n}")
         if not is_int(self.int_bound) or self.int_bound < 0:
             raise ValueError(f"int_bound must be a non-negative integer, got {self.int_bound!r}")
-        if not isinstance(self.seed, np.ndarray):  # seed arrays come from derive_seed
+        if isinstance(self.seed, np.ndarray):
+            _check_seed_array(self.seed)
+        else:
             check_seed(self.seed)
+
+
+def _check_seed_array(seeds: np.ndarray) -> None:
+    """ValueError unless seeds is a 1-D array of integers >= 0, not bools.
+    O(1) for derive_seed's uint64 arrays: only a signed one is scanned."""
+    kind = seeds.dtype.kind
+    if (seeds.ndim != 1 or kind not in "iu"
+            or (kind == "i" and seeds.size and seeds.min() < 0)):
+        raise ValueError(f"a seed array must be 1-D with integer entries >= 0, got {seeds!r}")
 
 
 def ginibre(stream: Stream, rows: int, cols: int) -> np.ndarray:

@@ -43,13 +43,21 @@ def _entries(obj: dict) -> list:
     return entries
 
 
+def _is_real(x) -> bool:
+    """x is a JSON number: an int or float, not a bool."""
+    return type(x) in (int, float)
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
     entries = _entries(obj)
     out = np.empty((len(entries), len(entries[0])), dtype=np.complex128)
     for i, row in enumerate(entries):
         for j, cell in enumerate(row):
-            re, im = cell
-            out[i, j] = complex(re, im)
+            if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                    and all(map(_is_real, cell))):
+                raise ValueError(f"matrix entry ({i}, {j}) {cell!r} is not a [re, im] "
+                                 "pair of numbers")
+            out[i, j] = complex(*cell)
     if not np.isfinite(out).all():
         raise ValueError("matrix has non-finite entries")
     return out

@@ -9,11 +9,10 @@ expected-failure cases hold when the violation is detected.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -54,6 +53,7 @@ class Part(NamedTuple):
 
 
 _witness, _holds = itemgetter(1), itemgetter(2)  # Part fields
+_parts, _misses = itemgetter(4), itemgetter(5)  # SlackReport fields
 _INF = float("inf")
 # _new(Part, (label, witness, holds)) builds a named tuple without its
 # Python-level __new__: the same class, fields and equality, at C speed.
@@ -893,27 +893,41 @@ def _each(instance, fn):
     return fn(instance)
 
 
-# Trial j of a dims group that _evaluate checked as one stack.
-_Row = namedtuple("_Row", "group j")
+class _Row(NamedTuple):
+    """One trial's SlackReport fields after its case_id and trial_seed."""
+    m: int
+    n: int
+    parts: tuple
+    premise_misses: int
+
+
+def _rows(evaluated) -> list:
+    """The _Row of every trial of one case's (m, n, columns) from _evaluate.
+
+    Each column becomes its trials' Parts in one map, and zip turns the
+    columns into per-trial tuples.  Only a case with absent parts (holds
+    None, a premise miss) is filtered trial by trial."""
+    m, n, columns = evaluated
+    trials = zip(*[map(_new, repeat(Part), zip(repeat(label), witnesses, holds))
+                   for label, witnesses, holds in columns])
+    if any(None in holds for _, _, holds in columns):
+        present = [tuple(p for p in parts if p[2] is not None) for parts in trials]
+        return [_new(_Row, (m, n, parts, len(columns) - len(parts))) for parts in present]
+    return list(map(_new, repeat(_Row), zip(repeat(m), repeat(n), trials, repeat(0))))
 
 
 def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> SlackReport:
     """Run one case on one instance, checked as a stack of one.
 
     run_case_trials passes instead the _Row of a trial whose dims group it
-    evaluated at once; the report is built from that trial's row."""
+    evaluated at once; the report is that row after case_id and seed."""
     if case_id not in REGISTRY:
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
         check_tol(tol)
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
-        instance = _Row(_evaluate([REGISTRY[case_id]], one_trial, 1, tol)[0], 0)
-    (m, n, columns), j = instance
-    parts = []
-    for label, witnesses, holds in columns:  # a loop, not a comprehension: no frame
-        if (h := holds[j]) is not None:
-            parts.append(_new(Part, (label, witnesses[j], h)))
-    return _new(SlackReport, (case_id, seed, m, n, tuple(parts), len(columns) - len(parts)))
+        instance = _rows(_evaluate([REGISTRY[case_id]], one_trial, 1, tol)[0])[0]
+    return _new(SlackReport, (case_id, seed) + instance)
 
 
 # ---------------------------------------------------------------------------
@@ -957,12 +971,17 @@ class RunConfig:
 # share of it, _CHUNK_BYTES // len(dims), caps one draw of an input class's
 # cases; the merged verdict of a draw decides at most 4 slacks per instance.
 _CHUNK_BYTES = 1 << 20
+# Cap on the trials of a chunk.  A case's reports of one dims group live at
+# once, as Python objects that _CHUNK_BYTES does not count: at 1x1, its
+# bytes alone would admit 131,072 trials of them.
+_CHUNK_TRIALS = 4096
 
 def _chunk_trials(input_class: str, dims) -> int:
-    """Trials per chunk: as many as keep its instance stacks near _CHUNK_BYTES."""
+    """Trials per chunk: as many as keep its instance stacks near
+    _CHUNK_BYTES, and at most _CHUNK_TRIALS."""
     nbytes = INPUT_CLASSES[input_class].nbytes
     cycle_bytes = sum(nbytes(m, n) for m, n in dims)
-    return max(1, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes))
+    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes)))
 
 
 def _groups(base: int, tokens, dims, trials: int, step: int):
@@ -989,9 +1008,9 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
     and drawn by one make_instance call, and one _evaluate call checks
     every case on its own rows of that stack, with one merged PSD verdict
     for their slacks.  A draw holds at most _CHUNK_BYTES // len(dims) bytes
-    of instances, so many cases split into several draws.  Then check_case
-    reads every trial's row, case by case, and each case's run of the
-    group is aggregated in locals."""
+    of instances, so many cases split into several draws.  Then, case by
+    case, check_case makes every trial's report from its _rows row, and
+    maps, sum and min aggregate the case's run of the group."""
     input_class = REGISTRY[case_ids[0]].input_class
     nbytes = INPUT_CLASSES[input_class].nbytes
     share, tol = _CHUNK_BYTES // len(config.dims), config.tol
@@ -1010,20 +1029,26 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
         t = t.tolist()
         for case_id, group, case_seeds in zip(case_ids, evaluated, seeds):
             trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
+            case_seeds = case_seeds.tolist()
+            reports = list(map(check_case, repeat(case_id), _rows(group), repeat(tol), case_seeds))
             trials += height
-            for j, seed, tj in zip(range(height), case_seeds.tolist(), t):
-                report = check_case(case_id, _new(_Row, (group, j)), tol, seed)
-                parts = report.parts
-                misses += report.premise_misses
-                if parts:
-                    # SlackReport.holds and .witness, on parts read once.
-                    if not all(map(_holds, parts)):
-                        failures += 1
-                    witness = min(map(_witness, parts), default=_INF)
-                    # Groups arrive out of trial order; a tie stays with
-                    # the earliest trial.
-                    if worst is None or witness < worst or (witness == worst and tj < worst_t):
-                        worst, worst_t, worst_seed, worst_dims = witness, tj, seed, (m, n)
+            misses += sum(map(_misses, reports))
+            # SlackReport.holds and .witness of each report, on parts read
+            # once; a report without parts holds and is skipped.
+            parts = list(map(_parts, reports))
+            failures += height - sum(map(all, map(map, repeat(_holds), parts)))
+            kept = range(height)
+            if not all(parts):
+                kept = list(compress(kept, parts))
+                parts = list(map(parts.__getitem__, kept))
+            if parts:
+                witnesses = list(map(min, map(map, repeat(_witness), parts)))
+                witness = min(witnesses)
+                # The first least witness in trial order.  Groups arrive out
+                # of trial order; a tie stays with the earliest trial.
+                j = kept[witnesses.index(witness)]
+                if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
+                    worst, worst_t, worst_seed, worst_dims = witness, t[j], case_seeds[j], (m, n)
             totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed, worst_dims
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,

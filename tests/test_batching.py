@@ -305,7 +305,7 @@ def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
     """check_case on every row of one stacked evaluation of the dims group."""
     stacked = make_instance(case_id, m, n, seeds)
     [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), tol)
-    return stacked, [check_case(case_id, suite._Row(group, j), tol, seed)
+    return stacked, [check_case(case_id, suite._rows(group)[j], tol, seed)
                      for j, seed in enumerate(seeds.tolist())]
 
 
@@ -337,7 +337,7 @@ def test_row_reports_equal_public_constructors(case_id):
         [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), suite.PSD_TOL)
         gm, gn, columns = group
         for j, seed in enumerate(seeds.tolist()):
-            report = check_case(case_id, suite._Row(group, j), suite.PSD_TOL, seed)
+            report = check_case(case_id, suite._rows(group)[j], suite.PSD_TOL, seed)
             parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns if h[j] is not None)
             want = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
             assert type(report) is SlackReport and report == want and repr(report) == repr(want)
@@ -370,6 +370,97 @@ def test_run_suite_checks_each_trial_once_through_check_case(monkeypatch):
     assert len(calls) == len(config.cases) * config.trials
     assert sorted(calls) == sorted((c, derive_seed(config.seed, c, t))
                                    for c in config.cases for t in range(config.trials))
+
+
+def _reference_entries(config: RunConfig) -> dict:
+    """run_suite's entries by the per-trial loop: each case's dims groups
+    drawn in one chunk, and every trial's report built from its row by the
+    public constructors and aggregated one at a time."""
+    entries = {}
+    for case_id in sorted(config.cases):
+        trials = failures = misses = 0
+        worst = worst_t = worst_seed = worst_dims = None
+        for m, n, t, (seeds,) in suite._groups(config.seed, (case_id,), config.dims,
+                                               config.trials, max(1, config.trials)):
+            stacked = make_instance(case_id, m, n, seeds)
+            [(gm, gn, columns)] = suite._evaluate([REGISTRY[case_id]], stacked, len(t),
+                                                  config.tol)
+            for j, (tj, seed) in enumerate(zip(t.tolist(), seeds.tolist())):
+                parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns
+                              if h[j] is not None)
+                report = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
+                trials += 1
+                misses += report.premise_misses
+                if not parts:
+                    continue
+                failures += not report.holds
+                w = report.witness
+                if worst is None or w < worst or (w == worst and tj < worst_t):
+                    worst, worst_t, worst_seed, worst_dims = w, tj, seed, f"{m}x{n}"
+        entries[case_id] = {"trials": trials, "failures": failures, "premise_misses": misses,
+                            "worst_witness": worst, "worst_seed": worst_seed,
+                            "worst_dims": worst_dims}
+    return entries
+
+
+TINY_DIMS = ((1, 1), (1, 2), (2, 1))
+AGGREGATION_CONFIGS = {
+    # Exact zero witnesses at n = 1 tie in every trial and every group.
+    "zero-witness-ties": RunConfig(("eq18-matrix", "psi-not-2-positive"),
+                                   ((2, 1), (1, 1), (3, 1), (4, 1)), 23, 3),
+    # Trials where one or both premises miss, and at 1x1 where none does.
+    "premise-misses": RunConfig(("hiroshima-conditional",),
+                                ((1, 1), (2, 2), (3, 3), (2, 4)), 60, 1),
+    # Both trials miss both premises: no part at all, so no worst trial.
+    "no-parts": RunConfig(("hiroshima-conditional",), ((2, 2),), 2, 0),
+    # Two chunks of a 1x1 input class; the second starts inside a cycle of
+    # the dims, so its groups arrive out of trial order.
+    "past-chunk-trials": RunConfig(("ck-classical", "ck-lih", "ck-improved"), TINY_DIMS,
+                                   suite._CHUNK_TRIALS + 37, 11),
+    "mixed-dims": RunConfig(tuple(case_ids()), DIMS_1_4, 20, 8),
+}
+
+
+@pytest.mark.parametrize("config", AGGREGATION_CONFIGS.values(), ids=AGGREGATION_CONFIGS)
+def test_run_suite_equals_per_trial_aggregation(config):
+    """The mapped aggregation of _class_entries gives the per-trial loop's
+    entries: the same counts, and the first least witness in trial order,
+    with its sign bit (serialize.dump writes -0.0 as such)."""
+    want = _reference_entries(config)
+    got = run_suite(config)["cases"]
+    assert got == want and serialize.dump(got) == serialize.dump(want)
+    if config is AGGREGATION_CONFIGS["no-parts"]:
+        assert got["hiroshima-conditional"]["worst_witness"] is None
+    if config is AGGREGATION_CONFIGS["past-chunk-trials"]:
+        assert suite._chunk_trials("real-int", config.dims) == suite._CHUNK_TRIALS
+
+
+def test_rows_with_absent_parts_equal_a_per_trial_build():
+    """Columns whose holds hold None in some trials: each row keeps the
+    present parts in column order and counts the absent ones."""
+    columns = [("a", [0.5, -1.0, 0.0, 2.0], [True, False, None, None]),
+               ("b", [-0.0, 3.0, 1.0, 4.0], [None, True, True, None]),
+               ("c", [1.0, 2.0, -3.0, 5.0], [True, True, False, True])]
+    rows = suite._rows((2, 3, columns))
+    for j, row in enumerate(rows):
+        parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns if h[j] is not None)
+        assert type(row) is suite._Row and row == (2, 3, parts, len(columns) - len(parts))
+        assert [type(p) for p in row.parts] == [Part] * len(parts)
+    assert [row.premise_misses for row in rows] == [1, 0, 1, 2]
+    assert _witness_bits(rows[0].parts[0].witness) == _witness_bits(0.5)
+    assert suite._rows((1, 1, [("a", [-0.0], [None])])) == [(1, 1, (), 1)]
+    assert suite._rows((1, 1, [("a", [-0.0], [True])]))[0].parts == (Part("a", -0.0, True),)
+
+
+@pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
+def test_chunks_never_exceed_chunk_trials(monkeypatch, input_class):
+    """However small the instances and large the byte cap, a chunk holds
+    at most _CHUNK_TRIALS trials."""
+    for cap in (suite._CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(suite, "_CHUNK_BYTES", cap)
+        for dims in (((1, 1),), TINY_DIMS, DIMS_1_4, ((8, 8),)):
+            assert 1 <= suite._chunk_trials(input_class, dims) <= suite._CHUNK_TRIALS
+    assert suite._chunk_trials(input_class, ((1, 1),)) == suite._CHUNK_TRIALS
 
 
 # Cases of several check kinds that share one draw of their input class.

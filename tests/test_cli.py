@@ -305,6 +305,26 @@ def test_case_rejects_bad_input(tmp_path, capsys, case_id, obj):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_BOOL_1X1 = {"rows": 1, "cols": 1, "entries": [[[True, False]]]}
+BOOL_ENTRIES = {
+    "block": ("choi-tr1", {"m": 1, "n": 1, "matrix": _BOOL_1X1}),
+    "pair": ("lem39-singular", {"pair": [{"rows": 1, "cols": 1, "entries": [[[1.0, 0.0]]]},
+                                         _BOOL_1X1]}),
+    "square": ("abs-block-corollary", _BOOL_1X1),
+}
+
+
+@pytest.mark.parametrize("case_id, obj", BOOL_ENTRIES.values(), ids=BOOL_ENTRIES)
+def test_case_refuses_json_booleans_as_entries(tmp_path, capsys, case_id, obj):
+    """A JSON true is not the number 1: the entry is named and `case` exits 2."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    assert main(["case", "--id", case_id, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read input: matrix entry (0, 0) [True, False]")
+    assert captured.out == ""
+
+
 BAD_TOLS = ("nan", "-1", "inf")
 
 

@@ -31,6 +31,21 @@ def test_spec_sizes_must_be_integers(field, value):
     assert getattr(GenSpec(kind, **{"m": 2, "n": 2, field: np.int64(1)}), field) == 1
 
 
+@pytest.mark.parametrize("seeds", [
+    np.array([1.5]), np.array([-1]), np.array([3, -2], dtype=np.int8), np.array([True]),
+    np.array([[1, 2]]), np.array(4), np.array([1 + 0j]), np.array([1], dtype=object),
+], ids=["float", "negative", "negative-int8", "bool", "2-d", "0-d", "complex", "object"])
+def test_spec_seed_arrays_are_checked(seeds):
+    """A seed array is 1-D, of integers >= 0 and not bools; anything else
+    is refused with a ValueError that names the seed, before any draw.
+    Signed and unsigned integer arrays of valid seeds draw one instance each."""
+    with pytest.raises(ValueError, match="seed"):
+        GenSpec("psd", m=2, n=2, seed=seeds)
+    for good in (np.array([0, 7], dtype=np.int64), np.array([0, 2**64 - 1], dtype=np.uint64),
+                 np.array([], dtype=np.int32)):
+        assert gen(GenSpec("psd", m=2, n=2, seed=good)).dense.shape == (len(good), 4, 4)
+
+
 def test_determinism():
     a = gen(GenSpec("psd", m=2, n=3, seed=5))
     b = gen(GenSpec("psd", m=2, n=3, seed=5))

@@ -52,3 +52,21 @@ def test_shape_mismatch_rejected():
 def test_dump_is_canonical():
     text = serialize.dump({"b": 1, "a": 2})
     assert text == json.dumps({"a": 2, "b": 1}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("cell", [
+    [True, False], [1.0, True], [False, 0], "ab", [1.0], [1.0, 0.0, 0.0], 1.0, [None, 0.0],
+    ["1", 0.0], {"re": 1.0, "im": 0.0},
+], ids=["bools", "bool-im", "bool-re", "string", "short", "long", "bare-number", "null",
+        "string-re", "object"])
+def test_complex_entries_are_pairs_of_numbers(cell):
+    """A complex entry is a [re, im] pair of JSON numbers, not bools; the
+    ValueError names the entry."""
+    obj = {"rows": 1, "cols": 2, "entries": [[[1.0, 0.0], cell]]}
+    with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+        serialize.matrix_from_obj(obj)
+    with pytest.raises(ValueError, match=r"entry \(1, 1\)"):
+        serialize.block_from_obj({"m": 1, "n": 2, "matrix": {**obj, "rows": 2, "entries": [
+            [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], cell]]}})
+    ok = {"rows": 1, "cols": 2, "entries": [[[1, 0], [0.5, -2]]]}
+    assert serialize.matrix_from_obj(ok).tolist() == [[1 + 0j, 0.5 - 2j]]
