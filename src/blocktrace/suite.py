@@ -1040,7 +1040,7 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
             kept = range(height)
             if not all(parts):
                 kept = list(compress(kept, parts))
-                parts = list(map(parts.__getitem__, kept))
+                parts = list(filter(None, parts))
             if parts:
                 witnesses = list(map(min, map(map, repeat(_witness), parts)))
                 witness = min(witnesses)
