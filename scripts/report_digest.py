@@ -12,7 +12,7 @@ The digest covers:
     trials, seed 42;
   - the run_suite report of all 44 cases at dims 1..8x1..8, 100 trials,
     seed 42, a shape where the cases of an input class take several draws
-    per dims group, each decided by its own merged PSD verdict;
+    per shape group, each decided by its own merged PSD verdict;
   - the check_case report of each exact-integer case on fixed int64-extreme
     matrices (entries +-(2^63 - 1), -2^63 and 0 at dims 1x1, 1x2, 2x2 and
     6x6), whose sums exceed int64;

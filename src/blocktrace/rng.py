@@ -74,23 +74,33 @@ def _token_bytes(tok) -> bytes:
     raise TypeError(f"unsupported token type {type(tok)!r}")
 
 
+def _absorb(h: int, tokens) -> int:
+    """The hash h after the bytes of each of tokens, in order."""
+    for tok in tokens:
+        for byte in _token_bytes(tok):
+            h = _mix_int(((h ^ byte) * _GAMMA_INT + _GAMMA_INT) & _MASK64)
+    return h
+
+
 def derive_seed(base: int, *tokens):
     """Stable sub-seed from a base seed and a mix of str/int tokens.
 
     The last token may be an array of non-negative integers; the result is
-    then the uint64 array of the sub-seeds of each of its values."""
+    then the uint64 array of the sub-seeds of each of its values.  The
+    token before such an array may be a list of tokens: the result is then
+    one row per listed token, row k bit for bit
+    derive_seed(base, ..., tokens[-2][k], array), all folded at once."""
     last = tokens[-1] if tokens else None
-    batch = isinstance(last, np.ndarray)
-    h = base & _MASK64
-    for tok in tokens[:-1] if batch else tokens:
-        for byte in _token_bytes(tok):
-            h = _mix_int(((h ^ byte) * _GAMMA_INT + _GAMMA_INT) & _MASK64)
-    if not batch:
-        return h
+    if not isinstance(last, np.ndarray):
+        return _absorb(base & _MASK64, tokens)
     if last.dtype.kind not in "iu" or (last.size and last.min() < 0):
         raise TypeError("an array token must hold non-negative integers")
+    table = len(tokens) > 1 and isinstance(tokens[-2], list)
+    h = _absorb(base & _MASK64, tokens[:-2] if table else tokens[:-1])
     values = last.astype(np.uint64)
-    out = np.full(values.shape, h, dtype=np.uint64)
+    heads = [_absorb(h, (tok,)) for tok in tokens[-2]] if table else h
+    # Unit axes for the values' axes; the first round broadcasts them out.
+    out = np.array(heads, dtype=np.uint64).reshape(np.shape(heads) + (1,) * values.ndim)
     with np.errstate(over="ignore"):
         for shift in range(0, 64, 8):  # the 8 little-endian bytes of each value
             byte = (values >> _U64(shift)) & _U64(0xFF)

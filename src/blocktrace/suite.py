@@ -9,6 +9,7 @@ expected-failure cases hold when the violation is detected.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -82,7 +83,7 @@ class SlackReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # shared builders
 #
-# Every builder and check works on a stack of T instances of one dims group
+# Every builder and check works on a stack of T instances of one shape
 # (matrices (T, k, k), indexed from the end) and yields part columns,
 # (label, witnesses, holds): one list entry per trial, with holds None in
 # the trials where the part does not exist.
@@ -786,6 +787,10 @@ def _block_2x2_nbytes(m: int, n: int) -> int:
     return 16 * (2 * n) ** 2
 
 
+def _two_blocks(m: int, n: int) -> tuple:
+    return 2, n
+
+
 def _matrix_unit_instances(m: int, n: int, seed):
     return _gen("matrix-unit-E", 1, n, seed)
 
@@ -801,6 +806,10 @@ def _fixed_problem(draw, name: str):
     return problem
 
 
+def _own_dims(m: int, n: int) -> tuple:
+    return m, n
+
+
 @dataclass(frozen=True)
 class InputClass:
     """One kind of case input.
@@ -812,11 +821,14 @@ class InputClass:
     class, not Hermitian within HERMITIAN_TOL.
     nbytes(m, n) is the bytes of one instance, which size the chunks of
     trials.  problem(instance, tol) names the precondition that a
-    `case --input` instance fails, or is None."""
+    `case --input` instance fails, or is None.  shape(m, n) is the dims
+    that draw reads: draw(m, n, seed) is draw(*shape(m, n), seed), so the
+    engine draws the trials of dims with one shape together."""
     draw: Callable
     load: Callable
     nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
     problem: Callable = lambda instance, tol: None
+    shape: Callable = _own_dims
 
 
 # 2x2-block classes fix the block count at 2 and use n as block size;
@@ -826,17 +838,18 @@ INPUT_CLASSES = {
     "hermitian": InputClass(partial(_gen, "hermitian"), _load_block),
     "ppt": InputClass(partial(_gen, "ppt"), _load_block, problem=_ppt_problem),
     "psd-2x2": InputClass(lambda m, n, seed: _gen("psd", 2, n, seed), _load_block,
-                          _block_2x2_nbytes, _psd_2x2_problem),
+                          _block_2x2_nbytes, _psd_2x2_problem, _two_blocks),
     "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed), _load_pair,
                             lambda m, n: 2 * 16 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
                            lambda m, n: 8 * m * n),
     "matrix-unit-E": InputClass(_matrix_unit_instances, _load_block, _block_2x2_nbytes,
-                                _fixed_problem(_matrix_unit_instances, "matrix-unit")),
+                                _fixed_problem(_matrix_unit_instances, "matrix-unit"),
+                                _two_blocks),
     "zero": InputClass(_zero_instances, _load_block,
                        problem=_fixed_problem(_zero_instances, "zero")),
     "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), n, n), _load_square,
-                         lambda m, n: 16 * n * n),
+                         lambda m, n: 16 * n * n, shape=lambda m, n: (n, n)),
 }
 
 
@@ -860,7 +873,7 @@ def build_slack(case_id: str, instance):
 
 
 def _evaluate(cases: list, stack, height: int, tol: float) -> list:
-    """(m, n, columns) of each of cases on one draw of a dims group, case i
+    """(m, n, columns) of each of cases on one draw of a shape group, case i
     on its rows [i * height, (i + 1) * height): every part column, for all
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
     case among them are decided together by one _psd_cols call."""
@@ -919,7 +932,7 @@ def _rows(evaluated) -> list:
 def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> SlackReport:
     """Run one case on one instance, checked as a stack of one.
 
-    run_case_trials passes instead the _Row of a trial whose dims group it
+    run_case_trials passes instead the _Row of a trial whose shape group it
     evaluated at once; the report is that row after case_id and seed."""
     if case_id not in REGISTRY:
         raise KeyError(f"unknown case id {case_id!r}")
@@ -964,14 +977,23 @@ class RunConfig:
         unknown = [c for c in self.cases if c not in REGISTRY]
         if unknown:
             raise KeyError(f"unknown case ids: {', '.join(unknown)}")
+        # numpy refuses an array of more bytes than intp holds before it
+        # allocates; dims whose one instance is such an array are bad input.
+        for name in dict.fromkeys(REGISTRY[c].input_class for c in self.cases):
+            for m, n in self.dims:
+                nbytes = INPUT_CLASSES[name].nbytes(m, n)
+                if nbytes > np.iinfo(np.intp).max:
+                    raise ValueError(f"dims {m}x{n} are too large: one {name} instance "
+                                     f"would take {nbytes} bytes")
 
 
 # Cap on the bytes of the instance stacks one chunk of trials draws at once,
-# so memory stays flat in the trial count.  Within a chunk, a dims group's
-# share of it, _CHUNK_BYTES // len(dims), caps one draw of an input class's
-# cases; the merged verdict of a draw decides at most 4 slacks per instance.
+# so memory stays flat in the trial count.  Within a chunk, a shape group's
+# share of it, _CHUNK_BYTES // len(dims) per dims of the group, caps one draw
+# of an input class's cases; the merged verdict of a draw decides at most 4
+# slacks per instance.
 _CHUNK_BYTES = 1 << 20
-# Cap on the trials of a chunk.  A case's reports of one dims group live at
+# Cap on the trials of a chunk.  A case's reports of one shape group live at
 # once, as Python objects that _CHUNK_BYTES does not count: at 1x1, its
 # bytes alone would admit 131,072 trials of them.
 _CHUNK_TRIALS = 4096
@@ -984,52 +1006,70 @@ def _chunk_trials(input_class: str, dims) -> int:
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes)))
 
 
-def _groups(base: int, tokens, dims, trials: int, step: int):
-    """(m, n, t, seeds) of every dims group of every chunk of `step` trials.
+def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
+    """(m, n, t, seeds) of every shape group of every chunk of `step`
+    trials.
 
     Trial t of a token has dims[t % len(dims)] and seed
-    derive_seed(base, token, t).  t holds the group's trial indices in
-    ascending order, and seeds[k][i] is the seed of trial t[i] of
-    tokens[k]; each chunk derives each token's seeds in one call."""
+    derive_seed(base, token, t).  The trials of a chunk whose dims share
+    shape(*dims) form one group, drawn at that shape (m, n).  t holds the
+    group's trial indices in ascending order, and seeds is the
+    (len(tokens), len(t)) uint64 array whose seeds[k, i] is the seed of
+    trial t[i] of tokens[k]; each chunk derives every token's seeds in one
+    fold.  A group of one dims is a slice of every period-th trial, and one
+    of several is selected by a mask over t % len(dims)."""
     period = len(dims)
+    members = {}  # shape -> the indices into dims of its dims
+    for g, (m, n) in enumerate(dims):
+        members.setdefault(shape(m, n), []).append(g)
+    masks = {key: np.isin(np.arange(period), g) for key, g in members.items() if len(g) > 1}
     for lo in range(0, trials, step):
         t = np.arange(lo, min(lo + step, trials))
-        seeds = [derive_seed(base, token, t) for token in tokens]
-        for g, (m, n) in enumerate(dims):
-            first = (g - lo) % period
+        seeds = derive_seed(base, list(tokens), t)
+        phase = t % period if masks else None
+        for (m, n), g in members.items():
+            if len(g) > 1:
+                mask = masks[m, n][phase]
+                if mask.any():
+                    yield m, n, t[mask], seeds[:, mask]
+                continue
+            first = (g[0] - lo) % period
             if first < len(t):
-                yield m, n, t[first::period], [s[first::period] for s in seeds]
+                yield m, n, t[first::period], seeds[:, first::period]
 
 
 def _class_entries(case_ids: list, config: RunConfig) -> dict:
     """The entry of each of case_ids, requested cases of one input class.
 
-    In each dims group of a chunk, the cases' seed slices are concatenated
-    and drawn by one make_instance call, and one _evaluate call checks
-    every case on its own rows of that stack, with one merged PSD verdict
-    for their slacks.  A draw holds at most _CHUNK_BYTES // len(dims) bytes
-    of instances, so many cases split into several draws.  Then, case by
-    case, check_case makes every trial's report from its _rows row, and
-    maps, sum and min aggregate the case's run of the group."""
-    input_class = REGISTRY[case_ids[0]].input_class
-    nbytes = INPUT_CLASSES[input_class].nbytes
-    share, tol = _CHUNK_BYTES // len(config.dims), config.tol
-    # Per case: trials, failures, premise misses, worst witness, its trial,
-    # seed and dims.
-    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None, None))
-    for m, n, t, seeds in _groups(config.seed, case_ids, config.dims, config.trials,
-                                  _chunk_trials(input_class, config.dims)):
+    In each shape group of a chunk, the cases' seed rows are drawn by one
+    make_instance call, and one _evaluate call checks every case on its
+    own rows of that stack, with one merged PSD verdict for their slacks.
+    A draw holds at most the group's share of _CHUNK_BYTES,
+    _CHUNK_BYTES // len(dims) per dims of the group, so many cases split
+    into several draws.  Then, case by case, check_case makes every
+    trial's report from its _rows row, and maps, sum and min aggregate the
+    case's run of the group.  A trial's worst_dims is its configured dims,
+    config.dims[t % len(dims)], whatever shape its group was drawn at."""
+    name = REGISTRY[case_ids[0]].input_class
+    input_class, dims, tol = INPUT_CLASSES[name], config.dims, config.tol
+    period = len(dims)
+    merged = Counter(input_class.shape(m, n) for m, n in dims)  # dims per shape
+    # Per case: trials, failures, premise misses, worst witness, its trial
+    # and seed.
+    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
+    for m, n, t, seeds in _groups(config.seed, case_ids, dims, config.trials,
+                                  _chunk_trials(name, dims), input_class.shape):
         height = len(t)
-        per_draw = max(1, share // (nbytes(m, n) * height))
+        share = merged[m, n] * (_CHUNK_BYTES // period)
+        per_draw = max(1, share // (input_class.nbytes(m, n) * height))
         evaluated = []
         for b in range(0, len(case_ids), per_draw):
-            stack = make_instance(case_ids[b], m, n, np.concatenate(seeds[b:b + per_draw]))
+            stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
             evaluated += _evaluate([REGISTRY[c] for c in case_ids[b:b + per_draw]],
                                    stack, height, tol)
         t = t.tolist()
-        for case_id, group, case_seeds in zip(case_ids, evaluated, seeds):
-            trials, failures, misses, worst, worst_t, worst_seed, worst_dims = totals[case_id]
-            case_seeds = case_seeds.tolist()
+        for case_id, group, case_seeds in zip(case_ids, evaluated, seeds.tolist()):
+            trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
             reports = list(map(check_case, repeat(case_id), _rows(group), repeat(tol), case_seeds))
             trials += height
             misses += sum(map(_misses, reports))
@@ -1048,12 +1088,13 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
                 # of trial order; a tie stays with the earliest trial.
                 j = kept[witnesses.index(witness)]
                 if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
-                    worst, worst_t, worst_seed, worst_dims = witness, t[j], case_seeds[j], (m, n)
-            totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed, worst_dims
+                    worst, worst_t, worst_seed = witness, t[j], case_seeds[j]
+            totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,
-                      "worst_dims": None if dims is None else "{}x{}".format(*dims)}
-            for case_id, (trials, failures, misses, worst, _, worst_seed, dims) in totals.items()}
+                      "worst_dims": None if worst_t is None else
+                      "{}x{}".format(*dims[worst_t % period])}
+            for case_id, (trials, failures, misses, worst, worst_t, worst_seed) in totals.items()}
 
 
 def run_case_trials(case_id: str, config: RunConfig, finished: dict | None = None) -> dict:

@@ -431,3 +431,15 @@ def test_unwritable_out_is_refused(tmp_path, capsys, command):
     assert captured.err.startswith(f"error: cannot write {out}:")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [["verify", "--cases", "eq18-matrix"], ["scan"]])
+@pytest.mark.parametrize("dims", ["99999x99999", "2x2,99999x99999"])
+def test_dims_too_large_for_numpy_exit_2(capsys, command, dims):
+    """One 99999x99999 instance would take 1.6e21 bytes, more than numpy's
+    intp counts, so numpy refuses the array before allocating anything.
+    RunConfig refuses the dims first, before any trial runs."""
+    assert main(command + ["--dims", dims, "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: dims 99999x99999 are too large")
+    assert captured.out == ""
