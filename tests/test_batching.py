@@ -72,11 +72,26 @@ def test_array_derive_seed_matches_scalar():
             assert got.tolist() == [derive_seed(base, case_id, int(v)) for v in t]
             checked += t.size
     assert checked >= 2000
+    # A list of tokens before the array folds every token's seeds at once:
+    # row k is bit for bit derive_seed of tokens[k] alone, after any tokens
+    # before the list, and the list may hold ints or be empty.
+    tokens = ["ando", "horodecki-reduction", "open-question-scan", 7, "ando"]
+    for base in bases[:5]:
+        for prefix in ((), ("pre",), ("pre", 3)):
+            got = derive_seed(base, *prefix, tokens, t)
+            assert got.dtype == np.uint64 and got.shape == (len(tokens), t.size)
+            for row, token in zip(got, tokens):
+                assert row.tolist() == derive_seed(base, *prefix, token, t).tolist()
+            assert got[0, :5].tolist() == [derive_seed(base, *prefix, "ando", int(v))
+                                           for v in t[:5]]
+        assert derive_seed(base, [], t).shape == (0, t.size)
+        assert derive_seed(base, tokens, t[:0]).shape == (len(tokens), 0)
 
 
 def test_array_derive_seed_rejects_negative_values():
-    with pytest.raises(TypeError):
-        derive_seed(1, "ando", np.array([3, -1]))
+    for token in ("ando", ["ando", "ck-lih"]):
+        with pytest.raises(TypeError):
+            derive_seed(1, token, np.array([3, -1]))
 
 
 def test_batched_stream_rows_match_single_streams():
@@ -193,22 +208,49 @@ def test_run_case_trials_matches_scalar_loop(seed):
 
 
 def test_groups_match_scalar_draws():
-    """Chunks of 5 trials over three dims cut inside the dims groups."""
-    dims = ((2, 3), (1, 1), (4, 2))
-    for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih"):
+    """Chunks of 5 trials over four dims cut inside the groups.  Drawn at
+    its class's shape, every trial's row is its own draw at its configured
+    dims.  psd-2x2, matrix-unit-E and square merge the dims that share n,
+    so some of their groups hold trials of two configured dims."""
+    dims = ((2, 3), (1, 1), (4, 3), (3, 1))
+    for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih",
+                    "coro55-norms", "psi-not-2-positive", "abs-block-corollary"):
+        shape = suite.INPUT_CLASSES[REGISTRY[case_id].input_class].shape
         tokens = (case_id, "other-" + case_id)
         seen = {token: [] for token in tokens}
-        for m, n, t, seeds in suite._groups(7, tokens, dims, 23, step=5):
+        merged = False
+        for m, n, t, seeds in suite._groups(7, tokens, dims, 23, 5, shape):
             t = t.tolist()
-            assert t == sorted(t) and len(seeds) == len(tokens)
+            assert t == sorted(set(t)) and len(seeds) == len(tokens)
+            merged |= len({dims[trial % 4] for trial in t}) > 1
             for token, token_seeds in zip(tokens, seeds):
                 stacked = make_instance(case_id, m, n, token_seeds)
                 for i, (trial, seed) in enumerate(zip(t, token_seeds.tolist(), strict=True)):
-                    assert seed == derive_seed(7, token, trial) and (m, n) == dims[trial % 3]
-                    assert _bytes(_row(stacked, i)) == _bytes(make_instance(case_id, m, n, seed))
+                    assert seed == derive_seed(7, token, trial)
+                    assert (m, n) == shape(*dims[trial % 4])
+                    assert _bytes(_row(stacked, i)) == _bytes(
+                        make_instance(case_id, *dims[trial % 4], seed))
                 seen[token] += t
         for token in tokens:
             assert sorted(seen[token]) == list(range(23))
+        assert merged == (REGISTRY[case_id].input_class in ("psd-2x2", "matrix-unit-E",
+                                                             "square")), case_id
+
+
+@pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
+def test_each_shape_is_the_dims_its_draw_reads(input_class):
+    """draw(m, n) is draw(*shape(m, n)) byte for byte, block structure and
+    all, so a shape group may draw its trials at the shape.  Only the
+    classes that ignore m merge dims: one shape per n."""
+    row = suite.INPUT_CLASSES[input_class]
+    for m, n in DIMS_1_4:
+        got, want = row.draw(m, n, SEEDS), row.draw(*row.shape(m, n), SEEDS)
+        assert type(got) is type(want) and _bytes(got) == _bytes(want), (m, n)
+        assert (getattr(got, "m", None), getattr(got, "n", None)) == \
+            (getattr(want, "m", None), getattr(want, "n", None))
+    shapes = {row.shape(m, n) for m, n in DIMS_1_4}
+    merges = input_class in ("psd-2x2", "matrix-unit-E", "square")
+    assert len(shapes) == (4 if merges else len(DIMS_1_4))
 
 
 @pytest.mark.parametrize("cap", [1, 3000, 10_000])
@@ -418,6 +460,13 @@ AGGREGATION_CONFIGS = {
     "past-chunk-trials": RunConfig(("ck-classical", "ck-lih", "ck-improved"), TINY_DIMS,
                                    suite._CHUNK_TRIALS + 37, 11),
     "mixed-dims": RunConfig(tuple(case_ids()), DIMS_1_4, 20, 8),
+    # psd-2x2, square and matrix-unit-E cases, whose first three dims share
+    # n = 2 and so one shape group; psi-not-2-positive ties at -1 in every
+    # trial.
+    "shape-merged": RunConfig(("trace-2x2-besenyei", "hermitian-offdiag-majorization",
+                               "lin-2x2-ppt", "coro55-norms", "thm37-singular",
+                               "abs-block-corollary", "psi-not-2-positive"),
+                              ((3, 2), (2, 2), (4, 2), (2, 3)), 30, 6),
 }
 
 
@@ -433,6 +482,26 @@ def test_run_suite_equals_per_trial_aggregation(config):
         assert got["hiroshima-conditional"]["worst_witness"] is None
     if config is AGGREGATION_CONFIGS["past-chunk-trials"]:
         assert suite._chunk_trials("real-int", config.dims) == suite._CHUNK_TRIALS
+
+
+@pytest.mark.parametrize("cap", [600, 1000, 2500])
+def test_shape_merged_groups_equal_per_dims_aggregation(monkeypatch, cap):
+    """Small chunk caps cut the chunks inside the merged shape groups, and
+    split a group's cases into several draws.  The entries still equal the
+    per-trial loop over per-dims groups, and each worst_dims is the
+    configured dims of its trial: psi-not-2-positive's tie stays with
+    trial 0, at 3x2, though its group is drawn at 2x2."""
+    config = AGGREGATION_CONFIGS["shape-merged"]
+    want = _reference_entries(config)
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", cap)
+    for input_class in ("psd-2x2", "square", "matrix-unit-E"):
+        step = suite._chunk_trials(input_class, config.dims)
+        assert step < config.trials and step % len(config.dims)
+    got = run_suite(config)["cases"]
+    assert got == want and serialize.dump(got) == serialize.dump(want)
+    psi = got["psi-not-2-positive"]
+    assert (psi["worst_witness"], psi["worst_dims"]) == (-1.0, "3x2")
+    assert psi["worst_seed"] == derive_seed(config.seed, "psi-not-2-positive", 0)
 
 
 def test_rows_with_absent_parts_equal_a_per_trial_build():
@@ -543,6 +612,30 @@ def test_slack_verdicts_stay_within_four_draws(monkeypatch):
     # Some draws merge the slacks of several cases, and some hold one case.
     assert max(count for _, _, count in decided) > most
     assert min(count for _, _, count in decided) == 1
+
+
+def test_merged_group_draw_budget_is_the_sum_of_its_dims_shares(monkeypatch):
+    """Three dims with n = 4 make one psd-2x2 group of 27 trials, drawn in
+    draws of at most three dims' shares of _CHUNK_BYTES: 3 cases per draw
+    here, where one share would admit 1."""
+    cases = tuple(c for c in case_ids() if REGISTRY[c].input_class == "psd-2x2")
+    config = RunConfig(cases, ((2, 4), (3, 4), (4, 4)), 27, 2)
+    want = run_suite(config)
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", 90_000)
+    assert suite._chunk_trials("psd-2x2", config.dims) > config.trials
+    real, drawn = suite.make_instance, []
+
+    def draw(case_id, m, n, seeds):
+        stack = real(case_id, m, n, seeds)
+        drawn.append(len(_bytes(stack)))
+        return stack
+
+    monkeypatch.setattr(suite, "make_instance", draw)
+    assert run_suite(config) == want
+    share = 90_000 // len(config.dims)
+    per_draw = 3 * share // (27 * suite.INPUT_CLASSES["psd-2x2"].nbytes(2, 4))
+    assert per_draw == 3 and len(cases) == 10
+    assert len(drawn) == 4 and max(drawn) <= 3 * share
 
 
 @pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
