@@ -783,47 +783,44 @@ def _psd_2x2_problem(a: BlockMatrix, tol):
     return _psd_problem(a, tol)
 
 
-def _block_2x2_nbytes(m: int, n: int) -> int:
-    return 16 * (2 * n) ** 2
-
-
 def _two_blocks(m: int, n: int) -> tuple:
     return 2, n
 
 
-def _matrix_unit_instances(m: int, n: int, seed):
-    return _gen("matrix-unit-E", 1, n, seed)
-
-
-def _fixed_problem(draw, name: str):
-    """problem of a class whose draw at each dims ignores the seed: any
-    input other than that fixed instance of its dims is refused."""
-    def problem(a: BlockMatrix, tol):
-        want = draw(a.m, a.n, 0)
-        if want.m != a.m or not np.array_equal(want.dense, a.dense):
-            return f"input matrix is not the {name} instance of its dims"
-        return None
-    return problem
+def _square(m: int, n: int) -> tuple:
+    return n, n
 
 
 def _own_dims(m: int, n: int) -> tuple:
     return m, n
 
 
+def _fixed_problem(input_class: str, name: str):
+    """problem of a class whose draw at each dims ignores the seed: any
+    input other than that fixed instance of its dims is refused."""
+    def problem(a: BlockMatrix, tol):
+        want = _draw_at(input_class, a.m, a.n, 0)
+        if want.m != a.m or not np.array_equal(want.dense, a.dense):
+            return f"input matrix is not the {name} instance of its dims"
+        return None
+    return problem
+
+
 @dataclass(frozen=True)
 class InputClass:
     """One kind of case input.
 
-    draw(m, n, seed) is the seeded instance at dims (m, n); a 1-D seed array
-    gives every seed's instance stacked along a leading trial axis.
+    shape(m, n) is the shape of the instance at dims (m, n): the only dims
+    that draw and nbytes see, so the engine draws the trials of dims with
+    one shape together.  shape(*shape(m, n)) is shape(m, n).
+    draw(m, n, seed) is the seeded instance of shape (m, n); a 1-D seed
+    array gives every seed's instance stacked along a leading trial axis.
     load(obj) reads the JSON object of one instance and raises ValueError
     when it is malformed, non-finite, of the wrong shape, or, for a block
     class, not Hermitian within HERMITIAN_TOL.
-    nbytes(m, n) is the bytes of one instance, which size the chunks of
-    trials.  problem(instance, tol) names the precondition that a
-    `case --input` instance fails, or is None.  shape(m, n) is the dims
-    that draw reads: draw(m, n, seed) is draw(*shape(m, n), seed), so the
-    engine draws the trials of dims with one shape together."""
+    nbytes(m, n) is the bytes of one instance of shape (m, n), which size
+    the chunks of trials.  problem(instance, tol) names the precondition
+    that a `case --input` instance fails, or is None."""
     draw: Callable
     load: Callable
     nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
@@ -837,26 +834,38 @@ INPUT_CLASSES = {
     "psd": InputClass(_psd_instances, _load_block, problem=_psd_problem),
     "hermitian": InputClass(partial(_gen, "hermitian"), _load_block),
     "ppt": InputClass(partial(_gen, "ppt"), _load_block, problem=_ppt_problem),
-    "psd-2x2": InputClass(lambda m, n, seed: _gen("psd", 2, n, seed), _load_block,
-                          _block_2x2_nbytes, _psd_2x2_problem, _two_blocks),
+    "psd-2x2": InputClass(partial(_gen, "psd"), _load_block, problem=_psd_2x2_problem,
+                          shape=_two_blocks),
     "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed), _load_pair,
                             lambda m, n: 2 * 16 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
                            lambda m, n: 8 * m * n),
-    "matrix-unit-E": InputClass(_matrix_unit_instances, _load_block, _block_2x2_nbytes,
-                                _fixed_problem(_matrix_unit_instances, "matrix-unit"),
-                                _two_blocks),
+    "matrix-unit-E": InputClass(partial(_gen, "matrix-unit-E"), _load_block,
+                                problem=_fixed_problem("matrix-unit-E", "matrix-unit"),
+                                shape=_two_blocks),
     "zero": InputClass(_zero_instances, _load_block,
-                       problem=_fixed_problem(_zero_instances, "zero")),
-    "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), n, n), _load_square,
-                         lambda m, n: 16 * n * n, shape=lambda m, n: (n, n)),
+                       problem=_fixed_problem("zero", "zero")),
+    "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), m, n), _load_square,
+                         lambda m, n: 16 * m * n, shape=_square),
 }
+
+
+def _draw_at(input_class: str, m: int, n: int, seed):
+    """The input class's instance at dims (m, n): its draw at their shape."""
+    row = INPUT_CLASSES[input_class]
+    return row.draw(*row.shape(m, n), seed)
+
+
+def _nbytes_at(input_class: str, m: int, n: int) -> int:
+    """The bytes of one instance of the input class at dims (m, n)."""
+    row = INPUT_CLASSES[input_class]
+    return row.nbytes(*row.shape(m, n))
 
 
 def make_instance(case_id: str, m: int, n: int, seed):
     """Instance of the case's input class at the given dims; a 1-D array of
     seeds gives every seed's instance stacked along a leading trial axis."""
-    return INPUT_CLASSES[REGISTRY[case_id].input_class].draw(m, n, seed)
+    return _draw_at(REGISTRY[case_id].input_class, m, n, seed)
 
 
 def build_slack(case_id: str, instance):
@@ -981,7 +990,7 @@ class RunConfig:
         # allocates; dims whose one instance is such an array are bad input.
         for name in dict.fromkeys(REGISTRY[c].input_class for c in self.cases):
             for m, n in self.dims:
-                nbytes = INPUT_CLASSES[name].nbytes(m, n)
+                nbytes = _nbytes_at(name, m, n)
                 if nbytes > np.iinfo(np.intp).max:
                     raise ValueError(f"dims {m}x{n} are too large: one {name} instance "
                                      f"would take {nbytes} bytes")
@@ -1001,8 +1010,7 @@ _CHUNK_TRIALS = 4096
 def _chunk_trials(input_class: str, dims) -> int:
     """Trials per chunk: as many as keep its instance stacks near
     _CHUNK_BYTES, and at most _CHUNK_TRIALS."""
-    nbytes = INPUT_CLASSES[input_class].nbytes
-    cycle_bytes = sum(nbytes(m, n) for m, n in dims)
+    cycle_bytes = sum(_nbytes_at(input_class, m, n) for m, n in dims)
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES * len(dims) // max(1, cycle_bytes)))
 
 
@@ -1016,26 +1024,23 @@ def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
     group's trial indices in ascending order, and seeds is the
     (len(tokens), len(t)) uint64 array whose seeds[k, i] is the seed of
     trial t[i] of tokens[k]; each chunk derives every token's seeds in one
-    fold.  A group of one dims is a slice of every period-th trial, and one
-    of several is selected by a mask over t % len(dims)."""
+    fold.  A stable sort of the chunk's trials by group cuts every group
+    as one slice."""
     period = len(dims)
     members = {}  # shape -> the indices into dims of its dims
     for g, (m, n) in enumerate(dims):
         members.setdefault(shape(m, n), []).append(g)
-    masks = {key: np.isin(np.arange(period), g) for key, g in members.items() if len(g) > 1}
+    group_of = np.empty(period, dtype=np.intp)  # dims index -> group index
+    for k, g in enumerate(members.values()):
+        group_of[g] = k
     for lo in range(0, trials, step):
-        t = np.arange(lo, min(lo + step, trials))
+        ids = group_of[np.arange(lo, min(lo + step, trials)) % period]
+        t = lo + np.argsort(ids, kind="stable")
         seeds = derive_seed(base, list(tokens), t)
-        phase = t % period if masks else None
-        for (m, n), g in members.items():
-            if len(g) > 1:
-                mask = masks[m, n][phase]
-                if mask.any():
-                    yield m, n, t[mask], seeds[:, mask]
-                continue
-            first = (g[0] - lo) % period
-            if first < len(t):
-                yield m, n, t[first::period], seeds[:, first::period]
+        ends = np.cumsum(np.bincount(ids, minlength=len(members))).tolist()
+        for (m, n), start, end in zip(members, [0] + ends, ends):
+            if start < end:
+                yield m, n, t[start:end], seeds[:, start:end]
 
 
 def _class_entries(case_ids: list, config: RunConfig) -> dict:

@@ -239,12 +239,15 @@ def test_groups_match_scalar_draws():
 
 @pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
 def test_each_shape_is_the_dims_its_draw_reads(input_class):
-    """draw(m, n) is draw(*shape(m, n)) byte for byte, block structure and
-    all, so a shape group may draw its trials at the shape.  Only the
-    classes that ignore m merge dims: one shape per n."""
+    """A shape is its own shape, so the instance at dims (m, n) is byte for
+    byte, block structure and all, the instance at dims shape(m, n), which
+    a shape group draws.  Only the classes that ignore m merge dims: one
+    shape per n."""
     row = suite.INPUT_CLASSES[input_class]
     for m, n in DIMS_1_4:
-        got, want = row.draw(m, n, SEEDS), row.draw(*row.shape(m, n), SEEDS)
+        key = row.shape(m, n)
+        assert row.shape(*key) == key, (m, n)
+        got, want = suite._draw_at(input_class, m, n, SEEDS), suite._draw_at(input_class, *key, SEEDS)
         assert type(got) is type(want) and _bytes(got) == _bytes(want), (m, n)
         assert (getattr(got, "m", None), getattr(got, "n", None)) == \
             (getattr(want, "m", None), getattr(want, "n", None))
@@ -640,10 +643,10 @@ def test_merged_group_draw_budget_is_the_sum_of_its_dims_shares(monkeypatch):
 
 @pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
 def test_nbytes_is_the_bytes_of_one_instance(input_class):
-    row = suite.INPUT_CLASSES[input_class]
     for m, n in DIMS_1_4:
         for t in (1, 3, 5):
-            assert row.nbytes(m, n) * t == len(_bytes(row.draw(m, n, SEEDS[:t]))), (m, n, t)
+            drawn = suite._draw_at(input_class, m, n, SEEDS[:t])
+            assert suite._nbytes_at(input_class, m, n) * t == len(_bytes(drawn)), (m, n, t)
 
 
 def test_stack_height_changes_nothing(monkeypatch):
