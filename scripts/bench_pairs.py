@@ -66,8 +66,16 @@ def _quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
-def verdict(parent: list, change: list, better: str, bound: float) -> str:
-    """The verdict on one metric from the paired runs of each side.
+def change_wins(parent: list, change: list, better: str) -> int:
+    """The pairs whose change run is better than its parent run; ties
+    count for neither side."""
+    higher = better == "higher"
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list, change: list, better: str, bound: float, wins: int | None = None) -> str:
+    """The verdict on one metric from the paired runs of each side, given
+    the change's wins if they are counted already.
 
     - gain: the change wins at least 9 in 10 pairs (ties count for
       neither), and its median is better than the parent's by more than
@@ -79,7 +87,8 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     - flat: any other result.
     """
     sign = 1 if better == "higher" else -1
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if wins is None:
+        wins = change_wins(parent, change, better)
     p, c = _quartiles(parent), _quartiles(change)
     spread = p["q3"] - p["q1"]
     gap = sign * (c["median"] - p["median"])  # > 0: the change is better
@@ -96,15 +105,15 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
 def summarize(pairs: list, spec: list) -> dict:
     out = {}
     for metric in spec:
-        name, higher = metric["name"], metric["better"] == "higher"
+        name = metric["name"]
         sides = {side: [p[side]["metrics"][name] for p in pairs] for side in ("parent", "change")}
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+        wins = change_wins(sides["parent"], sides["change"], metric["better"])
         entry = {"unit": metric["unit"], "better": metric["better"], "change_wins": wins}
         for side, values in sides.items():
             entry[side] = _quartiles(values)
         entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
         entry["verdict"] = verdict(sides["parent"], sides["change"], metric["better"],
-                                   metric["bound"])
+                                   metric["bound"], wins)
         out[name] = entry
     return out
 

@@ -80,6 +80,13 @@ def _text_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _error(message) -> int:
+    """Print the one `error:` line of a usage or input error; returns
+    USAGE_ERROR."""
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _emit(text: str, out_path, code: int = 0) -> int:
     """Write text to out_path, or to stdout without one; returns code, or
     USAGE_ERROR when out_path cannot be written."""
@@ -88,8 +95,7 @@ def _emit(text: str, out_path, code: int = 0) -> int:
             with open(out_path, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
-            return USAGE_ERROR
+            return _error(f"cannot write {out_path}: {exc.strerror}")
         return code
     try:
         print(text, flush=True)
@@ -108,32 +114,30 @@ def _cmd_verify(args) -> int:
         config = RunConfig(cases, dims, args.trials, args.seed, args.tol)
     except (ValueError, KeyError) as exc:
         # args[0], not str(exc): str of a KeyError quotes its message.
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return USAGE_ERROR
-    report = run_suite(config)
+        return _error(exc.args[0])
+    try:
+        report = run_suite(config)
+    except MemoryError:
+        return _error(f"dims {args.dims} are too large: the run does not fit in memory")
     text = serialize.dump(report) if args.format == "json" else _text_report(report)
     return _emit(text, args.out, 1 if total_failures(report) else 0)
 
 
 def _cmd_case(args) -> int:
     if args.id not in REGISTRY:
-        print(f"error: unknown case id {args.id!r}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(f"unknown case id {args.id!r}")
     input_class = INPUT_CLASSES[REGISTRY[args.id].input_class]
     try:
         check_tol(args.tol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(exc)
     try:
         instance = input_class.load(serialize.load(args.input))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(f"cannot read input: {exc}")
     problem = input_class.problem(instance, args.tol)
     if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(problem)
     report = check_case(args.id, instance, args.tol)
     obj = {
         "case": args.id,
@@ -151,25 +155,23 @@ def _cmd_case(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         spec = GenSpec(args.kind, m=args.m, n=args.n, seed=args.seed)
-        instance = gen(spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if spec.kind == "gram-pair":
-        obj = serialize.pair_to_obj(instance)
-    elif spec.kind == "real-int":
-        obj = serialize.int_matrix_to_obj(instance)
-    else:
-        obj = serialize.block_to_obj(instance)
-    return _emit(serialize.dump(obj), args.out)
+        return _error(exc)
+    try:
+        instance = gen(spec)
+    except (MemoryError, ValueError):  # numpy refuses or cannot allocate its arrays
+        return _error(f"--m {args.m} --n {args.n} are too large: "
+                      "the instance does not fit in memory")
+    return _emit(serialize.dump(serialize.instance_to_obj(instance)), args.out)
 
 
 def _cmd_scan(args) -> int:
     try:
         report = open_question_scan(parse_dims(args.dims), args.trials, args.seed, args.tol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _error(exc)
+    except MemoryError:
+        return _error(f"dims {args.dims} are too large: the run does not fit in memory")
     return _emit(serialize.dump(report), args.out, 1 if report["sanity_violations"] else 0)
 
 

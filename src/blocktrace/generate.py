@@ -10,17 +10,6 @@ from .blocks import BlockMatrix
 from .linalg import hermitian_part
 from .rng import Stream, box_muller, check_seed, is_int
 
-KINDS = (
-    "psd",
-    "ppt",
-    "hermitian",
-    "gram-pair",
-    "real-int",
-    "matrix-unit-E",
-    "ones-kron",
-)
-
-
 @dataclass(frozen=True)
 class GenSpec:
     kind: str
@@ -118,6 +107,22 @@ def matrix_unit_block(n: int) -> np.ndarray:
     return out
 
 
+# kind -> draw(stream, spec), the instance of a GenSpec of that kind.  The
+# fixed kinds copy their one instance per seed, so every row stays writable.
+_DRAWS = {
+    "psd": lambda s, g: BlockMatrix(g.m, g.n, random_psd(s, g.m * g.n, g.rank)),
+    "ppt": lambda s, g: BlockMatrix(g.m, g.n, random_ppt(s, g.m, g.n)),
+    "hermitian": lambda s, g: BlockMatrix(g.m, g.n, random_hermitian(s, g.m * g.n)),
+    "gram-pair": lambda s, g: (ginibre(s, g.m, g.n), ginibre(s, g.m, g.n)),
+    "real-int": lambda s, g: s.integers(-g.int_bound, g.int_bound, (g.m, g.n)),
+    "matrix-unit-E": lambda s, g: BlockMatrix(2, g.n, np.broadcast_to(
+        matrix_unit_block(g.n), s.batch + (2 * g.n,) * 2).copy()),
+    "ones-kron": lambda s, g: BlockMatrix(
+        g.m, g.n, np.ones(s.batch + (g.m * g.n,) * 2, dtype=np.complex128)),
+}
+KINDS = tuple(_DRAWS)
+
+
 def gen(spec: GenSpec):
     """Produce the instance a GenSpec describes; pure in the spec.
 
@@ -126,21 +131,4 @@ def gen(spec: GenSpec):
     (T, m, n) integer array or a pair of (T, m, n) factor stacks.  Row i is
     bit for bit the instance of seed i alone; the fixed kinds repeat their
     one instance T times."""
-    stream = Stream(spec.seed)
-    m, n = spec.m, spec.n
-    if spec.kind == "psd":
-        dense = random_psd(stream, m * n, spec.rank)
-    elif spec.kind == "ppt":
-        dense = random_ppt(stream, m, n)
-    elif spec.kind == "hermitian":
-        dense = random_hermitian(stream, m * n)
-    elif spec.kind == "gram-pair":
-        return ginibre(stream, m, n), ginibre(stream, m, n)
-    elif spec.kind == "real-int":
-        return stream.integers(-spec.int_bound, spec.int_bound, (m, n))
-    elif spec.kind == "matrix-unit-E":
-        m, unit = 2, matrix_unit_block(n)
-        dense = np.broadcast_to(unit, stream.batch + unit.shape).copy()
-    else:
-        dense = np.ones(stream.batch + (m * n, m * n), dtype=np.complex128)
-    return BlockMatrix(m, n, dense)
+    return _DRAWS[spec.kind](Stream(spec.seed), spec)

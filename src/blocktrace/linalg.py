@@ -169,12 +169,25 @@ def kyfan_norm(a, k: int) -> float:
     return float(np.sum(singular_values(a)[:k]))
 
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy bundles: the
-# scipy-openblas 64-bit-integer build first, then a plain OpenBLAS.
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# (get, set) thread-count symbols of the OpenBLAS builds numpy bundles, in
+# the order they are tried: scipy-openblas (numpy 2.x) with 64-bit integers,
+# then with 32-bit ones; then a plain OpenBLAS, whose 64-bit-integer build
+# (numpy 1.x wheels) carries a `64_` suffix.
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", ""))
+
+
+def _thread_functions(lib):
+    """(get, set) thread-count functions of a loaded library, by the first
+    pair of _OPENBLAS_SYMBOLS it exports both of, or None."""
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -185,15 +198,11 @@ def _openblas():
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib_path in sorted(libs.glob("*openblas*")):
         try:
-            lib = ctypes.CDLL(str(lib_path))
+            handle = _thread_functions(ctypes.CDLL(str(lib_path)))
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+        if handle is not None:
+            return handle
     return None
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blocks import BlockMatrix, partial_transpose
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as orders.hermitian_eigvals)
-from .linalg import hermitian_eigvals_stack, pad_sorted, scale_stack, singular_values_stack
+from .linalg import pad_sorted, require_hermitian, scale_stack, singular_values_stack
 
 PSD_TOL = 1e-8
 MAJORIZATION_TOL = 1e-8
@@ -48,14 +48,19 @@ class MajorizationVerdict:
         return np.where(total < worst, total, worst)  # min(worst, total), ties to worst
 
 
-def is_psd(a, tol: float = PSD_TOL) -> OrderVerdict:
-    """PSD test for a Hermitian matrix, or for every matrix of a (..., k, k)
-    stack by one eigvalsh call: witness is lambda_min, and the tolerance is
-    tol * max(1, ||.||_F)."""
-    a = np.asarray(a, dtype=np.complex128)
-    lam_min = hermitian_eigvals_stack(a)[..., -1]  # validates Hermiticity
+def psd_verdict(a: np.ndarray, tol: float = PSD_TOL) -> OrderVerdict:
+    """PSD test for every matrix of a complex128 (..., k, k) stack that is
+    exactly Hermitian, unchecked, by one eigvalsh call: witness is
+    lambda_min, and the tolerance is tol * max(1, ||.||_F)."""
+    lam_min = np.linalg.eigvalsh(a)[..., 0]  # eigvalsh sorts ascending
     tolerance = tol * scale_stack(a)
     return OrderVerdict(lam_min >= -tolerance, lam_min, tolerance)
+
+
+def is_psd(a, tol: float = PSD_TOL) -> OrderVerdict:
+    """PSD test for a Hermitian matrix, or for every matrix of a (..., k, k)
+    stack: psd_verdict after require_hermitian."""
+    return psd_verdict(require_hermitian(a), tol)
 
 
 def loewner_ge(a, b, tol: float = PSD_TOL) -> OrderVerdict:

@@ -99,6 +99,18 @@ def pair_from_obj(obj: dict):
     return matrix_from_obj(a), matrix_from_obj(b)
 
 
+def instance_to_obj(x) -> dict:
+    """The JSON object of an instance, in the format of its type: a block
+    matrix, a factor pair, an integer matrix or a complex matrix."""
+    if isinstance(x, BlockMatrix):
+        return block_to_obj(x)
+    if isinstance(x, tuple):
+        return pair_to_obj(x)
+    if np.asarray(x).dtype.kind == "i":
+        return int_matrix_to_obj(x)
+    return matrix_to_obj(x)
+
+
 def dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 

@@ -38,7 +38,7 @@ from .linalg import hermitian_part as _herm
 from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
-from .orders import PSD_TOL, is_psd, majorizes, sv_dominates
+from .orders import PSD_TOL, is_psd, majorizes, psd_verdict, sv_dominates
 from .rng import Stream, check_seed, derive_seed, is_int
 
 # ---------------------------------------------------------------------------
@@ -132,13 +132,11 @@ def _psd_cols(slacks: list, trials: int, tol: float) -> list:
     for i, out in enumerate(stack):  # each slack is released once copied
         _herm(slacks[i][1], out)
         slacks[i] = None
-    # is_psd's verdict without its Hermiticity check, which the exactly
-    # Hermitian _herm output always passes.  eigvalsh sorts ascending.
-    lam_min = np.linalg.eigvalsh(stack)[..., 0]
-    holds = lam_min >= -tol * scale_stack(stack)
+    verdict = psd_verdict(stack, tol)  # _herm's output is exactly Hermitian
     shape = (len(labels), trials)
-    return list(zip(labels, np.broadcast_to(lam_min.reshape(len(labels), -1), shape).tolist(),
-                    np.broadcast_to(holds.reshape(len(labels), -1), shape).tolist()))
+    return list(zip(labels,
+                    np.broadcast_to(verdict.witness.reshape(len(labels), -1), shape).tolist(),
+                    np.broadcast_to(verdict.holds.reshape(len(labels), -1), shape).tolist()))
 
 
 def _vcol(label: str, verdict) -> tuple:
@@ -307,7 +305,7 @@ def _sb_lambda_min(base, k, d):
 
 
 def _sb_psi_copositive(d):
-    return [("main", apply_map_blockwise("psi", d.a, transpose_blocks=True).dense)]
+    return [("main", apply_map_blockwise("psi", BlockMatrix(d.m, d.n, d.tau)).dense)]
 
 
 def _sb_choi_hermitian_ando(d):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrace import linalg, serialize, suite
-from blocktrace.blocks import BlockMatrix
+from blocktrace.blocks import BlockMatrix, from_blocks
 from blocktrace.generate import KINDS, GenSpec, gen, random_ppt, random_psd
 from blocktrace.maps import apply_map_blockwise
 from blocktrace.orders import is_psd, sv_dominates
@@ -311,6 +311,31 @@ def _psd_2x2(n: int, seed: int) -> BlockMatrix:
 
 def _same_bits(got, want) -> bool:
     return got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _psi_on_swapped_blocks(a: BlockMatrix) -> np.ndarray:
+    """[psi(A_ji)] as built before psi took A^tau: psi applied to a
+    block-swapped view of A's blocks."""
+    blocks = a.as_blocks().swapaxes(-4, -3)
+    trace_eye = linalg.trace_stack(blocks)[..., None, None] * np.eye(a.n)
+    return from_blocks(a.m, a.n, trace_eye - blocks).dense
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_psi_on_a_tau_equals_the_swapped_block_build(m):
+    """psi-completely-copositive's slack, psi blockwise on A^tau, has the
+    bits of the swapped-block build at dims 1..6 x 1..6, for a stack of
+    trials and for each trial alone."""
+    case_id = "psi-completely-copositive"
+    build = REGISTRY[case_id].fn
+    for n in range(1, 7):
+        stack = make_instance(case_id, m, n, SEEDS)
+        [(_, got)] = build(suite.Derived(stack))
+        assert _same_bits(got, _psi_on_swapped_blocks(stack))
+        for seed in SEEDS.tolist():
+            one = make_instance(case_id, m, n, seed)
+            [(_, got)] = build(suite.Derived(one))
+            assert _same_bits(got, _psi_on_swapped_blocks(one))
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -4,10 +4,12 @@ and when entries nest or overlap in several threads.  The thread count
 must not move a report bit."""
 
 import contextlib
+import ctypes
 import dataclasses
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 
@@ -54,6 +56,35 @@ def test_library_is_looked_up_at_the_first_engine_call_not_at_import():
             "blocktrace.run_suite(blocktrace.RunConfig(('ando',), ((2, 2),), 1, 0)); "
             "assert linalg._openblas.cache_info().misses == 1")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=TIMEOUT_S)
+
+
+def _library(*names):
+    """A stand-in for a loaded library that exports only the given symbols,
+    each a distinct function."""
+    return types.SimpleNamespace(**{name: lambda *args: 0 for name in names})
+
+
+# numpy 2.x wheels bundle scipy-openblas, numpy 1.x wheels an OpenBLAS whose
+# symbols carry a `64_` suffix; the other two are their 32-bit-integer builds.
+FAMILIES = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+            for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+
+
+@pytest.mark.parametrize("get_name, set_name", FAMILIES, ids=lambda name: name)
+def test_thread_functions_of_every_openblas_family(get_name, set_name):
+    lib = _library(get_name, set_name)
+    get, put = linalg._thread_functions(lib)
+    assert get is getattr(lib, get_name) and put is getattr(lib, set_name)
+    assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+    assert (put.argtypes, put.restype) == ([ctypes.c_int], None)
+
+
+def test_thread_functions_need_both_of_one_family():
+    assert linalg._thread_functions(_library()) is None
+    assert linalg._thread_functions(_library(FAMILIES[0][0], FAMILIES[3][1])) is None
+    # The first complete family wins.
+    lib = _library(*FAMILIES[3], *FAMILIES[2])
+    assert linalg._thread_functions(lib)[0] is getattr(lib, FAMILIES[2][0])
 
 
 SMALL = RunConfig(("ando", "choi-tr1", "ck-classical"), ((2, 2), (6, 6)), 3, 1)

@@ -11,7 +11,7 @@ import blocktrace
 from blocktrace import serialize
 from blocktrace.blocks import BlockMatrix
 from blocktrace.cli import main, parse_dims
-from blocktrace.generate import GenSpec, gen
+from blocktrace.generate import KINDS, GenSpec, gen
 from blocktrace.suite import _CK_LIH, case_ids, check_case, make_instance
 from test_suite import I64_MAX, I64_MIN, ck_oracle
 
@@ -181,6 +181,28 @@ def test_gen_int_and_pair_formats(tmp_path):
     assert p.shape == (2, 3) and q.shape == (2, 3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_writes_instance_to_obj_and_reads_back_bit_for_bit(tmp_path, kind):
+    """gen --out writes the format instance_to_obj picks for the library's
+    instance, and the reader of that format gives the instance back."""
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", kind, "--m", "2", "--n", "3", "--seed", "7",
+                 "--out", str(out)]) == 0
+    instance = gen(GenSpec(kind, m=2, n=3, seed=7))
+    assert out.read_text() == serialize.dump(serialize.instance_to_obj(instance)) + "\n"
+    obj = json.loads(out.read_text())
+    if isinstance(instance, BlockMatrix):
+        back = serialize.block_from_obj(obj)
+        assert (back.m, back.n) == (instance.m, instance.n)
+        got, want = [back.dense], [instance.dense]
+    elif isinstance(instance, tuple):
+        got, want = serialize.pair_from_obj(obj), instance
+    else:
+        got, want = [serialize.int_matrix_from_obj(obj)], [instance]
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_gen_matches_library(tmp_path):
     out = tmp_path / "g.json"
     assert main(["gen", "--kind", "psd", "--m", "2", "--n", "2",
@@ -235,17 +257,6 @@ def test_thread_env_does_not_change_report(tmp_path, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _to_obj(instance) -> dict:
-    """The JSON object of an instance, by the serializer for its type."""
-    if isinstance(instance, BlockMatrix):
-        return serialize.block_to_obj(instance)
-    if isinstance(instance, tuple):
-        return serialize.pair_to_obj(instance)
-    if instance.dtype.kind == "i":
-        return serialize.int_matrix_to_obj(instance)
-    return serialize.matrix_to_obj(instance)
-
-
 @pytest.mark.parametrize("case_id", case_ids())
 def test_case_round_trip_every_case(tmp_path, capsys, case_id):
     """`case` on a dumped make_instance reports what check_case reports.
@@ -253,7 +264,7 @@ def test_case_round_trip_every_case(tmp_path, capsys, case_id):
     path = tmp_path / "inst.json"
     for seed in (0, 1, 5):
         instance = make_instance(case_id, 2, 3, seed)
-        path.write_text(serialize.dump(_to_obj(instance)) + "\n")
+        path.write_text(serialize.dump(serialize.instance_to_obj(instance)) + "\n")
         assert main(["case", "--id", case_id, "--input", str(path)]) == 0
         got = json.loads(capsys.readouterr().out)["parts"]
         want = check_case(case_id, instance).parts
@@ -443,3 +454,31 @@ def test_dims_too_large_for_numpy_exit_2(capsys, command, dims):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: dims 99999x99999 are too large")
     assert captured.out == ""
+
+
+_ADDRESS_SPACE = 2 << 30  # bytes the child below may map
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["verify", "--dims", "300x300", "--trials", "1", "--cases", "ando"], "dims 300x300"),
+    (["scan", "--dims", "300x300", "--trials", "1"], "dims 300x300"),
+    (["gen", "--kind", "real-int", "--m", "99999", "--n", "99999"], "--m 99999 --n 99999"),
+    (["gen", "--kind", "psd", "--m", "99999", "--n", "99999"], "--m 99999 --n 99999"),
+], ids=["verify", "scan", "gen-real-int", "gen-psd"])
+def test_sizes_beyond_memory_exit_2(argv, sizes):
+    """A 300x300 instance takes 121 GiB, and a 99999x99999 integer draw
+    75 GiB: numpy can count those bytes but not allocate them.  A psd
+    instance at 99999x99999 is more bytes than numpy counts.  Each prints
+    one error: line naming the sizes, and exits 2.  The child lowers its
+    own address-space limit before it imports numpy, so that these sizes
+    fail to allocate instead of reaching the machine's memory."""
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, "
+            f"({_ADDRESS_SPACE}, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "from blocktrace.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(blocktrace.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {sizes} are too large")
+    assert out.stderr.count("\n") == 1 and out.stdout == ""

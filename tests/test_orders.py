@@ -7,8 +7,10 @@ from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import GenSpec, gen
 from blocktrace.jacobi import jacobi_eigh
 from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
-                               hermitian_part_eigvals, pad_sorted, singular_values_stack)
-from blocktrace.orders import is_ppt, is_psd, loewner_ge, majorizes, sv_dominates
+                               hermitian_part_eigvals, pad_sorted, scale_stack,
+                               singular_values_stack)
+from blocktrace.orders import (PSD_TOL, is_ppt, is_psd, loewner_ge, majorizes, psd_verdict,
+                               sv_dominates)
 from blocktrace.rng import Stream
 
 
@@ -55,6 +57,40 @@ def test_huge_entries_get_finite_tolerances():
     assert not v.holds and v.witness == pytest.approx(-1e200)
     assert v.tolerance_used == pytest.approx(2e192)
     assert is_ppt(BlockMatrix(2, 2, 1e200 * np.eye(4, dtype=np.complex128))).holds
+
+
+def _is_psd_before_psd_verdict(a, tol):
+    """(holds, witness, tolerance) as is_psd computed them before
+    psd_verdict: the last of the non-increasing spectrum, against tol
+    times the stacked scale."""
+    a = np.asarray(a, dtype=np.complex128)
+    lam_min = hermitian_eigvals_stack(a)[..., -1]
+    tolerance = tol * scale_stack(a)
+    return lam_min >= -tolerance, lam_min, tolerance
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
+def test_psd_verdict_keeps_is_psd_bits():
+    """psd_verdict, alone on an exactly Hermitian stack and inside is_psd,
+    gives the old witness, tolerance and verdict bit for bit: on random
+    Hermitian and rank-deficient Gram stacks, the zero matrix, and 1e200
+    entries whose Frobenius scale overflows."""
+    g = Stream(3).complex_gaussians((6, 5, 2))
+    inputs = [
+        hermitian_part(Stream(1).complex_gaussians((6, 5, 5))),
+        hermitian_part(g @ g.conj().swapaxes(-1, -2)),
+        np.zeros((3, 3), dtype=np.complex128),
+        np.diag([-1e200, 1.0]).astype(np.complex128),
+        np.stack([1e200 * np.eye(2), np.diag([1e200, -1e-3])]).astype(np.complex128),
+    ]
+    for a in inputs:
+        for tol in (PSD_TOL, 0.0, 1e-3):
+            want = _is_psd_before_psd_verdict(a, tol)
+            for verdict in (psd_verdict(a, tol), is_psd(a, tol)):
+                got = (verdict.holds, verdict.witness, verdict.tolerance_used)
+                for x, y in zip(got, want):
+                    assert np.asarray(x).dtype == y.dtype and np.asarray(x).tobytes() == y.tobytes()
+    assert not is_psd(inputs[3]).holds and psd_verdict(inputs[3]).tolerance_used == 1e192
 
 
 def test_loewner_order():
