@@ -73,7 +73,8 @@ def change_wins(parent: list, change: list, better: str) -> int:
     return sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
 
 
-def verdict(parent: list, change: list, better: str, bound: float, wins: int | None = None) -> str:
+def verdict(parent: list, change: list, better: str, bound: float,
+            wins: int | None = None) -> str:
     """The verdict on one metric from the paired runs of each side, given
     the change's wins if they are counted already.
 
