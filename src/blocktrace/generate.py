@@ -39,7 +39,7 @@ def _check_seed_array(seeds: np.ndarray) -> None:
     O(1) for derive_seed's uint64 arrays: only a signed one is scanned."""
     kind = seeds.dtype.kind
     if (seeds.ndim != 1 or kind not in "iu"
-            or (kind == "i" and seeds.size and seeds.min() < 0)):
+            or (kind != "u" and seeds.size and seeds.min() < 0)):
         raise ValueError(f"a seed array must be 1-D with integer entries >= 0, got {seeds!r}")
 
 

@@ -106,7 +106,7 @@ def instance_to_obj(x) -> dict:
         return block_to_obj(x)
     if isinstance(x, tuple):
         return pair_to_obj(x)
-    if np.asarray(x).dtype.kind == "i":
+    if np.issubdtype(np.asarray(x).dtype, np.integer):
         return int_matrix_to_obj(x)
     return matrix_to_obj(x)
 

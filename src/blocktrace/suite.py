@@ -704,9 +704,6 @@ def _registry():
 
 REGISTRY = _registry()
 
-EXPECTED_FAILURE_CASES = tuple(
-    cid for cid, case in REGISTRY.items() if case.check_kind == "expected-failure")
-
 # Check kinds whose fn builds slack matrices that must all be PSD.
 _SLACK_KINDS = ("psd-slack", "ppt-of-derived")
 

@@ -314,8 +314,8 @@ def _same_bits(got, want) -> bool:
 
 
 def _psi_on_swapped_blocks(a: BlockMatrix) -> np.ndarray:
-    """[psi(A_ji)] as built before psi took A^tau: psi applied to a
-    block-swapped view of A's blocks."""
+    """[psi(A_ji)] built without A^tau: psi applied to a block-swapped view
+    of A's blocks, the reference for psi on A^tau."""
     blocks = a.as_blocks().swapaxes(-4, -3)
     trace_eye = linalg.trace_stack(blocks)[..., None, None] * np.eye(a.n)
     return from_blocks(a.m, a.n, trace_eye - blocks).dense

@@ -59,10 +59,10 @@ def test_huge_entries_get_finite_tolerances():
     assert is_ppt(BlockMatrix(2, 2, 1e200 * np.eye(4, dtype=np.complex128))).holds
 
 
-def _is_psd_before_psd_verdict(a, tol):
-    """(holds, witness, tolerance) as is_psd computed them before
-    psd_verdict: the last of the non-increasing spectrum, against tol
-    times the stacked scale."""
+def _is_psd_reference(a, tol):
+    """(holds, witness, tolerance) of is_psd's rule written out: the last
+    of the checked non-increasing spectrum, against tol times the stacked
+    scale."""
     a = np.asarray(a, dtype=np.complex128)
     lam_min = hermitian_eigvals_stack(a)[..., -1]
     tolerance = tol * scale_stack(a)
@@ -72,7 +72,7 @@ def _is_psd_before_psd_verdict(a, tol):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200
 def test_psd_verdict_keeps_is_psd_bits():
     """psd_verdict, alone on an exactly Hermitian stack and inside is_psd,
-    gives the old witness, tolerance and verdict bit for bit: on random
+    gives the reference witness, tolerance and verdict bit for bit: on random
     Hermitian and rank-deficient Gram stacks, the zero matrix, and 1e200
     entries whose Frobenius scale overflows."""
     g = Stream(3).complex_gaussians((6, 5, 2))
@@ -85,7 +85,7 @@ def test_psd_verdict_keeps_is_psd_bits():
     ]
     for a in inputs:
         for tol in (PSD_TOL, 0.0, 1e-3):
-            want = _is_psd_before_psd_verdict(a, tol)
+            want = _is_psd_reference(a, tol)
             for verdict in (psd_verdict(a, tol), is_psd(a, tol)):
                 got = (verdict.holds, verdict.witness, verdict.tolerance_used)
                 for x, y in zip(got, want):

@@ -17,7 +17,6 @@ from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack, hermit
 from blocktrace.orders import is_psd
 from blocktrace.rng import check_seed, derive_seed
 from blocktrace.suite import (
-    EXPECTED_FAILURE_CASES,
     INPUT_CLASSES,
     REGISTRY,
     Derived,
@@ -68,7 +67,8 @@ def test_every_case_holds_on_random_instances(case_id, dims):
 
 
 def test_expected_failure_case_detects_violation():
-    assert EXPECTED_FAILURE_CASES == ("psi-not-2-positive",)
+    expected_failures = [c for c, case in REGISTRY.items() if case.check_kind == "expected-failure"]
+    assert expected_failures == ["psi-not-2-positive"]
     inst = make_instance("psi-not-2-positive", 2, 3, 0)
     report = check_case("psi-not-2-positive", inst)
     assert report.holds  # holds means: the violation was found
