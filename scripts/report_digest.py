@@ -27,7 +27,9 @@ Run it on two checkouts; equal digests mean equal reports:
 
 stdout is the one combined digest.  stderr gets the digest of each section
 (verify, cases, scan, suite, extremes, slacks), so when two checkouts
-differ, the lines that differ name the sections that moved.
+differ, the lines that differ name the sections that moved.  Its last line,
+`criterion-2 <sha256>`, is the sha256 of the criterion-2 text itself, the
+value the README's `verify ... | sha256sum` command prints.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ def section_digests(*sections) -> dict:
     return {name: _sha256(value) for name, value in zip(SECTIONS, sections, strict=True)}
 
 
+def stderr_lines(*sections) -> list:
+    """The digest of each section, then the sha256 of the verify text."""
+    lines = [f"{name:<8} {value}" for name, value in section_digests(*sections).items()]
+    return lines + [f"criterion-2 {hashlib.sha256(sections[0].encode()).hexdigest()}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True,
@@ -162,8 +170,7 @@ def main(argv=None) -> int:
                 suite_report(bt, CASE_DIMS, 100, 42),
                 extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
                 slack_records(bt, SLACK_DIMS, SLACK_SEEDS))
-    for name, value in section_digests(*sections).items():
-        print(f"{name:<8} {value}", file=sys.stderr)
+    print(*stderr_lines(*sections), sep="\n", file=sys.stderr)
     print(digest(*sections))
     return 0
 

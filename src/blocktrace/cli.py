@@ -29,6 +29,7 @@ from .suite import (
     check_tol,
     run_suite,
     open_question_scan,
+    require_instance,
     total_failures,
 )
 
@@ -126,16 +127,16 @@ def _cmd_verify(args) -> int:
 def _cmd_case(args) -> int:
     if args.id not in REGISTRY:
         return _error(f"unknown case id {args.id!r}")
-    input_class = INPUT_CLASSES[REGISTRY[args.id].input_class]
+    name = REGISTRY[args.id].input_class
     try:
         check_tol(args.tol)
     except ValueError as exc:
         return _error(exc)
     try:
-        instance = input_class.load(serialize.load(args.input))
+        instance = require_instance(name, INPUT_CLASSES[name].load(serialize.load(args.input)))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return _error(f"cannot read input: {exc}")
-    problem = input_class.problem(instance, args.tol)
+    problem = INPUT_CLASSES[name].problem(instance, args.tol)
     if problem is not None:
         return _error(problem)
     report = check_case(args.id, instance, args.tol)

@@ -10,6 +10,9 @@ from .blocks import BlockMatrix
 from .linalg import hermitian_part
 from .rng import Stream, box_muller, check_seed, is_int
 
+INT_BOUND = 100  # real-int entries lie in [-INT_BOUND, INT_BOUND]
+
+
 @dataclass(frozen=True)
 class GenSpec:
     kind: str
@@ -17,7 +20,6 @@ class GenSpec:
     n: int = 1
     seed: int = 0
     rank: int | None = None
-    int_bound: int = 100
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -26,8 +28,6 @@ class GenSpec:
             raise ValueError(f"dimensions must be positive integers, got {self.m!r}x{self.n!r}")
         if self.rank is not None and not (is_int(self.rank) and 1 <= self.rank <= self.m * self.n):
             raise ValueError(f"rank {self.rank!r} out of range for size {self.m * self.n}")
-        if not is_int(self.int_bound) or self.int_bound < 0:
-            raise ValueError(f"int_bound must be a non-negative integer, got {self.int_bound!r}")
         if isinstance(self.seed, np.ndarray):
             _check_seed_array(self.seed)
         else:
@@ -114,7 +114,7 @@ _DRAWS = {
     "ppt": lambda s, g: BlockMatrix(g.m, g.n, random_ppt(s, g.m, g.n)),
     "hermitian": lambda s, g: BlockMatrix(g.m, g.n, random_hermitian(s, g.m * g.n)),
     "gram-pair": lambda s, g: (ginibre(s, g.m, g.n), ginibre(s, g.m, g.n)),
-    "real-int": lambda s, g: s.integers(-g.int_bound, g.int_bound, (g.m, g.n)),
+    "real-int": lambda s, g: s.integers(-INT_BOUND, INT_BOUND, (g.m, g.n)),
     "matrix-unit-E": lambda s, g: BlockMatrix(2, g.n, np.broadcast_to(
         matrix_unit_block(g.n), s.batch + (2 * g.n,) * 2).copy()),
     "ones-kron": lambda s, g: BlockMatrix(

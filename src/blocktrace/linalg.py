@@ -220,7 +220,7 @@ def one_blas_thread():
     OpenBLAS splits each eigvalsh and matmul call across its threads, which
     gains no wall time at these sizes but keeps the other cores spinning
     between calls; one thread gives the same bits.  The count is
-    process-wide, so scopes that nest or overlap in several threads share
+    process-wide, so scopes that nest or overlap in several threads use
     one depth counter: the first to enter saves the count and the last to
     exit restores it, also when the block raises.  While any scope is open,
     every thread's BLAS calls run on one thread.  Without a bundled

@@ -1,4 +1,4 @@
-"""Counter-based deterministic random stream.
+"""A counter-based, deterministic random stream.
 
 The k-th raw word for seed s is splitmix64(s + (k+1) * GAMMA) with the usual
 finalizer constants, so any counter range can be produced independently and

@@ -9,7 +9,6 @@ expected-failure cases hold when the violation is detected.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -253,7 +252,7 @@ def choi_block(a: BlockMatrix) -> BlockMatrix:
 # ---------------------------------------------------------------------------
 # slack builders: fn(Derived) -> [(label, slack matrix), ...]
 # The registry row of every psd-slack and ppt-of-derived case carries its
-# builder; check_case and build_slack share it.
+# builder; check_case and build_slack both use it.
 
 
 def _fold(row, d: Derived) -> np.ndarray:
@@ -392,7 +391,10 @@ def _ck(gaps, x, tol):
     With |entries| <= K, every sum and every term of a gap is at most
     5 (mn)^2 K^2 in absolute value, so int64 is exact when
     8 (mn)^2 K^2 < 2^62; otherwise the same expressions run on Python ints
-    (object dtype).  K is taken in Python ints: abs(-2^63) wraps in int64."""
+    (object dtype).  K is taken in Python ints: abs(-2^63) wraps in int64.
+    Any dtype but a (non-bool) integer is refused, not truncated by a cast."""
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"an exact-integer case needs integer entries, got dtype {x.dtype}")
     m, n = x.shape[-2:]
     k = max(-int(x.min()), int(x.max()))
     x = x.astype(np.int64 if 8 * (m * n * k) ** 2 < 1 << 62 else object, copy=False)
@@ -739,26 +741,6 @@ def _zero_instances(m: int, n: int, seed):
     return BlockMatrix(m, n, np.zeros(np.shape(seed) + (m * n, m * n), dtype=np.complex128))
 
 
-def _load_block(obj) -> BlockMatrix:
-    a = serialize.block_from_obj(obj)
-    require_hermitian(a.dense)
-    return a
-
-
-def _load_pair(obj):
-    pair = serialize.pair_from_obj(obj)
-    if pair[0].shape != pair[1].shape:
-        raise ValueError("the two factors of the pair differ in shape")
-    return pair
-
-
-def _load_square(obj) -> np.ndarray:
-    x = serialize.matrix_from_obj(obj)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("input matrix is not square")
-    return x
-
-
 def _psd_problem(a: BlockMatrix, tol):
     if not is_psd(_herm(a.dense), tol).holds:
         return "input matrix is not positive semidefinite"
@@ -770,12 +752,6 @@ def _ppt_problem(a: BlockMatrix, tol):
     if problem is None and not is_psd(_herm(partial_transpose(a).dense), tol).holds:
         return "input matrix does not have a PSD partial transpose"
     return problem
-
-
-def _psd_2x2_problem(a: BlockMatrix, tol):
-    if a.m != 2:
-        return "input must have 2x2 block structure"
-    return _psd_problem(a, tol)
 
 
 def _two_blocks(m: int, n: int) -> tuple:
@@ -794,8 +770,7 @@ def _fixed_problem(input_class: str, name: str):
     """problem of a class whose draw at each dims ignores the seed: any
     input other than that fixed instance of its dims is refused."""
     def problem(a: BlockMatrix, tol):
-        want = _draw_at(input_class, a.m, a.n, 0)
-        if want.m != a.m or not np.array_equal(want.dense, a.dense):
+        if not np.array_equal(_draw_at(input_class, a.m, a.n, 0).dense, a.dense):
             return f"input matrix is not the {name} instance of its dims"
         return None
     return problem
@@ -807,17 +782,17 @@ class InputClass:
 
     shape(m, n) is the shape of the instance at dims (m, n): the only dims
     that draw and nbytes see, so the engine draws the trials of dims with
-    one shape together.  shape(*shape(m, n)) is shape(m, n).
+    one shape together.  shape(*shape(m, n)) is shape(m, n), and an input
+    whose dims are not a shape is refused (require_instance).
     draw(m, n, seed) is the seeded instance of shape (m, n); a 1-D seed
     array gives every seed's instance stacked along a leading trial axis.
-    load(obj) reads the JSON object of one instance and raises ValueError
-    when it is malformed, non-finite, of the wrong shape, or, for a block
-    class, not Hermitian within HERMITIAN_TOL.
+    load(obj) parses the JSON object of one instance, in serialize's format
+    of its type, and raises ValueError when it is malformed or non-finite.
     nbytes(m, n) is the bytes of one instance of shape (m, n), which size
-    the chunks of trials.  problem(instance, tol) names the precondition
+    the chunks of trials; load and nbytes default to a block class's.  problem(instance, tol) names the precondition
     that a `case --input` instance fails, or is None."""
     draw: Callable
-    load: Callable
+    load: Callable = serialize.block_from_obj
     nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
     problem: Callable = lambda instance, tol: None
     shape: Callable = _own_dims
@@ -826,22 +801,19 @@ class InputClass:
 # 2x2-block classes fix the block count at 2 and use n as block size;
 # gram-pair factors have shape (n, m); the square X is n x n.
 INPUT_CLASSES = {
-    "psd": InputClass(_psd_instances, _load_block, problem=_psd_problem),
-    "hermitian": InputClass(partial(_gen, "hermitian"), _load_block),
-    "ppt": InputClass(partial(_gen, "ppt"), _load_block, problem=_ppt_problem),
-    "psd-2x2": InputClass(partial(_gen, "psd"), _load_block, problem=_psd_2x2_problem,
-                          shape=_two_blocks),
-    "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed), _load_pair,
-                            lambda m, n: 2 * 16 * m * n),
+    "psd": InputClass(_psd_instances, problem=_psd_problem),
+    "hermitian": InputClass(partial(_gen, "hermitian")),
+    "ppt": InputClass(partial(_gen, "ppt"), problem=_ppt_problem),
+    "psd-2x2": InputClass(partial(_gen, "psd"), problem=_psd_problem, shape=_two_blocks),
+    "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed),
+                            serialize.pair_from_obj, lambda m, n: 2 * 16 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
                            lambda m, n: 8 * m * n),
-    "matrix-unit-E": InputClass(partial(_gen, "matrix-unit-E"), _load_block,
-                                problem=_fixed_problem("matrix-unit-E", "matrix-unit"),
-                                shape=_two_blocks),
-    "zero": InputClass(_zero_instances, _load_block,
-                       problem=_fixed_problem("zero", "zero")),
-    "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), m, n), _load_square,
-                         lambda m, n: 16 * m * n, shape=_square),
+    "matrix-unit-E": InputClass(partial(_gen, "matrix-unit-E"), shape=_two_blocks,
+                                problem=_fixed_problem("matrix-unit-E", "matrix-unit")),
+    "zero": InputClass(_zero_instances, problem=_fixed_problem("zero", "zero")),
+    "square": InputClass(lambda m, n, seed: ginibre(Stream(seed), m, n),
+                         serialize.matrix_from_obj, lambda m, n: 16 * m * n, shape=_square),
 }
 
 
@@ -881,12 +853,7 @@ def _evaluate(cases: list, stack, height: int, tol: float) -> list:
     on its rows [i * height, (i + 1) * height): every part column, for all
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
     case among them are decided together by one _psd_cols call."""
-    if isinstance(stack, BlockMatrix):
-        m, n = stack.m, stack.n
-    elif isinstance(stack, tuple):  # a gram pair: n x m factors at dims (m, n)
-        n, m = stack[0].shape[-2:]
-    else:
-        m, n = stack.shape[-2:]
+    m, n = _dims(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
     for i, case in enumerate(cases):
         own = _each(stack, lambda x: x[i * height:(i + 1) * height])
@@ -898,6 +865,35 @@ def _evaluate(cases: list, stack, height: int, tol: float) -> list:
             columns.append(case.fn(Derived(own) if isinstance(own, BlockMatrix) else own, tol))
     decided = iter(_psd_cols(slacks, height, tol) if slacks else ())
     return [(m, n, list(islice(decided, c)) if isinstance(c, int) else c) for c in columns]
+
+
+def _dims(instance) -> tuple:
+    """The dims (m, n) of an instance, or of a stack of them: a gram pair's
+    factors are n x m, and a plain matrix is m x n."""
+    if isinstance(instance, BlockMatrix):
+        return instance.m, instance.n
+    if isinstance(instance, tuple):
+        return np.shape(instance[0])[-1:-3:-1]
+    return np.shape(instance)[-2:]
+
+
+def require_instance(input_class: str, instance):
+    """instance itself; ValueError unless it is one instance of the input
+    class, as `case --input` and check_case require: one matrix per array,
+    a pair's factors of one shape, dims that are a shape of the class, and a
+    block matrix finite and Hermitian within HERMITIAN_TOL."""
+    arrays = instance if isinstance(instance, tuple) else (getattr(instance, "dense", instance),)
+    shapes = set(map(np.shape, arrays))
+    if len(shapes) != 1:
+        raise ValueError("the two factors of the pair differ in shape")
+    if len(*shapes) != 2:
+        raise ValueError("input is not one instance: an array has shape {}".format(*shapes))
+    dims = _dims(instance)
+    if INPUT_CLASSES[input_class].shape(*dims) != dims:
+        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
+    if isinstance(instance, BlockMatrix):
+        require_hermitian(instance.dense)
+    return instance
 
 
 def _each(instance, fn):
@@ -942,6 +938,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
         check_tol(tol)
+        require_instance(REGISTRY[case_id].input_class, instance)
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
         instance = _rows(_evaluate([REGISTRY[case_id]], one_trial, 1, tol)[0])[0]
     return _new(SlackReport, (case_id, seed) + instance)
@@ -993,9 +990,8 @@ class RunConfig:
 
 # Cap on the bytes of the instance stacks one chunk of trials draws at once,
 # so memory stays flat in the trial count.  Within a chunk, a shape group's
-# share of it, _CHUNK_BYTES // len(dims) per dims of the group, caps one draw
-# of an input class's cases; the merged verdict of a draw decides at most 4
-# slacks per instance.
+# fraction of its trials times this caps one draw of an input class's cases;
+# the merged verdict of a draw decides at most 4 slacks per instance.
 _CHUNK_BYTES = 1 << 20
 # Cap on the trials of a chunk.  A case's reports of one shape group live at
 # once, as Python objects that _CHUNK_BYTES does not count: at 1x1, its
@@ -1014,8 +1010,8 @@ def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
     trials.
 
     Trial t of a token has dims[t % len(dims)] and seed
-    derive_seed(base, token, t).  The trials of a chunk whose dims share
-    shape(*dims) form one group, drawn at that shape (m, n).  t holds the
+    derive_seed(base, token, t).  The trials of a chunk whose dims have the
+    same shape(*dims) form one group, drawn at that shape (m, n).  t holds the
     group's trial indices in ascending order, and seeds is the
     (len(tokens), len(t)) uint64 array whose seeds[k, i] is the seed of
     trial t[i] of tokens[k]; each chunk derives every token's seeds in one
@@ -1044,24 +1040,23 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
     In each shape group of a chunk, the cases' seed rows are drawn by one
     make_instance call, and one _evaluate call checks every case on its
     own rows of that stack, with one merged PSD verdict for their slacks.
-    A draw holds at most the group's share of _CHUNK_BYTES,
-    _CHUNK_BYTES // len(dims) per dims of the group, so many cases split
-    into several draws.  Then, case by case, check_case makes every
-    trial's report from its _rows row, and maps, sum and min aggregate the
-    case's run of the group.  A trial's worst_dims is its configured dims,
+    A draw holds the rows of at most _CHUNK_BYTES // (nbytes * chunk)
+    cases, so its bytes are the group's fraction of the chunk's trials
+    times _CHUNK_BYTES, and many cases split into several draws.  Then,
+    case by case, check_case makes every trial's report from its _rows
+    row, and maps, sum and min aggregate the case's run of the group.  A trial's worst_dims is its configured dims,
     config.dims[t % len(dims)], whatever shape its group was drawn at."""
     name = REGISTRY[case_ids[0]].input_class
     input_class, dims, tol = INPUT_CLASSES[name], config.dims, config.tol
-    period = len(dims)
-    merged = Counter(input_class.shape(m, n) for m, n in dims)  # dims per shape
+    period, step = len(dims), _chunk_trials(name, dims)
+    chunk = min(step, config.trials)  # the trials of a full chunk
     # Per case: trials, failures, premise misses, worst witness, its trial
     # and seed.
     totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
-    for m, n, t, seeds in _groups(config.seed, case_ids, dims, config.trials,
-                                  _chunk_trials(name, dims), input_class.shape):
+    for m, n, t, seeds in _groups(config.seed, case_ids, dims, config.trials, step,
+                                  input_class.shape):
         height = len(t)
-        share = merged[m, n] * (_CHUNK_BYTES // period)
-        per_draw = max(1, share // (input_class.nbytes(m, n) * height))
+        per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
         evaluated = []
         for b in range(0, len(case_ids), per_draw):
             stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
@@ -1097,19 +1092,18 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
             for case_id, (trials, failures, misses, worst, worst_t, worst_seed) in totals.items()}
 
 
-def run_case_trials(case_id: str, config: RunConfig, finished: dict | None = None) -> dict:
-    """Aggregate config.trials trials of one case, cycling over dims.
+def run_case_trials(case_id: str, config: RunConfig, finished: dict) -> dict:
+    """The entry of config.trials trials of one case of config.cases,
+    cycling over dims.
 
-    Alone, the case runs by itself.  run_suite passes one `finished` dict
-    to every case it runs: the first case of an input class to arrive runs
-    all the requested cases of that class together and leaves the others'
-    entries there, and each of them returns its entry from there."""
-    if finished is None:
-        return _class_entries([case_id], config)[case_id]
+    run_suite passes one `finished` dict to every case it runs: the first
+    case of an input class to arrive runs all the requested cases of that
+    class together and leaves the others' entries there, and each of them
+    returns its entry from there."""
     if case_id not in finished:
         input_class = REGISTRY[case_id].input_class
         finished.update(_class_entries(sorted(
-            c for c in {case_id, *config.cases} if REGISTRY[c].input_class == input_class), config))
+            c for c in config.cases if REGISTRY[c].input_class == input_class), config))
     return finished.pop(case_id)
 
 

@@ -27,7 +27,6 @@ from blocktrace.suite import (
     choi_block,
     eq18_slack,
     make_instance,
-    run_case_trials,
     run_suite,
     symmetrize_offdiag,
 )
@@ -203,7 +202,8 @@ def test_run_case_trials_matches_scalar_loop(seed):
     together = run_suite(config)["cases"]
     for case_id in config.cases:
         want = _reference_case_trials(case_id, config)
-        assert run_case_trials(case_id, config) == want
+        alone = RunConfig((case_id,), config.dims, config.trials, config.seed)
+        assert run_suite(alone)["cases"][case_id] == want
         assert together[case_id] == want
 
 
@@ -715,7 +715,7 @@ def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
 
     monkeypatch.setattr(suite, "_chunk_trials", lambda input_class, dims: 10)
     monkeypatch.setattr(suite, "make_instance", draw)
-    entry = run_case_trials(case_id, config)
+    entry = run_suite(config)["cases"][case_id]
     m, n = ROW_DIMS[trial % 3]
     assert entry["failures"] == 1
     assert (entry["worst_seed"], entry["worst_dims"]) == (target, f"{m}x{n}")
@@ -724,7 +724,8 @@ def test_one_negated_trial_is_named(monkeypatch, case_id, trial):
     assert together[case_id] == entry
     for sibling in SIBLINGS[case_id]:
         assert REGISTRY[sibling].input_class == REGISTRY[case_id].input_class
-        assert together[sibling] == run_case_trials(sibling, RunConfig((sibling,), ROW_DIMS, 30, 5))
+        alone = RunConfig((sibling,), ROW_DIMS, 30, 5)
+        assert together[sibling] == run_suite(alone)["cases"][sibling]
         assert together[sibling]["failures"] == 0
 
 
@@ -834,7 +835,7 @@ def test_non_hermitian_row_in_a_stack_raises(monkeypatch):
 
     monkeypatch.setattr(suite, "make_instance", draw)
     with pytest.raises(ValueError, match="not Hermitian"):
-        run_case_trials("eqm1-majorization", RunConfig(("eqm1-majorization",), ((2, 2),), 9, 3))
+        run_suite(RunConfig(("eqm1-majorization",), ((2, 2),), 9, 3))
 
 
 @pytest.mark.parametrize("case_id", [c for c in case_ids()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrace.blocks import BlockMatrix, partial_transpose
-from blocktrace.generate import KINDS, GenSpec, gen, matrix_unit_block
+from blocktrace.generate import INT_BOUND, KINDS, GenSpec, gen, matrix_unit_block
 from blocktrace.linalg import require_hermitian
 from blocktrace.orders import is_ppt, is_psd
 
@@ -20,15 +20,14 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("m", True), ("m", 2.0), ("n", True), ("n", 2.0), ("n", np.float64(2)),
-    ("rank", 1.0), ("rank", True), ("int_bound", 2.5), ("int_bound", True), ("int_bound", "3"),
+    ("rank", 1.0), ("rank", True),
 ])
 def test_spec_sizes_must_be_integers(field, value):
-    """m, n, rank and int_bound are integers and not bools; anything else
-    is refused with ValueError, before any instance is drawn."""
-    kind = "real-int" if field == "int_bound" else "psd"
+    """m, n and rank are integers and not bools; anything else is refused
+    with ValueError, before any instance is drawn."""
     with pytest.raises(ValueError, match={"m": "dimensions", "n": "dimensions"}.get(field, field)):
-        GenSpec(kind, **{"m": 2, "n": 2, field: value})
-    assert getattr(GenSpec(kind, **{"m": 2, "n": 2, field: np.int64(1)}), field) == 1
+        GenSpec("psd", **{"m": 2, "n": 2, field: value})
+    assert getattr(GenSpec("psd", **{"m": 2, "n": 2, field: np.int64(1)}), field) == 1
 
 
 @pytest.mark.parametrize("seeds", [
@@ -86,10 +85,10 @@ def test_gram_pair_shapes():
 
 
 def test_int_matrices_exact():
-    x = gen(GenSpec("real-int", m=4, n=5, seed=8, int_bound=10))
+    x = gen(GenSpec("real-int", m=4, n=5, seed=8))
     assert x.shape == (4, 5)
     assert x.dtype == np.int64
-    assert np.abs(x).max() <= 10
+    assert np.abs(x).max() <= INT_BOUND
 
 
 def test_matrix_unit_block_structure():

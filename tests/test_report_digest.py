@@ -2,7 +2,10 @@ import copy
 import hashlib
 import importlib.util
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +108,19 @@ def test_section_digests_name_the_section_that_moved():
     records[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     moved = report_digest.section_digests(inputs[0], records, *inputs[2:])
     assert [name for name in sections if moved[name] != sections[name]] == ["cases"]
+
+
+def test_last_stderr_line_hashes_the_verify_text_as_the_cli_prints_it():
+    """`criterion-2` is the sha256 of the bytes `blocktrace verify` writes
+    to stdout, what `| sha256sum` reads, on a small config here."""
+    inputs = _inputs()
+    lines = report_digest.stderr_lines(*inputs)
+    assert lines[:-1] == [f"{name:<8} {value}"
+                          for name, value in report_digest.section_digests(*inputs).items()]
+    cases = [c for c in bt.case_ids() if c not in report_digest.SWEEP_EXCLUDED]
+    src = Path(bt.__file__).resolve().parent.parent
+    stdout = subprocess.run(
+        [sys.executable, "-m", "blocktrace.cli", "verify", "--format", "json", "--dims", "2x2",
+         "--trials", "3", "--seed", "1", "--cases", *cases],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120).stdout
+    assert lines[-1] == f"criterion-2 {hashlib.sha256(stdout).hexdigest()}"

@@ -31,7 +31,7 @@ from blocktrace.suite import (
     eq18_slack,
     make_instance,
     open_question_scan,
-    run_case_trials,
+    require_instance,
     run_suite,
     symmetrize_offdiag,
     total_failures,
@@ -159,7 +159,7 @@ def test_integer_cases_imply_each_other():
     """The improved integer inequalities dominate the two-sided ones
     (their sum recovers the classical inequality with room to spare)."""
     for seed in range(30):
-        x = gen(GenSpec("real-int", m=4, n=5, seed=seed, int_bound=50))
+        x = gen(GenSpec("real-int", m=4, n=5, seed=seed))
         improved = check_case("ck-improved", x)
         classical = check_case("ck-classical", x)
         two_sided = check_case("ck-lih", x)
@@ -344,7 +344,7 @@ def test_report_dims_are_the_drawn_instance_dims(case_id, dims, want):
 
 def test_run_case_trials_aggregates():
     config = RunConfig(("ando",), ((2, 2), (2, 3)), 6, 42)
-    entry = run_case_trials("ando", config)
+    entry = run_suite(config)["cases"]["ando"]
     assert entry["trials"] == 6
     assert entry["failures"] == 0
     assert entry["worst_witness"] is not None
@@ -383,7 +383,7 @@ def test_report_witness_keeps_the_first_of_tied_zeros():
 def test_run_case_trials_gives_tied_worst_to_earliest_trial(case_id, dims):
     """Every trial of these fixed-instance cases has the same witness."""
     config = RunConfig((case_id,), (dims,), 5, 11)
-    entry = run_case_trials(case_id, config)
+    entry = run_suite(config)["cases"][case_id]
     first = check_case(case_id, make_instance(case_id, *dims, 0))
     assert entry["worst_seed"] == derive_seed(11, case_id, 0)
     assert math.copysign(1.0, entry["worst_witness"]) == math.copysign(1.0, first.witness)
@@ -404,7 +404,7 @@ def test_tied_worst_goes_to_earliest_trial_across_dims_groups(monkeypatch):
         return report._replace(parts=tuple(p._replace(witness=witness) for p in report.parts))
 
     monkeypatch.setattr(suite, "check_case", check)
-    entry = run_case_trials("ando", config)
+    entry = run_suite(config)["cases"]["ando"]
     assert (entry["worst_seed"], entry["worst_dims"]) == (derive_seed(5, "ando", 1), "2x3")
     assert entry["worst_witness"] == 0.0
 
@@ -623,8 +623,70 @@ def test_input_classes_match_registry():
 def test_block_load_accepts_rounding_asymmetry():
     x = make_instance("ando", 2, 3, 4).dense.copy()
     x[0, 1] += 1e-13  # within HERMITIAN_TOL * max(1, ||x||_F)
-    loaded = INPUT_CLASSES["psd"].load(serialize.block_to_obj(BlockMatrix(2, 3, x)))
+    loaded = require_instance("psd", INPUT_CLASSES["psd"].load(
+        serialize.block_to_obj(BlockMatrix(2, 3, x))))
     assert np.array_equal(loaded.dense, x)
+    assert check_case("ando", loaded).holds
+
+
+@pytest.mark.parametrize("x", [np.array([[0.9, 0.2], [0.3, 0.7]]), np.eye(2, dtype=bool),
+                               np.array([[1, 2]], dtype=object)], ids=["float", "bool", "object"])
+def test_exact_integer_cases_refuse_non_integer_entries(x):
+    """A cast to int64 would read 0.9 as 0 and True as 1; the cases refuse
+    any dtype but a signed or unsigned integer instead."""
+    for case_id in ("ck-classical", "ck-lih", "ck-improved"):
+        with pytest.raises(ValueError, match="integer entries"):
+            check_case(case_id, x)
+    ints = np.array([[9, 2], [3, 7]])
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert check_case("ck-classical", ints.astype(dtype)) == check_case("ck-classical", ints)
+
+
+def _non_hermitian(m: int, n: int) -> BlockMatrix:
+    x = np.eye(m * n, dtype=np.complex128)
+    x[0, -1] = 0.5
+    return BlockMatrix(m, n, x)
+
+
+def _nan_block() -> BlockMatrix:
+    x = np.eye(4, dtype=np.complex128)
+    x[1, 1] = np.nan
+    return BlockMatrix(2, 2, x)
+
+
+# input class -> (one of its cases, [(instance case --input would refuse, error), ...])
+REFUSED_INSTANCES = {
+    "psd": ("ando", [(_non_hermitian(2, 2), "not Hermitian")]),
+    "hermitian": ("schur-majorization", [(_non_hermitian(3, 1), "not Hermitian"),
+                                         (_nan_block(), "not Hermitian")]),
+    "ppt": ("horodecki-reduction", [(_non_hermitian(2, 3), "not Hermitian")]),
+    "psd-2x2": ("thm37-singular", [(make_instance("ando", 3, 2, 1), "cannot have dims 3x2"),
+                                   (_non_hermitian(2, 2), "not Hermitian")]),
+    "gram-pair": ("lem39-singular", [((np.ones((2, 3)), np.ones((3, 2))), "differ in shape")]),
+    "real-int": ("ck-lih", [(np.arange(4), "not one instance")]),
+    "matrix-unit-E": ("psi-not-2-positive",
+                      [(make_instance("ando", 3, 2, 1), "cannot have dims 3x2")]),
+    "zero": ("eq18-matrix", [(_nan_block(), "not Hermitian")]),
+    "square": ("abs-block-corollary", [(np.ones((2, 3), dtype=np.complex128),
+                                        "cannot have dims 2x3")]),
+}
+
+
+@pytest.mark.parametrize("input_class", list(INPUT_CLASSES))
+def test_check_case_refuses_what_case_input_refuses(input_class):
+    """check_case raises ValueError on a stack of two instances, and on an
+    instance whose dims are not a shape of its class, or that is not one
+    matrix per array, finite and Hermitian, before it evaluates anything.
+    The seeded instance passes."""
+    case_id, refused = REFUSED_INSTANCES[input_class]
+    assert REGISTRY[case_id].input_class == input_class
+    stack = make_instance(case_id, 2, 2, np.array([1, 2], dtype=np.uint64))
+    for instance, message in [(stack, "not one instance"), *refused]:
+        with pytest.raises(ValueError, match=message):
+            check_case(case_id, instance)
+    instance = make_instance(case_id, 2, 2, 1)
+    assert require_instance(input_class, instance) is instance
+    check_case(case_id, instance)
 
 
 def test_slack_builders_cover_declared_cases():
