@@ -27,8 +27,19 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     }
 
 
+def _field(obj: dict, key: str):
+    """obj[key]; ValueError naming the field when obj has none such, or is
+    no JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, "
+                         f"got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return obj[key]
+
+
 def _size(obj: dict, key: str) -> int:
-    v = obj[key]
+    v = _field(obj, key)
     if type(v) is not int or v < 1:
         raise ValueError(f"{key} must be a positive integer, got {v!r}")
     return v
@@ -37,7 +48,7 @@ def _size(obj: dict, key: str) -> int:
 def _entries(obj: dict) -> list:
     """obj["entries"], checked against obj's rows and cols."""
     rows, cols = _size(obj, "rows"), _size(obj, "cols")
-    entries = obj["entries"]
+    entries = _field(obj, "entries")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entries shape does not match rows/cols")
     return entries
@@ -86,7 +97,7 @@ def block_to_obj(a: BlockMatrix) -> dict:
 
 
 def block_from_obj(obj: dict) -> BlockMatrix:
-    return BlockMatrix(_size(obj, "m"), _size(obj, "n"), matrix_from_obj(obj["matrix"]))
+    return BlockMatrix(_size(obj, "m"), _size(obj, "n"), matrix_from_obj(_field(obj, "matrix")))
 
 
 def pair_to_obj(pair) -> dict:
@@ -95,7 +106,7 @@ def pair_to_obj(pair) -> dict:
 
 
 def pair_from_obj(obj: dict):
-    a, b = obj["pair"]
+    a, b = _field(obj, "pair")
     return matrix_from_obj(a), matrix_from_obj(b)
 
 
@@ -116,5 +127,10 @@ def dump(obj: dict) -> str:
 
 
 def load(path) -> dict:
+    """The JSON object in the file at path; ValueError when the file holds
+    another JSON value, since every format here is an object."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("input is not a JSON object")
+    return obj

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -205,9 +205,8 @@ class Derived:
 
 
 def _blocks_2x2(a: BlockMatrix):
-    """(A, B, C) of a 2x2 block instance [[A, B], [B*, C]]."""
-    if a.m != 2:
-        raise ValueError("case needs a 2x2 block instance")
+    """(A, B, C) of a 2x2 block instance [[A, B], [B*, C]]; its callers get
+    only instances of 2 blocks (require_shape)."""
     return a.block(0, 0), a.block(0, 1), a.block(1, 1)
 
 
@@ -357,7 +356,8 @@ _sb_phi = _derived(partial(apply_map_blockwise, "phi"))
 
 
 # ---------------------------------------------------------------------------
-# non-slack case checks: fn(payload stack, tol) -> columns
+# non-slack case checks: fn(payload stack, tol) -> columns, or an exact-integer
+# case's _Exact
 
 
 def _case_psi_not_2_positive(d: Derived, tol):
@@ -383,29 +383,66 @@ def _trace_2x2(gap, d: Derived, tol):
     return [_scalar_col("main", gap(ac, b2, tr_ac, tr_bb), tol, scale)]
 
 
-def _ck(gaps, x, tol):
-    """One exact column per (label, gap) of gaps, where the integer
-    inequality is gap(m, n, total, sq, row_sq, col_sq) >= 0 over the exact
-    sums of each matrix of the integer stack x, all taken at once.
+def _ck_sums(x: np.ndarray) -> np.ndarray:
+    """The exact sums of each matrix of the (T, m, n) integer stack x, all
+    taken at once: what every exact-integer case of a draw reads.  Row i
+    holds matrix i's (m, n, total, sq, row_sq, col_sq): its dims, the sum
+    of its entries, of their squares, of its squared row sums and of its
+    squared column sums, the arguments of a _CK_* gap in order.
 
     With |entries| <= K, every sum and every term of a gap is at most
     5 (mn)^2 K^2 in absolute value, so int64 is exact when
-    8 (mn)^2 K^2 < 2^62; otherwise the same expressions run on Python ints
-    (object dtype).  K is taken in Python ints: abs(-2^63) wraps in int64.
-    Any dtype but a (non-bool) integer is refused, not truncated by a cast."""
+    8 (mn)^2 K^2 < 2^62; otherwise they are Python ints (object dtype).
+    K is taken in Python ints: abs(-2^63) wraps in int64.  Any dtype but a
+    (non-bool) integer is refused, not truncated by a cast."""
     if x.dtype.kind not in "iu":
         raise ValueError(f"an exact-integer case needs integer entries, got dtype {x.dtype}")
-    m, n = x.shape[-2:]
+    trials, m, n = x.shape
     k = max(-int(x.min()), int(x.max()))
     x = x.astype(np.int64 if 8 * (m * n * k) ** 2 < 1 << 62 else object, copy=False)
-    row, col = x.sum(axis=-1), x.sum(axis=-2)
-    sums = (row.sum(axis=-1), (x * x).sum(axis=(-2, -1)),
-            (row * row).sum(axis=-1), (col * col).sum(axis=-1))
-    cols = []
-    for label, gap in gaps:
-        g = gap(m, n, *sums)
-        cols.append((label, g.astype(np.float64).tolist(), (g >= 0).tolist()))
-    return cols
+    # Sums along one short axis as products with ones: numpy's integer
+    # matmul loop takes them faster than its sum reduction.
+    ones_m, ones_n = np.ones(m, dtype=np.int64), np.ones(n, dtype=np.int64)
+    row, col = x @ ones_n, ones_m @ x
+    return np.stack([np.full(trials, m), np.full(trials, n), row @ ones_m,
+                     (x * x).sum(axis=(-2, -1)), (row * row) @ ones_m, (col * col) @ ones_n],
+                    axis=-1)
+
+
+class _Exact(NamedTuple):
+    """The columns of an exact-integer case, not yet evaluated: its
+    (label, gap) pairs and the _ck_sums rows of its trials (see _decided)."""
+    gaps: tuple
+    sums: np.ndarray
+
+
+def _ck(gaps, sums: np.ndarray, tol) -> _Exact:
+    """The integer inequalities gap(*sums) >= 0 of gaps, exact and so
+    without a tolerance; evaluated by _decided."""
+    return _Exact(gaps, sums)
+
+
+def _decided(entries: list) -> list:
+    """entries, one case's (m, n, columns) of _evaluate on several shape
+    groups, with an exact-integer case's _Exact made its columns: each gap
+    evaluated once on the sums of all the groups, with one .tolist() per
+    column, and each group's columns its slice.  A gap is an integer
+    expression in the row's own m and n, so groups of any dims, int64 or
+    Python-int sums, share one evaluation.  Other entries are returned as
+    they are."""
+    if not isinstance(entries[0][2], _Exact):
+        return entries
+    sums = np.concatenate([exact.sums for _, _, exact in entries]).T
+    columns = []
+    for label, gap in entries[0][2].gaps:
+        g = gap(*sums)
+        columns.append((label, g.astype(np.float64).tolist(), (g >= 0).tolist()))
+    decided, lo = [], 0
+    for m, n, exact in entries:
+        hi = lo + len(exact.sums)
+        decided.append((m, n, [(label, w[lo:hi], h[lo:hi]) for label, w, h in columns]))
+        lo = hi
+    return decided
 
 
 _CK_CLASSICAL = (
@@ -790,12 +827,15 @@ class InputClass:
     of its type, and raises ValueError when it is malformed or non-finite.
     nbytes(m, n) is the bytes of one instance of shape (m, n), which size
     the chunks of trials; load and nbytes default to a block class's.  problem(instance, tol) names the precondition
-    that a `case --input` instance fails, or is None."""
+    that a `case --input` instance fails, or is None.  payload(stack) is
+    what the non-slack checks of the class read of a stack, taken once for
+    every case of a draw: the stack itself, or real-int's exact sums."""
     draw: Callable
     load: Callable = serialize.block_from_obj
     nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
     problem: Callable = lambda instance, tol: None
     shape: Callable = _own_dims
+    payload: Callable = lambda stack: stack
 
 
 # 2x2-block classes fix the block count at 2 and use n as block size;
@@ -808,7 +848,7 @@ INPUT_CLASSES = {
     "gram-pair": InputClass(lambda m, n, seed: _gen("gram-pair", n, m, seed),
                             serialize.pair_from_obj, lambda m, n: 2 * 16 * m * n),
     "real-int": InputClass(partial(_gen, "real-int"), serialize.int_matrix_from_obj,
-                           lambda m, n: 8 * m * n),
+                           lambda m, n: 8 * m * n, payload=_ck_sums),
     "matrix-unit-E": InputClass(partial(_gen, "matrix-unit-E"), shape=_two_blocks,
                                 problem=_fixed_problem("matrix-unit-E", "matrix-unit")),
     "zero": InputClass(_zero_instances, problem=_fixed_problem("zero", "zero")),
@@ -836,7 +876,9 @@ def make_instance(case_id: str, m: int, n: int, seed):
 
 
 def build_slack(case_id: str, instance):
-    """The Hermitian objects whose positivity the case asserts.
+    """The Hermitian objects whose positivity the case asserts, of an
+    instance or of a stack of them; ValueError unless their dims are a
+    shape of the case's input class (require_shape).
 
     psd-slack cases return their labeled slack matrices; ppt-of-derived
     cases return the derived block matrix and its partial transpose."""
@@ -845,6 +887,7 @@ def build_slack(case_id: str, instance):
         raise KeyError(f"unknown case id {case_id!r}")
     if case.check_kind not in _SLACK_KINDS:
         raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
+    require_shape(case.input_class, instance)
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
@@ -854,9 +897,10 @@ def _evaluate(cases: list, stack, height: int, tol: float) -> list:
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
     case among them are decided together by one _psd_cols call."""
     m, n = _dims(stack)
+    payload = INPUT_CLASSES[cases[0].input_class].payload(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
     for i, case in enumerate(cases):
-        own = _each(stack, lambda x: x[i * height:(i + 1) * height])
+        own = _each(payload, lambda x: x[i * height:(i + 1) * height])
         if case.check_kind in _SLACK_KINDS:
             case_slacks = case.fn(Derived(own))  # its Derived is freed before the verdict
             slacks += case_slacks
@@ -877,6 +921,14 @@ def _dims(instance) -> tuple:
     return np.shape(instance)[-2:]
 
 
+def require_shape(input_class: str, instance) -> None:
+    """ValueError unless the dims of the instance, or of a stack of them,
+    are a shape of the input class: shape(*dims) == dims."""
+    dims = _dims(instance)
+    if INPUT_CLASSES[input_class].shape(*dims) != dims:
+        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
+
+
 def require_instance(input_class: str, instance):
     """instance itself; ValueError unless it is one instance of the input
     class, as `case --input` and check_case require: one matrix per array,
@@ -888,9 +940,7 @@ def require_instance(input_class: str, instance):
         raise ValueError("the two factors of the pair differ in shape")
     if len(*shapes) != 2:
         raise ValueError("input is not one instance: an array has shape {}".format(*shapes))
-    dims = _dims(instance)
-    if INPUT_CLASSES[input_class].shape(*dims) != dims:
-        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
+    require_shape(input_class, instance)
     if isinstance(instance, BlockMatrix):
         require_hermitian(instance.dense)
     return instance
@@ -940,7 +990,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
         check_tol(tol)
         require_instance(REGISTRY[case_id].input_class, instance)
         one_trial = _each(instance, lambda x: np.asarray(x)[None])
-        instance = _rows(_evaluate([REGISTRY[case_id]], one_trial, 1, tol)[0])[0]
+        instance = _rows(_decided(_evaluate([REGISTRY[case_id]], one_trial, 1, tol))[0])[0]
     return _new(SlackReport, (case_id, seed) + instance)
 
 
@@ -994,8 +1044,9 @@ class RunConfig:
 # the merged verdict of a draw decides at most 4 slacks per instance.
 _CHUNK_BYTES = 1 << 20
 # Cap on the trials of a chunk.  A case's reports of one shape group live at
-# once, as Python objects that _CHUNK_BYTES does not count: at 1x1, its
-# bytes alone would admit 131,072 trials of them.
+# once, and an exact-integer case's columns of a whole chunk, as Python
+# objects that _CHUNK_BYTES does not count: at 1x1, its bytes alone would
+# admit 131,072 trials of them.
 _CHUNK_TRIALS = 4096
 
 def _chunk_trials(input_class: str, dims) -> int:
@@ -1034,61 +1085,85 @@ def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
                 yield m, n, t[start:end], seeds[:, start:end]
 
 
-def _class_entries(case_ids: list, config: RunConfig) -> dict:
-    """The entry of each of case_ids, requested cases of one input class.
+def _decided_groups(case_ids: list, config: RunConfig):
+    """(case_id, t, seeds, columns) of each of case_ids, requested cases of
+    one input class, in every shape group of every chunk: the group's trial
+    indices and the case's seeds for them, as lists, and _evaluate's
+    (m, n, columns) of the case on them.
 
     In each shape group of a chunk, the cases' seed rows are drawn by one
     make_instance call, and one _evaluate call checks every case on its
     own rows of that stack, with one merged PSD verdict for their slacks.
     A draw holds the rows of at most _CHUNK_BYTES // (nbytes * chunk)
     cases, so its bytes are the group's fraction of the chunk's trials
-    times _CHUNK_BYTES, and many cases split into several draws.  Then,
-    case by case, check_case makes every trial's report from its _rows
-    row, and maps, sum and min aggregate the case's run of the group.  A trial's worst_dims is its configured dims,
-    config.dims[t % len(dims)], whatever shape its group was drawn at."""
+    times _CHUNK_BYTES, and many cases split into several draws.  A group
+    of exact-integer cases waits for the end of its chunk, where _decided
+    evaluates each case's gaps once on all its groups; any other group is
+    given as soon as it is evaluated."""
     name = REGISTRY[case_ids[0]].input_class
-    input_class, dims, tol = INPUT_CLASSES[name], config.dims, config.tol
-    period, step = len(dims), _chunk_trials(name, dims)
+    input_class, cases = INPUT_CLASSES[name], [REGISTRY[c] for c in case_ids]
+    step = _chunk_trials(name, config.dims)
     chunk = min(step, config.trials)  # the trials of a full chunk
+    groups = _groups(config.seed, case_ids, config.dims, config.trials, step, input_class.shape)
+    # A chunk starts at a multiple of step, so t[0] // step is a group's chunk.
+    for _, chunk_groups in groupby(groups, key=lambda group: group[2][0] // step):
+        held = []  # (t, seeds, evaluated) of the groups that wait for the chunk
+        for m, n, t, seeds in chunk_groups:
+            per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
+            evaluated = []
+            for b in range(0, len(cases), per_draw):
+                stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
+                evaluated += _evaluate(cases[b:b + per_draw], stack, len(t), config.tol)
+            if isinstance(evaluated[0][2], _Exact):
+                held.append((t, seeds, evaluated))
+            else:
+                yield from zip(case_ids, repeat(t.tolist()), seeds.tolist(), evaluated)
+        if held:
+            for i, case_id in enumerate(case_ids):
+                decided = _decided([evaluated[i] for _, _, evaluated in held])
+                for (t, seeds, _), columns in zip(held, decided):
+                    yield case_id, t.tolist(), seeds[i].tolist(), columns
+
+
+def _class_entries(case_ids: list, config: RunConfig) -> dict:
+    """The entry of each of case_ids, requested cases of one input class.
+
+    Case by case and group by group (_decided_groups), check_case makes
+    every trial's report from its _rows row, and maps, sum and min
+    aggregate the case's run of the group.  A trial's worst_dims is its
+    configured dims, config.dims[t % len(dims)], whatever shape its group
+    was drawn at."""
+    dims, tol = config.dims, config.tol
     # Per case: trials, failures, premise misses, worst witness, its trial
     # and seed.
     totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
-    for m, n, t, seeds in _groups(config.seed, case_ids, dims, config.trials, step,
-                                  input_class.shape):
+    for case_id, t, case_seeds, group in _decided_groups(case_ids, config):
+        trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
         height = len(t)
-        per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
-        evaluated = []
-        for b in range(0, len(case_ids), per_draw):
-            stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
-            evaluated += _evaluate([REGISTRY[c] for c in case_ids[b:b + per_draw]],
-                                   stack, height, tol)
-        t = t.tolist()
-        for case_id, group, case_seeds in zip(case_ids, evaluated, seeds.tolist()):
-            trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
-            reports = list(map(check_case, repeat(case_id), _rows(group), repeat(tol), case_seeds))
-            trials += height
-            misses += sum(map(_misses, reports))
-            # SlackReport.holds and .witness of each report, on parts read
-            # once; a report without parts holds and is skipped.
-            parts = list(map(_parts, reports))
-            failures += height - sum(map(all, map(map, repeat(_holds), parts)))
-            kept = range(height)
-            if not all(parts):
-                kept = list(compress(kept, parts))
-                parts = list(filter(None, parts))
-            if parts:
-                witnesses = list(map(min, map(map, repeat(_witness), parts)))
-                witness = min(witnesses)
-                # The first least witness in trial order.  Groups arrive out
-                # of trial order; a tie stays with the earliest trial.
-                j = kept[witnesses.index(witness)]
-                if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
-                    worst, worst_t, worst_seed = witness, t[j], case_seeds[j]
-            totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed
+        reports = list(map(check_case, repeat(case_id), _rows(group), repeat(tol), case_seeds))
+        trials += height
+        misses += sum(map(_misses, reports))
+        # SlackReport.holds and .witness of each report, on parts read
+        # once; a report without parts holds and is skipped.
+        parts = list(map(_parts, reports))
+        failures += height - sum(map(all, map(map, repeat(_holds), parts)))
+        kept = range(height)
+        if not all(parts):
+            kept = list(compress(kept, parts))
+            parts = list(filter(None, parts))
+        if parts:
+            witnesses = list(map(min, map(map, repeat(_witness), parts)))
+            witness = min(witnesses)
+            # The first least witness in trial order.  Groups arrive out
+            # of trial order; a tie stays with the earliest trial.
+            j = kept[witnesses.index(witness)]
+            if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
+                worst, worst_t, worst_seed = witness, t[j], case_seeds[j]
+        totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,
                       "worst_dims": None if worst_t is None else
-                      "{}x{}".format(*dims[worst_t % period])}
+                      "{}x{}".format(*dims[worst_t % len(dims)])}
             for case_id, (trials, failures, misses, worst, worst_t, worst_seed) in totals.items()}
 
 

@@ -34,6 +34,7 @@ from blocktrace.suite import (
 BIG = 2**63 + 12345
 SEEDS = np.array([0, 5, 17, BIG, 2**64 - 1], dtype=np.uint64)
 DIMS_1_4 = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
+DIMS_1_8 = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
 
 
 def _bytes(instance) -> bytes:
@@ -269,12 +270,14 @@ def test_chunk_boundaries_change_nothing(monkeypatch, cap):
 
 
 def test_chunk_stacks_stay_near_the_cap():
-    for dims in (((8, 8),), ((6, 6), (8, 8)), DIMS_1_4):
-        sizes = [16 * (m * n) ** 2 for m, n in dims]
-        step = suite._chunk_trials("psd", dims)
-        for lo in range(len(dims)):
-            chunk = sum(sizes[t % len(dims)] for t in range(lo, lo + step))
-            assert chunk <= suite._CHUNK_BYTES + sum(sizes)
+    for input_class, size in (("psd", lambda m, n: 16 * (m * n) ** 2),
+                              ("real-int", lambda m, n: 8 * m * n)):
+        for dims in (((8, 8),), ((6, 6), (8, 8)), DIMS_1_4, DIMS_1_8):
+            sizes = [size(m, n) for m, n in dims]
+            step = suite._chunk_trials(input_class, dims)
+            for lo in range(len(dims)):
+                chunk = sum(sizes[t % len(dims)] for t in range(lo, lo + step))
+                assert chunk <= suite._CHUNK_BYTES + sum(sizes), (input_class, dims)
 
 
 def _reference_random_ppt(stream, m, n, terms=None):
@@ -374,7 +377,7 @@ def test_eq18_slack_matches_kron_formula(n):
 def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
     """check_case on every row of one stacked evaluation of the dims group."""
     stacked = make_instance(case_id, m, n, seeds)
-    [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), tol)
+    [group] = suite._decided(suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), tol))
     return stacked, [check_case(case_id, suite._rows(group)[j], tol, seed)
                      for j, seed in enumerate(seeds.tolist())]
 
@@ -404,7 +407,8 @@ def test_row_reports_equal_public_constructors(case_id):
     seeds = np.array([0, 1, 5, BIG], dtype=np.uint64)
     for m, n in DIMS_1_3:
         stacked = make_instance(case_id, m, n, seeds)
-        [group] = suite._evaluate([REGISTRY[case_id]], stacked, len(seeds), suite.PSD_TOL)
+        [group] = suite._decided(suite._evaluate([REGISTRY[case_id]], stacked, len(seeds),
+                                                 suite.PSD_TOL))
         gm, gn, columns = group
         for j, seed in enumerate(seeds.tolist()):
             report = check_case(case_id, suite._rows(group)[j], suite.PSD_TOL, seed)
@@ -453,8 +457,8 @@ def _reference_entries(config: RunConfig) -> dict:
         for m, n, t, (seeds,) in suite._groups(config.seed, (case_id,), config.dims,
                                                config.trials, max(1, config.trials)):
             stacked = make_instance(case_id, m, n, seeds)
-            [(gm, gn, columns)] = suite._evaluate([REGISTRY[case_id]], stacked, len(t),
-                                                  config.tol)
+            [(gm, gn, columns)] = suite._decided(suite._evaluate(
+                [REGISTRY[case_id]], stacked, len(t), config.tol))
             for j, (tj, seed) in enumerate(zip(t.tolist(), seeds.tolist())):
                 parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns
                               if h[j] is not None)
@@ -510,6 +514,30 @@ def test_run_suite_equals_per_trial_aggregation(config):
         assert got["hiroshima-conditional"]["worst_witness"] is None
     if config is AGGREGATION_CONFIGS["past-chunk-trials"]:
         assert suite._chunk_trials("real-int", config.dims) == suite._CHUNK_TRIALS
+
+
+def test_exact_integer_draws_split_across_chunks_equal_per_trial_aggregation(monkeypatch):
+    """A cap of three dims cycles' bytes makes chunks of 192 trials at dims
+    1..8x1..8, so the 500 trials span three chunks, the last one short.  At
+    8x8 each case of a group takes its own draw; at 1x1 one draw holds all
+    three.  Each case's gaps, evaluated once per chunk over its groups,
+    still give the per-trial loop's entries."""
+    config = RunConfig(("ck-classical", "ck-lih", "ck-improved"), DIMS_1_8, 500, 12)
+    want = _reference_entries(config)
+    cycle = sum(suite._nbytes_at("real-int", m, n) for m, n in DIMS_1_8)
+    monkeypatch.setattr(suite, "_CHUNK_BYTES", 3 * cycle)
+    assert suite._chunk_trials("real-int", DIMS_1_8) == 192
+    real, drawn = suite.make_instance, []
+
+    def draw(case_id, m, n, seeds):
+        drawn.append((m, n, len(seeds)))
+        return real(case_id, m, n, seeds)
+
+    monkeypatch.setattr(suite, "make_instance", draw)
+    got = run_suite(config)["cases"]
+    assert got == want and serialize.dump(got) == serialize.dump(want)
+    assert [rows for m, n, rows in drawn if (m, n) == (8, 8)] == [3, 3, 3, 3, 3, 3, 1, 1, 1]
+    assert [rows for m, n, rows in drawn if (m, n) == (1, 1)] == [9, 9, 6]
 
 
 @pytest.mark.parametrize("cap", [600, 1000, 2500])

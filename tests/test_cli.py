@@ -284,15 +284,26 @@ BAD_INPUTS = {
                             {"m": 3, "n": 1, "matrix": serialize.matrix_to_obj(np.eye(3))}),
     "huge-complex-entry": ("abs-block-corollary",
                            {"rows": 1, "cols": 1, "entries": [[[10**400, 0]]]}),
+    "missing-matrix": ("ando", {"m": 2, "n": 2}),
+    "top-level-list": ("ck-classical", [[1, 2], [3, 4]]),
+}
+# The whole error line of the inputs whose problem it must name.
+BAD_INPUT_ERRORS = {
+    "missing-matrix": "error: cannot read input: missing field 'matrix'\n",
+    "top-level-list": "error: cannot read input: input is not a JSON object\n",
 }
 
 
-@pytest.mark.parametrize("case_id, obj", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_case_rejects_bad_input(tmp_path, capsys, case_id, obj):
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_case_rejects_bad_input(tmp_path, capsys, name):
+    case_id, obj = BAD_INPUTS[name]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["case", "--id", case_id, "--input", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if name in BAD_INPUT_ERRORS:
+        assert err == BAD_INPUT_ERRORS[name]
 
 
 _BOOL_1X1 = {"rows": 1, "cols": 1, "entries": [[[True, False]]]}

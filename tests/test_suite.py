@@ -92,6 +92,16 @@ def test_build_slack_for_derived_ppt_cases():
         assert is_psd((s + s.conj().T) / 2).holds
 
 
+@pytest.mark.parametrize("case_id", ["lin-2x2-ppt", "choi-block-ppt"])
+def test_build_slack_refuses_dims_outside_its_input_class(case_id):
+    """A 3-block psd instance, alone or stacked, is no psd-2x2 instance:
+    build_slack names the class and the dims, as require_instance does."""
+    for seed in (1, derive_seed(0, "stack", np.arange(3))):
+        with pytest.raises(ValueError, match="a psd-2x2 instance cannot have dims 3x2"):
+            build_slack(case_id, make_instance("ando", 3, 2, seed))
+        assert build_slack(case_id, make_instance(case_id, 3, 2, seed))
+
+
 def test_build_slack_rejects_non_slack_cases():
     a = make_instance("schur-majorization", 2, 2, 0)
     with pytest.raises(ValueError):
@@ -194,9 +204,17 @@ def ck_oracle(gaps, x) -> list:
     return cols
 
 
+def ck_columns(gaps, x) -> list:
+    """The columns of the exact-integer gaps on the integer stack x, by the
+    engine's path: one _ck_sums reduction, then _decided's evaluation."""
+    m, n = x.shape[-2:]
+    [(_, _, columns)] = suite._decided([(m, n, suite._ck(gaps, suite._ck_sums(x), 0.0))])
+    return columns
+
+
 def _assert_ck_matches_oracle(x):
     for case_id, gaps in CK_GAPS.items():
-        got = suite._ck(gaps, x, 0.0)
+        got = ck_columns(gaps, x)
         assert got == ck_oracle(gaps, x), case_id
         for _, witnesses, holds in got:
             assert all(type(w) is float for w in witnesses)
@@ -236,6 +254,61 @@ def test_ck_stack_exact_where_int64_arithmetic_wraps():
     assert gap(2, 2, *wrapped).tolist() == [1]
     assert ck_oracle(suite._CK_CLASSICAL, x)[0][1] == [float(I64_MAX**2)]
     _assert_ck_matches_oracle(x)
+
+
+def _float_bits(witnesses) -> list:
+    return [np.float64(w).tobytes() for w in witnesses]
+
+
+def _assert_ck_identities(x):
+    """ck-lih/abs is min(ck-classical/main, ck-lih/minus), since
+    F - |G| = min(F - G, F + G), and ck-improved/cols on X is
+    ck-improved/rows on X^T: witness bits and verdicts."""
+    [(_, main, main_holds)] = ck_columns(suite._CK_CLASSICAL, x)
+    (abs_label, abs_w, abs_holds), _, (minus_label, minus_w, minus_holds) = \
+        ck_columns(suite._CK_LIH, x)
+    assert (abs_label, minus_label) == ("abs", "minus")
+    assert _float_bits(abs_w) == _float_bits(map(min, main, minus_w))
+    assert abs_holds == list(map(min, main_holds, minus_holds))
+    (rows_label, rows_w, rows_holds), _ = ck_columns(suite._CK_IMPROVED, x.swapaxes(-1, -2))
+    _, (cols_label, cols_w, cols_holds) = ck_columns(suite._CK_IMPROVED, x)
+    assert (rows_label, cols_label) == ("rows", "cols")
+    assert _float_bits(cols_w) == _float_bits(rows_w) and cols_holds == rows_holds
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ck_identities_on_seeded_stacks(m):
+    for n in range(1, 9):
+        _assert_ck_identities(make_instance("ck-lih", m, n, derive_seed(4, "ck-id", np.arange(30))))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 2), (6, 6)])
+def test_ck_identities_on_int64_extremes(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    x = rng.choice(np.array([I64_MAX, -I64_MAX, I64_MIN, 0], dtype=np.int64), (60, m, n))
+    x[0], x[1] = I64_MIN, I64_MAX
+    assert suite._ck_sums(x).dtype == object
+    _assert_ck_identities(x)
+
+
+def test_one_evaluation_of_int64_and_object_groups_equals_the_oracle():
+    """One chunk of three shape groups: a 2x3 and a 3x1 group of seeded
+    draws, whose sums are int64, and a 2x2 group of int64-extreme entries,
+    whose sums are Python ints.  Each case's gaps are evaluated once on all
+    three, and every group's columns are the oracle's on its own stack."""
+    stacks = [make_instance("ck-lih", 2, 3, derive_seed(1, "mixed", np.arange(40))),
+              np.random.default_rng(3).choice(
+                  np.array([I64_MAX, I64_MIN, -5, 0], dtype=np.int64), (25, 2, 2)),
+              make_instance("ck-lih", 3, 1, derive_seed(2, "mixed", np.arange(30)))]
+    assert [suite._ck_sums(x).dtype for x in stacks] == [np.int64, object, np.int64]
+    for case_id, gaps in CK_GAPS.items():
+        entries = [entry for x in stacks
+                   for entry in suite._evaluate([REGISTRY[case_id]], x, len(x), 0.0)]
+        assert all(isinstance(columns, suite._Exact) for _, _, columns in entries)
+        decided = suite._decided(entries)
+        assert [(m, n) for m, n, _ in decided] == [(2, 3), (2, 2), (3, 1)]
+        for x, (_, _, columns) in zip(stacks, decided):
+            assert columns == ck_oracle(gaps, x), case_id
 
 
 TRACE_2X2_IDS = ("trace-2x2-besenyei", "trace-2x2-kittaneh-lin", "trace-2x2-plus")
