@@ -13,6 +13,11 @@ The digest covers:
   - the run_suite report of all 44 cases at dims 1..8x1..8, 100 trials,
     seed 42, a shape where the cases of an input class take several draws
     per shape group, each decided by its own merged PSD verdict;
+  - the run_suite report of all 44 cases at dims 2..4x2..4, 2,000 trials,
+    seed 7, a shape where an input class's trials span several chunks of
+    several shape groups each: psd, hermitian, ppt and zero take 3 chunks
+    of 701 trials in 9 groups, psd-2x2 and matrix-unit-E 2 chunks of
+    1,694 trials in 3 merged groups;
   - the check_case report of each exact-integer case on fixed int64-extreme
     matrices (entries +-(2^63 - 1), -2^63 and 0 at dims 1x1, 1x2, 2x2 and
     6x6), whose sums exceed int64;
@@ -26,7 +31,7 @@ Run it on two checkouts; equal digests mean equal reports:
     python3 scripts/report_digest.py --src src
 
 stdout is the one combined digest.  stderr gets the digest of each section
-(verify, cases, scan, suite, extremes, slacks), so when two checkouts
+(verify, cases, scan, suite, chunks, extremes, slacks), so when two checkouts
 differ, the lines that differ name the sections that moved.  Its last line,
 `criterion-2 <sha256>`, is the sha256 of the criterion-2 text itself, the
 value the README's `verify ... | sha256sum` command prints.
@@ -135,7 +140,7 @@ def suite_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.run_suite(bt.RunConfig(tuple(bt.case_ids()), dims, trials, seed)))
 
 
-SECTIONS = ("verify", "cases", "scan", "suite", "extremes", "slacks")
+SECTIONS = ("verify", "cases", "scan", "suite", "chunks", "extremes", "slacks")
 
 
 def _sha256(value) -> str:
@@ -143,7 +148,7 @@ def _sha256(value) -> str:
 
 
 def digest(*sections) -> str:
-    """sha256 over the six sections, given in SECTIONS order."""
+    """sha256 over the seven sections, given in SECTIONS order."""
     return _sha256(dict(zip(SECTIONS, sections, strict=True)))
 
 
@@ -168,6 +173,7 @@ def main(argv=None) -> int:
                 case_records(bt, CASE_DIMS, CASE_SEEDS),
                 scan_report(bt, SCAN_DIMS, 2000, 42),
                 suite_report(bt, CASE_DIMS, 100, 42),
+                suite_report(bt, SCAN_DIMS, 2000, 7),
                 extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
                 slack_records(bt, SLACK_DIMS, SLACK_SEEDS))
     print(*stderr_lines(*sections), sep="\n", file=sys.stderr)

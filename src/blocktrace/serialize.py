@@ -46,9 +46,14 @@ def _size(obj: dict, key: str) -> int:
 
 
 def _entries(obj: dict) -> list:
-    """obj["entries"], checked against obj's rows and cols."""
+    """obj["entries"], a list of lists checked against obj's rows and cols."""
     rows, cols = _size(obj, "rows"), _size(obj, "cols")
     entries = _field(obj, "entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries is not a list, got {type(entries).__name__}")
+    for i, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise ValueError(f"entries row {i} is not a list, got {type(row).__name__}")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entries shape does not match rows/cols")
     return entries

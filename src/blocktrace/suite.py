@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress, groupby, islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -878,7 +878,8 @@ def make_instance(case_id: str, m: int, n: int, seed):
 def build_slack(case_id: str, instance):
     """The Hermitian objects whose positivity the case asserts, of an
     instance or of a stack of them; ValueError unless their dims are a
-    shape of the case's input class (require_shape).
+    shape of the case's input class (require_shape) and every matrix is
+    finite and Hermitian (require_hermitian).
 
     psd-slack cases return their labeled slack matrices; ppt-of-derived
     cases return the derived block matrix and its partial transpose."""
@@ -888,6 +889,7 @@ def build_slack(case_id: str, instance):
     if case.check_kind not in _SLACK_KINDS:
         raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
     require_shape(case.input_class, instance)
+    require_hermitian(instance.dense)
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
@@ -1043,8 +1045,8 @@ class RunConfig:
 # fraction of its trials times this caps one draw of an input class's cases;
 # the merged verdict of a draw decides at most 4 slacks per instance.
 _CHUNK_BYTES = 1 << 20
-# Cap on the trials of a chunk.  A case's reports of one shape group live at
-# once, and an exact-integer case's columns of a whole chunk, as Python
+# Cap on the trials of a chunk.  Every case's columns of a chunk live until
+# the chunk ends, and a case's reports of one shape group at once, as Python
 # objects that _CHUNK_BYTES does not count: at 1x1, its bytes alone would
 # admit 131,072 trials of them.
 _CHUNK_TRIALS = 4096
@@ -1057,8 +1059,9 @@ def _chunk_trials(input_class: str, dims) -> int:
 
 
 def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
-    """(m, n, t, seeds) of every shape group of every chunk of `step`
-    trials.
+    """Every chunk of `step` trials, in order, as the list of its shape
+    groups (m, n, t, seeds): chunk k holds the trials
+    [k * step, min((k + 1) * step, trials)).
 
     Trial t of a token has dims[t % len(dims)] and seed
     derive_seed(base, token, t).  The trials of a chunk whose dims have the
@@ -1080,9 +1083,8 @@ def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
         t = lo + np.argsort(ids, kind="stable")
         seeds = derive_seed(base, list(tokens), t)
         ends = np.cumsum(np.bincount(ids, minlength=len(members))).tolist()
-        for (m, n), start, end in zip(members, [0] + ends, ends):
-            if start < end:
-                yield m, n, t[start:end], seeds[:, start:end]
+        yield [(m, n, t[start:end], seeds[:, start:end])
+               for (m, n), start, end in zip(members, [0] + ends, ends) if start < end]
 
 
 def _decided_groups(case_ids: list, config: RunConfig):
@@ -1096,33 +1098,26 @@ def _decided_groups(case_ids: list, config: RunConfig):
     own rows of that stack, with one merged PSD verdict for their slacks.
     A draw holds the rows of at most _CHUNK_BYTES // (nbytes * chunk)
     cases, so its bytes are the group's fraction of the chunk's trials
-    times _CHUNK_BYTES, and many cases split into several draws.  A group
-    of exact-integer cases waits for the end of its chunk, where _decided
-    evaluates each case's gaps once on all its groups; any other group is
-    given as soon as it is evaluated."""
+    times _CHUNK_BYTES, and many cases split into several draws.  At the
+    chunk's end, _decided finishes each case's groups at once: an
+    exact-integer case's gaps are evaluated once on all its groups."""
     name = REGISTRY[case_ids[0]].input_class
     input_class, cases = INPUT_CLASSES[name], [REGISTRY[c] for c in case_ids]
     step = _chunk_trials(name, config.dims)
     chunk = min(step, config.trials)  # the trials of a full chunk
-    groups = _groups(config.seed, case_ids, config.dims, config.trials, step, input_class.shape)
-    # A chunk starts at a multiple of step, so t[0] // step is a group's chunk.
-    for _, chunk_groups in groupby(groups, key=lambda group: group[2][0] // step):
-        held = []  # (t, seeds, evaluated) of the groups that wait for the chunk
-        for m, n, t, seeds in chunk_groups:
+    for groups in _groups(config.seed, case_ids, config.dims, config.trials, step,
+                          input_class.shape):
+        evaluated = []  # per group, every case's (m, n, columns)
+        for m, n, t, seeds in groups:
             per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
-            evaluated = []
+            evaluated.append([])
             for b in range(0, len(cases), per_draw):
                 stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
-                evaluated += _evaluate(cases[b:b + per_draw], stack, len(t), config.tol)
-            if isinstance(evaluated[0][2], _Exact):
-                held.append((t, seeds, evaluated))
-            else:
-                yield from zip(case_ids, repeat(t.tolist()), seeds.tolist(), evaluated)
-        if held:
-            for i, case_id in enumerate(case_ids):
-                decided = _decided([evaluated[i] for _, _, evaluated in held])
-                for (t, seeds, _), columns in zip(held, decided):
-                    yield case_id, t.tolist(), seeds[i].tolist(), columns
+                evaluated[-1] += _evaluate(cases[b:b + per_draw], stack, len(t), config.tol)
+        for i, case_id in enumerate(case_ids):
+            decided = _decided([group[i] for group in evaluated])
+            for (_, _, t, seeds), columns in zip(groups, decided):
+                yield case_id, t.tolist(), seeds[i].tolist(), columns
 
 
 def _class_entries(case_ids: list, config: RunConfig) -> dict:
@@ -1237,12 +1232,13 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     arr, seeds = np.empty(trials), np.empty(trials, dtype=np.uint64)
     sanity_violations = 0
     with one_blas_thread():
-        for m, n, t, (group_seeds,) in _groups(seed, ("open-question-scan",), dims, trials,
-                                               _chunk_trials("psd", dims)):
-            [(_, _, [(_, witnesses, holds)])] = _evaluate(
-                [residual], _gen("psd", m, n, group_seeds), len(t), tol)
-            arr[t], seeds[t] = witnesses, group_seeds
-            sanity_violations += holds.count(False)
+        for groups in _groups(seed, ("open-question-scan",), dims, trials,
+                              _chunk_trials("psd", dims)):
+            for m, n, t, (group_seeds,) in groups:
+                [(_, _, [(_, witnesses, holds)])] = _evaluate(
+                    [residual], _gen("psd", m, n, group_seeds), len(t), tol)
+                arr[t], seeds[t] = witnesses, group_seeds
+                sanity_violations += holds.count(False)
         counts, edges = np.histogram(arr, bins=_SCAN_BINS)
     argmin = int(np.argmin(arr))
     return {

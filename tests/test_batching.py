@@ -209,31 +209,36 @@ def test_run_case_trials_matches_scalar_loop(seed):
 
 
 def test_groups_match_scalar_draws():
-    """Chunks of 5 trials over four dims cut inside the groups.  Drawn at
-    its class's shape, every trial's row is its own draw at its configured
-    dims.  psd-2x2, matrix-unit-E and square merge the dims that share n,
-    so some of their groups hold trials of two configured dims."""
+    """Chunks of 5 trials over four dims cut inside the groups.  Chunk k is
+    the list of shape groups of exactly the trials [5k, min(5k + 5, 23)),
+    so the chunks cover range(23) in order.  Drawn at its class's shape,
+    every trial's row is its own draw at its configured dims.  psd-2x2,
+    matrix-unit-E and square merge the dims that share n, so some of their
+    groups hold trials of two configured dims."""
     dims = ((2, 3), (1, 1), (4, 3), (3, 1))
     for case_id in ("ando", "horodecki-reduction", "lem39-singular", "ck-lih",
                     "coro55-norms", "psi-not-2-positive", "abs-block-corollary"):
         shape = suite.INPUT_CLASSES[REGISTRY[case_id].input_class].shape
         tokens = (case_id, "other-" + case_id)
-        seen = {token: [] for token in tokens}
+        chunks = list(suite._groups(7, tokens, dims, 23, 5, shape))
+        assert len(chunks) == 5
         merged = False
-        for m, n, t, seeds in suite._groups(7, tokens, dims, 23, 5, shape):
-            t = t.tolist()
-            assert t == sorted(set(t)) and len(seeds) == len(tokens)
-            merged |= len({dims[trial % 4] for trial in t}) > 1
-            for token, token_seeds in zip(tokens, seeds):
-                stacked = make_instance(case_id, m, n, token_seeds)
-                for i, (trial, seed) in enumerate(zip(t, token_seeds.tolist(), strict=True)):
-                    assert seed == derive_seed(7, token, trial)
-                    assert (m, n) == shape(*dims[trial % 4])
-                    assert _bytes(_row(stacked, i)) == _bytes(
-                        make_instance(case_id, *dims[trial % 4], seed))
-                seen[token] += t
-        for token in tokens:
-            assert sorted(seen[token]) == list(range(23))
+        for k, groups in enumerate(chunks):
+            assert len({(m, n) for m, n, _, _ in groups}) == len(groups)
+            covered = []
+            for m, n, t, seeds in groups:
+                t = t.tolist()
+                assert t == sorted(set(t)) and len(seeds) == len(tokens)
+                merged |= len({dims[trial % 4] for trial in t}) > 1
+                for token, token_seeds in zip(tokens, seeds):
+                    stacked = make_instance(case_id, m, n, token_seeds)
+                    for i, (trial, seed) in enumerate(zip(t, token_seeds.tolist(), strict=True)):
+                        assert seed == derive_seed(7, token, trial)
+                        assert (m, n) == shape(*dims[trial % 4])
+                        assert _bytes(_row(stacked, i)) == _bytes(
+                            make_instance(case_id, *dims[trial % 4], seed))
+                covered += t
+            assert sorted(covered) == list(range(5 * k, min(5 * k + 5, 23)))
         assert merged == (REGISTRY[case_id].input_class in ("psd-2x2", "matrix-unit-E",
                                                              "square")), case_id
 
@@ -454,23 +459,24 @@ def _reference_entries(config: RunConfig) -> dict:
     for case_id in sorted(config.cases):
         trials = failures = misses = 0
         worst = worst_t = worst_seed = worst_dims = None
-        for m, n, t, (seeds,) in suite._groups(config.seed, (case_id,), config.dims,
-                                               config.trials, max(1, config.trials)):
-            stacked = make_instance(case_id, m, n, seeds)
-            [(gm, gn, columns)] = suite._decided(suite._evaluate(
-                [REGISTRY[case_id]], stacked, len(t), config.tol))
-            for j, (tj, seed) in enumerate(zip(t.tolist(), seeds.tolist())):
-                parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns
-                              if h[j] is not None)
-                report = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
-                trials += 1
-                misses += report.premise_misses
-                if not parts:
-                    continue
-                failures += not report.holds
-                w = report.witness
-                if worst is None or w < worst or (w == worst and tj < worst_t):
-                    worst, worst_t, worst_seed, worst_dims = w, tj, seed, f"{m}x{n}"
+        for groups in suite._groups(config.seed, (case_id,), config.dims, config.trials,
+                                    max(1, config.trials)):
+            for m, n, t, (seeds,) in groups:
+                stacked = make_instance(case_id, m, n, seeds)
+                [(gm, gn, columns)] = suite._decided(suite._evaluate(
+                    [REGISTRY[case_id]], stacked, len(t), config.tol))
+                for j, (tj, seed) in enumerate(zip(t.tolist(), seeds.tolist())):
+                    parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns
+                                  if h[j] is not None)
+                    report = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
+                    trials += 1
+                    misses += report.premise_misses
+                    if not parts:
+                        continue
+                    failures += not report.holds
+                    w = report.witness
+                    if worst is None or w < worst or (w == worst and tj < worst_t):
+                        worst, worst_t, worst_seed, worst_dims = w, tj, seed, f"{m}x{n}"
         entries[case_id] = {"trials": trials, "failures": failures, "premise_misses": misses,
                             "worst_witness": worst, "worst_seed": worst_seed,
                             "worst_dims": worst_dims}

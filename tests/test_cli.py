@@ -286,11 +286,19 @@ BAD_INPUTS = {
                            {"rows": 1, "cols": 1, "entries": [[[10**400, 0]]]}),
     "missing-matrix": ("ando", {"m": 2, "n": 2}),
     "top-level-list": ("ck-classical", [[1, 2], [3, 4]]),
+    "scalar-entries": ("ando", {"m": 1, "n": 1,
+                                "matrix": {"rows": 1, "cols": 1, "entries": 5}}),
+    "scalar-entries-row": ("ando", {"m": 1, "n": 1,
+                                    "matrix": {"rows": 1, "cols": 1, "entries": [5]}}),
+    "scalar-int-row": ("ck-lih", {"rows": 1, "cols": 2, "entries": [3]}),
 }
 # The whole error line of the inputs whose problem it must name.
 BAD_INPUT_ERRORS = {
     "missing-matrix": "error: cannot read input: missing field 'matrix'\n",
     "top-level-list": "error: cannot read input: input is not a JSON object\n",
+    "scalar-entries": "error: cannot read input: entries is not a list, got int\n",
+    "scalar-entries-row": "error: cannot read input: entries row 0 is not a list, got int\n",
+    "scalar-int-row": "error: cannot read input: entries row 0 is not a list, got int\n",
 }
 
 

@@ -26,6 +26,7 @@ def _inputs():
             report_digest.case_records(bt, DIMS, SEEDS),
             report_digest.scan_report(bt, ((2, 2), (3, 2)), 5, 1),
             report_digest.suite_report(bt, DIMS, 3, 1),
+            report_digest.suite_report(bt, ((2, 2), (3, 2)), 5, 2),
             report_digest.extreme_records(bt, report_digest.extreme_matrices(((2, 2),))),
             report_digest.slack_records(bt, DIMS, SEEDS))
 
@@ -35,13 +36,14 @@ SLACK_IDS = [c for c, case in bt.suite.REGISTRY.items()
 
 
 def test_equal_reports_give_equal_digests():
-    verify, records, scan, suite, extremes, slacks = _inputs()
+    verify, records, scan, suite, chunks, extremes, slacks = _inputs()
     assert verify.startswith("{") and '"trials": 3' in verify
     assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
     assert len(json.loads(suite)["cases"]) == len(bt.case_ids())
+    assert json.loads(chunks)["config"]["trials"] == 5
     assert len(extremes) == len(report_digest.EXACT_CASES) * 8
     assert len(slacks) == len(SLACK_IDS) * len(DIMS) * len(SEEDS)
-    assert report_digest.digest(verify, records, scan, suite, extremes, slacks) == \
+    assert report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks) == \
         report_digest.digest(*_inputs())
 
 
@@ -57,8 +59,8 @@ def test_extreme_records_are_exact():
 
 
 def test_one_flipped_witness_bit_changes_the_digest():
-    verify, records, scan, suite, extremes, slacks = _inputs()
-    want = report_digest.digest(verify, records, scan, suite, extremes, slacks)
+    verify, records, scan, suite, chunks, extremes, slacks = _inputs()
+    want = report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks)
     case_id, seed, m, n, _, parts = records[7]
     _, bits, _ = parts[0]
     report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
@@ -66,14 +68,14 @@ def test_one_flipped_witness_bit_changes_the_digest():
     flipped = copy.deepcopy(records)
     flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     assert flipped != records
-    assert report_digest.digest(verify, flipped, scan, suite, extremes, slacks) != want
+    assert report_digest.digest(verify, flipped, scan, suite, chunks, extremes, slacks) != want
     worst_seed = json.loads(suite)["cases"]["ando"]["worst_seed"]
     other_seed = suite.replace(str(worst_seed), str(worst_seed ^ 1))
     assert other_seed != suite
-    assert report_digest.digest(verify, records, scan, other_seed, extremes, slacks) != want
+    assert report_digest.digest(verify, records, scan, other_seed, chunks, extremes, slacks) != want
     flipped = copy.deepcopy(extremes)
     flipped[0][2][0][1] = f"{int(flipped[0][2][0][1], 16) ^ 1:016x}"
-    assert report_digest.digest(verify, records, scan, suite, flipped, slacks) != want
+    assert report_digest.digest(verify, records, scan, suite, chunks, flipped, slacks) != want
 
 
 def test_slack_records_hash_every_slack_bit():

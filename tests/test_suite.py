@@ -13,7 +13,8 @@ from blocktrace import serialize, suite
 from blocktrace.blocks import (BlockMatrix, block_diag, j_block, kron_left, kron_right,
                                partial_trace_1, partial_trace_2, partial_transpose)
 from blocktrace.generate import GenSpec, gen
-from blocktrace.linalg import hermitian_eigvals, hermitian_eigvals_stack, hermitian_part, trace_stack
+from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
+                               scale_stack, trace_stack)
 from blocktrace.orders import is_psd
 from blocktrace.rng import check_seed, derive_seed
 from blocktrace.suite import (
@@ -100,6 +101,21 @@ def test_build_slack_refuses_dims_outside_its_input_class(case_id):
         with pytest.raises(ValueError, match="a psd-2x2 instance cannot have dims 3x2"):
             build_slack(case_id, make_instance("ando", 3, 2, seed))
         assert build_slack(case_id, make_instance(case_id, 3, 2, seed))
+
+
+def test_build_slack_refuses_non_hermitian_or_non_finite_instances():
+    """A non-Hermitian instance, a stack whose one row is not Hermitian, and
+    an instance with a NaN entry are refused with require_hermitian's
+    ValueError; the seeded stack itself still builds."""
+    stack = make_instance("ando", 2, 2, derive_seed(0, "stack", np.arange(3)))
+    bad_row = stack.dense.copy()
+    bad_row[1, 0, 1] += 1.0
+    nan = make_instance("ando", 2, 2, 1).dense.copy()
+    nan[0, 0] = np.nan
+    for dense in (np.arange(16.0).reshape(4, 4), bad_row, nan, np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build_slack("ando", BlockMatrix(2, 2, dense))
+    assert len(build_slack("ando", stack)[0][1]) == 3
 
 
 def test_build_slack_rejects_non_slack_cases():
@@ -635,6 +651,33 @@ def test_ando_residual_is_the_ando_slack(seed):
     a = make_instance("ando", 3, 2, seed)
     [(label, slack)] = build_slack("ando", a)
     assert label == "main" and ando_residual(a).tobytes() == slack.tobytes()
+
+
+# Parts of two registry rows that state one linear map: (case, label) of
+# each part, then (case, label) of its twin.
+RESTATEMENTS = ((("psi-completely-copositive", "main"), ("choi-tr2-pm", "plus")),
+                (("phi-completely-ppt", "derived-tau"), ("choi-tr2-pm", "minus")))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_restated_parts_build_their_twins_slacks(m):
+    """psi-completely-copositive/main is choi-tr2-pm/plus, (tr2 A^tau)(x)I_n
+    - A^tau, and phi-completely-ppt/derived-tau is choi-tr2-pm/minus.  On
+    40 seeded psd instances at each n, their build_slack matrices are equal
+    bit for bit at n <= 3, and within 1e-12 * max(1, ||A||_F) at n = 4..6,
+    where partial_trace_2's einsum and trace_stack sum the block traces in
+    a different order."""
+    seeds = derive_seed(0, "restatements", np.arange(40))
+    for n in range(1, 7):
+        a = make_instance("choi-tr2-pm", m, n, seeds)
+        scale = scale_stack(a.dense)[:, None, None]
+        for (case_id, label), (twin_id, twin_label) in RESTATEMENTS:
+            got = dict(build_slack(case_id, a))[label]
+            want = dict(build_slack(twin_id, a))[twin_label]
+            if n <= 3:
+                assert got.tobytes() == want.tobytes(), (case_id, m, n)
+            else:
+                assert (np.abs(got - want) <= 1e-12 * scale).all(), (case_id, m, n)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1", None, 1j])
