@@ -8,13 +8,13 @@ which is the empirical obstruction to any such subtraction.
 
 import numpy as np
 
-from blocktrace import BlockMatrix, hermitian_eigvals, open_question_scan
-from blocktrace.suite import ando_residual
+from blocktrace import BlockMatrix, build_slack, hermitian_eigvals, open_question_scan
 
 # on the identity the residual is exactly (m-1)(n-1) I, the natural scale
 for m, n in [(2, 2), (3, 3), (4, 4)]:
     ident = BlockMatrix(m, n, np.eye(m * n, dtype=np.complex128))
-    lam = hermitian_eigvals(ando_residual(ident))
+    [(_, residual)] = build_slack("ando", ident)
+    lam = hermitian_eigvals(residual)
     print(f"identity at {m}x{n}: residual spectrum is constant "
           f"{lam[0]:.0f} = (m-1)(n-1)")
 

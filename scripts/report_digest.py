@@ -22,7 +22,7 @@ The digest covers:
     matrices (entries +-(2^63 - 1), -2^63 and 0 at dims 1x1, 1x2, 2x2 and
     6x6), whose sums exceed int64;
   - the bits of every build_slack matrix of each psd-slack and
-    ppt-of-derived case at dims 1..4x1..4 and seeds 0..2 on its
+    ppt-of-derived case at dims 1..8x1..8 and seeds 0..2 on its
     make_instance input.
 
 Run it on two checkouts; equal digests mean equal reports:
@@ -58,7 +58,7 @@ SCAN_DIMS = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
 EXACT_CASES = ("ck-classical", "ck-lih", "ck-improved")
 EXTREME_DIMS = ((1, 1), (1, 2), (2, 2), (6, 6))
 EXTREME_VALUES = (2**63 - 1, -(2**63 - 1), -(2**63), 0)
-SLACK_DIMS = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
+SLACK_DIMS = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
 SLACK_SEEDS = tuple(range(3))
 SLACK_KINDS = ("psd-slack", "ppt-of-derived")
 

@@ -44,6 +44,11 @@ class BlockMatrix:
         return self.dense.reshape(self.dense.shape[:-2] + (m, n, m, n)).swapaxes(-3, -2)
 
 
+def diagonal_blocks(blocks: np.ndarray) -> np.ndarray:
+    """View [..., i, r, s] -> blocks[..., i, i, r, s] of an as_blocks()-indexed array."""
+    return np.einsum("...iirs->...irs", blocks)
+
+
 def from_blocks(m: int, n: int, blocks) -> BlockMatrix:
     """Assemble from a [..., i, j, r, s]-indexed array of blocks."""
     b = np.asarray(blocks, dtype=np.complex128)
@@ -60,11 +65,6 @@ def partial_transpose(a: BlockMatrix) -> BlockMatrix:
     return from_blocks(a.m, a.n, a.as_blocks().swapaxes(-4, -3))
 
 
-def full_transpose(a: BlockMatrix) -> BlockMatrix:
-    """Plain entrywise transpose, keeping the block structure."""
-    return BlockMatrix(a.m, a.n, a.dense.swapaxes(-1, -2).copy())
-
-
 def partial_trace_1(a: BlockMatrix) -> np.ndarray:
     """tr_1 A = sum of the diagonal blocks; an n x n matrix."""
     return np.einsum("...iirs->...rs", a.as_blocks())
@@ -77,9 +77,7 @@ def partial_trace_2(a: BlockMatrix) -> np.ndarray:
 
 def block_diag(a: BlockMatrix) -> BlockMatrix:
     """D_A: off-diagonal blocks zeroed, diagonal blocks kept."""
-    blocks = a.as_blocks().copy()
-    blocks[..., ~np.eye(a.m, dtype=bool), :, :] = 0
-    return from_blocks(a.m, a.n, blocks)
+    return BlockMatrix(a.m, a.n, _on_diagonal(diagonal_blocks(a.as_blocks()), a.m))
 
 
 def j_block(m: int, n: int) -> BlockMatrix:
@@ -97,15 +95,17 @@ def reshuffle(a: BlockMatrix) -> BlockMatrix:
     return from_blocks(a.n, a.m, np.moveaxis(a.as_blocks(), (-2, -1), (-4, -3)))
 
 
+def _on_diagonal(blocks, m: int) -> np.ndarray:
+    """Zeroed (..., mn, mn) matrices with blocks, (..., m or 1, n, n), on the block diagonal."""
+    lead, n = blocks.shape[:-3], blocks.shape[-1]
+    out = np.zeros(lead + (m, n, m, n), dtype=np.complex128)
+    diagonal_blocks(out.swapaxes(-3, -2))[...] = blocks
+    return out.reshape(lead + (m * n, m * n))
+
+
 def kron_left(x, m: int) -> np.ndarray:
-    """Dense I_m (x) x for n x n matrices x: x copied into the m diagonal
-    blocks of a zeroed (..., m, n, m, n) array."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    out = np.zeros(x.shape[:-2] + (m, n, m, n), dtype=np.complex128)
-    diag = np.arange(m)
-    out[..., diag, :, diag, :] = x
-    return out.reshape(x.shape[:-2] + (m * n, m * n))
+    """Dense I_m (x) x for n x n matrices x: x in every diagonal block."""
+    return _on_diagonal(np.asarray(x)[..., None, :, :], m)
 
 
 def kron_right(x, n: int) -> np.ndarray:

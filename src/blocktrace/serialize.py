@@ -111,8 +111,11 @@ def pair_to_obj(pair) -> dict:
 
 
 def pair_from_obj(obj: dict):
-    a, b = _field(obj, "pair")
-    return matrix_from_obj(a), matrix_from_obj(b)
+    pair = _field(obj, "pair")
+    if not isinstance(pair, list) or len(pair) != 2:
+        got = f"{len(pair)} items" if isinstance(pair, list) else type(pair).__name__
+        raise ValueError(f"pair must be a list of two matrices, got {got}")
+    return matrix_from_obj(pair[0]), matrix_from_obj(pair[1])
 
 
 def instance_to_obj(x) -> dict:

@@ -22,6 +22,7 @@ from . import serialize
 from .blocks import (
     BlockMatrix,
     block_diag,
+    diagonal_blocks,
     j_block,
     kron_left,
     kron_right,
@@ -176,8 +177,8 @@ class Derived:
     l1 = _term(lambda d: kron_left(d.tr1, d.m))  # I_m (x) tr_1 A
     r2 = _term(lambda d: kron_right(d.tr2, d.n))  # (tr_2 A) (x) I_n
     r2_tau = _term(lambda d: kron_right(d.tr2.swapaxes(-1, -2), d.n))  # (tr_2 A^tau) (x) I_n
-    # (tr_2 D_A) (x) I_n
-    r2_da = _term(lambda d: kron_right(partial_trace_2(BlockMatrix(d.m, d.n, d.d_a)), d.n))
+    # (tr_2 D_A) (x) I_n: tr_2 D_A is the diagonal of tr_2 A
+    r2_da = _term(lambda d: kron_right(np.where(np.eye(d.m, dtype=bool), d.tr2, 0), d.n))
     t = _term(lambda d: d.tr * d.identity)  # (tr A) I
     g = _term(lambda d: d.l1 - d.dense)  # I_m (x) tr_1 A - A
     tau_j = _term(lambda d: d.tau * d.jb)  # A^tau o (J_m (x) I_n)
@@ -280,11 +281,6 @@ class LinearSlacks:
 # R(A) = (tr A) I + A - I_m (x) tr_1 A - (tr_2 A) (x) I_n
 _RESIDUAL = ((1, "t"), (1, "dense"), (-1, "l1"), (-1, "r2"))
 _HORODECKI = LinearSlacks((("tr1", ((1, "g"),)), ("tr2", ((1, "r2"), (-1, "dense")))))
-
-
-def ando_residual(a: BlockMatrix) -> np.ndarray:
-    """The residual R(A) of an instance, or of a stack of them."""
-    return _herm(_fold(_RESIDUAL, Derived(a)))
 
 
 # The sandwich and lambda_min bounds of base + A^tau, with correction corr and
@@ -473,7 +469,7 @@ def _case_schur(d: Derived, tol):
 def _summed_block_spectra(d: Derived) -> np.ndarray:
     """Sorted-vector sum lambda(A_11) + ... + lambda(A_mm), by one eigvalsh
     call over every diagonal block."""
-    spectra = hermitian_part_eigvals(np.einsum("...iirs->...irs", d.a.as_blocks()))
+    spectra = hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))
     acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
     for i in range(d.m):  # in block order: spectra.sum(axis=-2) moves witness bits
         acc += spectra[..., i, :]

@@ -451,6 +451,25 @@ def test_run_suite_checks_each_trial_once_through_check_case(monkeypatch):
                                    for c in config.cases for t in range(config.trials))
 
 
+def test_run_suite_draws_each_trial_seed_once(monkeypatch):
+    """Across input classes and shape groups, the seed of every trial of
+    every case reaches suite.make_instance exactly once, and each entry
+    reports config.trials trials."""
+    config = RunConfig(("ck-lih", "hiroshima-conditional", "lem39-singular", "lin-2x2-ppt",
+                        "ando"), ((1, 2), (2, 2), (2, 3), (3, 3)), 9, 3)
+    real, drawn = suite.make_instance, []
+
+    def spy(case_id, m, n, seeds):
+        drawn.extend(seeds.tolist())
+        return real(case_id, m, n, seeds)
+
+    monkeypatch.setattr(suite, "make_instance", spy)
+    report = run_suite(config)
+    assert sorted(drawn) == sorted(derive_seed(config.seed, c, t)
+                                   for c in config.cases for t in range(config.trials))
+    assert [e["trials"] for e in report["cases"].values()] == [config.trials] * len(config.cases)
+
+
 def _reference_entries(config: RunConfig) -> dict:
     """run_suite's entries by the per-trial loop: each case's dims groups
     drawn in one chunk, and every trial's report built from its row by the

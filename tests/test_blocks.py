@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from blocktrace.blocks import (
     BlockMatrix,
     block_diag,
+    diagonal_blocks,
     from_blocks,
-    full_transpose,
     j_block,
     kron_left,
     kron_right,
@@ -80,6 +80,18 @@ def test_block_diag_zeroes_off_diagonal():
     assert np.all(d.block(0, 2) == 0)
 
 
+def test_diagonal_blocks_view_and_block_diag_on_a_stack():
+    """diagonal_blocks is a view of block (i, i), and block_diag of a
+    (T, mn, mn) stack is each matrix's D_A, bit for bit."""
+    stack = BlockMatrix(3, 2, np.stack([_random_block(s, 3, 2).dense for s in range(4)]))
+    view = diagonal_blocks(stack.as_blocks())
+    assert np.shares_memory(view, stack.dense)
+    assert np.array_equal(view[2, 1], stack.block(1, 1)[2])
+    got = block_diag(stack).dense
+    for t in range(4):
+        assert got[t].tobytes() == block_diag(BlockMatrix(3, 2, stack.dense[t])).dense.tobytes()
+
+
 def test_j_block_is_all_ones_kron_identity():
     assert np.array_equal(j_block(2, 3).dense, np.kron(np.ones((2, 2)), np.eye(3)))
 
@@ -123,7 +135,7 @@ def test_reshuffle_transpose_identity(seed, mn):
     m, n = mn
     a = _random_block(seed, m, n)
     lhs = partial_transpose(reshuffle(a)).dense
-    rhs = full_transpose(reshuffle(partial_transpose(a))).dense
+    rhs = reshuffle(partial_transpose(a)).dense.swapaxes(-1, -2)
     assert np.array_equal(lhs, rhs)
 
 

@@ -291,6 +291,8 @@ BAD_INPUTS = {
     "scalar-entries-row": ("ando", {"m": 1, "n": 1,
                                     "matrix": {"rows": 1, "cols": 1, "entries": [5]}}),
     "scalar-int-row": ("ck-lih", {"rows": 1, "cols": 2, "entries": [3]}),
+    "scalar-pair": ("lem39-singular", {"pair": 5}),
+    "three-item-pair": ("lem39-singular", {"pair": [_SQUARE, _SQUARE, _SQUARE]}),
 }
 # The whole error line of the inputs whose problem it must name.
 BAD_INPUT_ERRORS = {
@@ -299,6 +301,9 @@ BAD_INPUT_ERRORS = {
     "scalar-entries": "error: cannot read input: entries is not a list, got int\n",
     "scalar-entries-row": "error: cannot read input: entries row 0 is not a list, got int\n",
     "scalar-int-row": "error: cannot read input: entries row 0 is not a list, got int\n",
+    "scalar-pair": "error: cannot read input: pair must be a list of two matrices, got int\n",
+    "three-item-pair":
+        "error: cannot read input: pair must be a list of two matrices, got 3 items\n",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from blocktrace.suite import (
     Part,
     RunConfig,
     SlackReport,
-    ando_residual,
     build_slack,
     case_ids,
     check_case,
@@ -138,7 +138,8 @@ def test_tightness_all_ones_input():
 def test_tightness_identity_residual():
     for m, n in [(2, 2), (3, 4), (4, 4)]:
         a = BlockMatrix(m, n, np.eye(m * n, dtype=np.complex128))
-        lam = hermitian_eigvals(ando_residual(a))
+        [(_, residual)] = build_slack("ando", a)
+        lam = hermitian_eigvals(residual)
         assert np.allclose(lam, (m - 1) * (n - 1))
 
 
@@ -485,6 +486,30 @@ def test_tied_worst_goes_to_earliest_trial_across_dims_groups(monkeypatch):
     assert entry["worst_witness"] == 0.0
 
 
+def test_tied_worst_in_engine_columns_goes_to_earliest_trial(monkeypatch):
+    """The ties above, forced into the witness columns _evaluate returns
+    for each draw instead of into check_case's reports: a draw's seeds are
+    read where make_instance receives them."""
+    config = RunConfig(("ando",), ((2, 2), (2, 3)), 6, 5)
+    first = derive_seed(5, "ando", 0)
+    make, evaluate, drawn = suite.make_instance, suite._evaluate, []
+
+    def draw(case_id, m, n, seeds):
+        drawn.append(seeds.tolist())
+        return make(case_id, m, n, seeds)
+
+    def tied(cases, stack, height, tol):
+        [(m, n, columns)] = evaluate(cases, stack, height, tol)
+        witnesses = [1.0 if seed == first else 0.0 for seed in drawn.pop()]
+        return [(m, n, [(label, witnesses, holds) for label, _, holds in columns])]
+
+    monkeypatch.setattr(suite, "make_instance", draw)
+    monkeypatch.setattr(suite, "_evaluate", tied)
+    entry = run_suite(config)["cases"]["ando"]
+    assert (entry["worst_seed"], entry["worst_dims"]) == (derive_seed(5, "ando", 1), "2x3")
+    assert entry["worst_witness"] == 0.0 and not drawn
+
+
 def test_suite_report_deterministic_and_thread_invariant():
     config = RunConfig(tuple(ALL_IDS), ((2, 2), (2, 3)), 4, 42)
     r1 = run_suite(config, threads=1)
@@ -646,11 +671,29 @@ def test_linear_slack_rows_name_derived_terms_and_are_linear(dims):
             np.testing.assert_allclose(w, 2 * x, rtol=0, atol=1e-12, err_msg=cid)
 
 
-@pytest.mark.parametrize("seed", [3, np.arange(4, dtype=np.uint64)])
-def test_ando_residual_is_the_ando_slack(seed):
-    a = make_instance("ando", 3, 2, seed)
-    [(label, slack)] = build_slack("ando", a)
-    assert label == "main" and ando_residual(a).tobytes() == slack.tobytes()
+SWEEP_CASES = tuple(c for c in ALL_IDS if c not in ("psi-not-2-positive", "open-question-residual"))
+DIMS_1_4 = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
+DIMS_5_8 = tuple((m, n) for m in range(5, 9) for n in range(5, 9))
+
+
+@pytest.mark.parametrize("dims, trials, seed", [(DIMS_1_4, 300, 42), (DIMS_5_8, 64, 7)],
+                         ids=["dims-1..4", "dims-5..8"])
+def test_sweep_holds_at_tight_tolerance(dims, trials, seed):
+    """The criterion-2 case set gives no failure at tol=1e-12, four orders
+    below PSD_TOL."""
+    assert total_failures(run_suite(RunConfig(SWEEP_CASES, dims, trials, seed, 1e-12))) == 0
+
+
+def test_tight_tolerance_catches_a_residual_short_by_1e_10_trace(monkeypatch):
+    """The Ando residual minus 1e-10 (tr A) I, a wrong constant that
+    PSD_TOL lets through: the tight sweep fails in ando alone, and the
+    sweep at PSD_TOL passes."""
+    mutant = suite.LinearSlacks((("main", suite._RESIDUAL + ((-1e-10, "t"),)),))
+    monkeypatch.setitem(REGISTRY, "ando", dataclasses.replace(REGISTRY["ando"], fn=mutant))
+    config = RunConfig(SWEEP_CASES, DIMS_1_4, 300, 42, 1e-12)
+    tight = run_suite(config)
+    assert total_failures(tight) == tight["cases"]["ando"]["failures"] > 0
+    assert total_failures(run_suite(dataclasses.replace(config, tol=suite.PSD_TOL))) == 0
 
 
 # Parts of two registry rows that state one linear map: (case, label) of
