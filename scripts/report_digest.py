@@ -23,7 +23,12 @@ The digest covers:
     6x6), whose sums exceed int64;
   - the bits of every build_slack matrix of each psd-slack and
     ppt-of-derived case at dims 1..8x1..8 and seeds 0..2 on its
-    make_instance input.
+    make_instance input;
+  - the check_case report of every case whose input class scales (the
+    block classes other than the fixed zero and matrix-unit-E, gram-pair
+    with both factors, and square) at dims 1..3x1..3 and seeds 0..2, on its
+    make_instance input multiplied by 1e-12, 1e-6 and 1e6: verdicts whose
+    scale is far below 1, where the tolerance floor decides, and far above.
 
 Run it on two checkouts; equal digests mean equal reports:
 
@@ -31,8 +36,8 @@ Run it on two checkouts; equal digests mean equal reports:
     python3 scripts/report_digest.py --src src
 
 stdout is the one combined digest.  stderr gets the digest of each section
-(verify, cases, scan, suite, chunks, extremes, slacks), so when two checkouts
-differ, the lines that differ name the sections that moved.  Its last line,
+(verify, cases, scan, suite, chunks, extremes, slacks, scaled), so when two
+checkouts differ, the lines that differ name the sections that moved.  Its last line,
 `criterion-2 <sha256>`, is the sha256 of the criterion-2 text itself, the
 value the README's `verify ... | sha256sum` command prints.
 """
@@ -61,6 +66,10 @@ EXTREME_VALUES = (2**63 - 1, -(2**63 - 1), -(2**63), 0)
 SLACK_DIMS = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
 SLACK_SEEDS = tuple(range(3))
 SLACK_KINDS = ("psd-slack", "ppt-of-derived")
+SCALED_CLASSES = ("psd", "hermitian", "ppt", "psd-2x2", "gram-pair", "square")
+SCALED_DIMS = tuple((m, n) for m in range(1, 4) for n in range(1, 4))
+SCALED_SEEDS = tuple(range(3))
+SCALE_FACTORS = (1e-12, 1e-6, 1e6)
 
 
 def load(src: str):
@@ -131,6 +140,34 @@ def slack_records(bt, dims, seeds) -> list:
     return records
 
 
+def scaled(bt, instance, factor: float):
+    """instance with every matrix multiplied by factor: a block matrix's
+    dense matrix, both factors of a pair, or a plain matrix."""
+    if isinstance(instance, bt.BlockMatrix):
+        return bt.BlockMatrix(instance.m, instance.n, factor * instance.dense)
+    if isinstance(instance, tuple):
+        return tuple(factor * x for x in instance)
+    return factor * instance
+
+
+def scaled_records(bt, dims, seeds, factors) -> list:
+    """[case, seed, m, n, factor, premise misses, [[label, witness bits,
+    holds], ...]] of check_case on the instance of every SCALED_CLASSES case
+    at each dims and seed, multiplied by each factor."""
+    records = []
+    for case_id in bt.case_ids():
+        if bt.suite.REGISTRY[case_id].input_class not in SCALED_CLASSES:
+            continue
+        for m, n in dims:
+            for seed in seeds:
+                instance = bt.make_instance(case_id, m, n, seed)
+                for factor in factors:
+                    r = bt.check_case(case_id, scaled(bt, instance, factor), seed=seed)
+                    records.append([case_id, seed, r.m, r.n, factor, r.premise_misses,
+                                    _parts(r)])
+    return records
+
+
 def scan_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.open_question_scan(dims, trials, seed))
 
@@ -140,7 +177,7 @@ def suite_report(bt, dims, trials: int, seed: int) -> str:
     return bt.serialize.dump(bt.run_suite(bt.RunConfig(tuple(bt.case_ids()), dims, trials, seed)))
 
 
-SECTIONS = ("verify", "cases", "scan", "suite", "chunks", "extremes", "slacks")
+SECTIONS = ("verify", "cases", "scan", "suite", "chunks", "extremes", "slacks", "scaled")
 
 
 def _sha256(value) -> str:
@@ -148,7 +185,7 @@ def _sha256(value) -> str:
 
 
 def digest(*sections) -> str:
-    """sha256 over the seven sections, given in SECTIONS order."""
+    """sha256 over the eight sections, given in SECTIONS order."""
     return _sha256(dict(zip(SECTIONS, sections, strict=True)))
 
 
@@ -175,7 +212,8 @@ def main(argv=None) -> int:
                 suite_report(bt, CASE_DIMS, 100, 42),
                 suite_report(bt, SCAN_DIMS, 2000, 7),
                 extreme_records(bt, extreme_matrices(EXTREME_DIMS)),
-                slack_records(bt, SLACK_DIMS, SLACK_SEEDS))
+                slack_records(bt, SLACK_DIMS, SLACK_SEEDS),
+                scaled_records(bt, SCALED_DIMS, SCALED_SEEDS, SCALE_FACTORS))
     print(*stderr_lines(*sections), sep="\n", file=sys.stderr)
     print(digest(*sections))
     return 0

@@ -34,10 +34,6 @@ class BlockMatrix:
         n = self.n
         return self.dense[..., i * n : (i + 1) * n, j * n : (j + 1) * n]
 
-    @property
-    def size(self) -> int:
-        return self.m * self.n
-
     def as_blocks(self) -> np.ndarray:
         """View indexed [..., i, j, r, s] -> block(i, j)[r, s]."""
         m, n = self.m, self.n

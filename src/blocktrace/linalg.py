@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-# Hermiticity tolerance, relative to max(1, ||M||_F); chosen an order of
-# magnitude above accumulated rounding at the matrix sizes this package
-# targets (mn <= 256).
+# Hermiticity tolerance, taken by tolerance() at scale ||M||_F; chosen an
+# order of magnitude above accumulated rounding at the matrix sizes this
+# package targets (mn <= 256).
 HERMITIAN_TOL = 1e-10
 
 
@@ -46,9 +46,15 @@ def trace_stack(a) -> np.ndarray:
     return np.diagonal(a, axis1=-2, axis2=-1).copy().sum(axis=-1)
 
 
+def tolerance(tol: float, scale):
+    """The tolerance of every verdict: tol relative to scale, floored at
+    scale 1, so below unit scale it is tol itself."""
+    return tol * np.fmax(1.0, scale)
+
+
 def scale_stack(a) -> np.ndarray:
-    """Relative-tolerance scale max(1, Frobenius norm) of every matrix of a
-    (..., r, c) stack.  Where the sum of squares overflows, a matrix of
+    """Frobenius norm of every matrix of a (..., r, c) stack, the scale of
+    its tolerance.  Where the sum of squares overflows, a matrix of
     finite entries takes peak * sqrt(sum |a / peak|^2), peak its largest
     modulus; a matrix with an inf entry keeps the scale inf."""
     a = np.asarray(a)
@@ -63,7 +69,7 @@ def scale_stack(a) -> np.ndarray:
             rescaled = peak * np.sqrt(((moduli / peak) ** 2).sum(axis=(-2, -1), keepdims=True))
         norm = np.array(norm)
         norm[over] = np.where(np.isinf(peak), np.inf, rescaled)[..., 0, 0]
-    return np.fmax(1.0, norm)
+    return norm
 
 
 def hermitian_defect(a):
@@ -80,7 +86,7 @@ def require_hermitian(a) -> np.ndarray:
     defect inf or NaN, which the check refuses."""
     a = _square(a)
     defects = hermitian_defect(a)
-    bad = ~(defects <= HERMITIAN_TOL * scale_stack(a)) | np.isinf(defects)
+    bad = ~(defects <= tolerance(HERMITIAN_TOL, scale_stack(a))) | np.isinf(defects)
     if bad.any():
         raise ValueError(f"matrix is not Hermitian (defect {defects[bad][0]:.3e})")
     return a

@@ -15,10 +15,9 @@ import numpy as np
 
 from .blocks import BlockMatrix, partial_transpose
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as orders.hermitian_eigvals)
-from .linalg import pad_sorted, require_hermitian, scale_stack, singular_values_stack
+from .linalg import pad_sorted, require_hermitian, scale_stack, singular_values_stack, tolerance
 
 PSD_TOL = 1e-8
-MAJORIZATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,19 @@ class MajorizationVerdict:
         return np.where(total < worst, total, worst)  # min(worst, total), ties to worst
 
 
+def gap_verdict(witness, tol: float, scale) -> OrderVerdict:
+    """The one verdict rule: a witness holds when it is at least minus the
+    tolerance of tol at scale (linalg.tolerance)."""
+    t = tolerance(tol, scale)
+    return OrderVerdict(witness >= -t, witness, t)
+
+
 def psd_verdict(a: np.ndarray, tol: float = PSD_TOL) -> OrderVerdict:
     """PSD test for every matrix of a complex128 (..., k, k) stack that is
     exactly Hermitian, unchecked, by one eigvalsh call: witness is
-    lambda_min, and the tolerance is tol * max(1, ||.||_F)."""
+    lambda_min, at the scale ||.||_F."""
     lam_min = np.linalg.eigvalsh(a)[..., 0]  # eigvalsh sorts ascending
-    tolerance = tol * scale_stack(a)
-    return OrderVerdict(lam_min >= -tolerance, lam_min, tolerance)
+    return gap_verdict(lam_min, tol, scale_stack(a))
 
 
 def is_psd(a, tol: float = PSD_TOL) -> OrderVerdict:
@@ -78,16 +83,15 @@ def is_ppt(a: BlockMatrix, tol: float = PSD_TOL) -> OrderVerdict:
                         float(v.tolerance_used.max()))
 
 
-def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
+def majorizes(y, x, tol: float = PSD_TOL) -> MajorizationVerdict:
     """Test x majorized by y (x < y) along the last axis; leading axes
     broadcast and give a verdict of arrays.  Spectra of different lengths
     are zero-padded to the longer one before sorting."""
     length = max(np.shape(x)[-1], np.shape(y)[-1])
     xp, yp = pad_sorted(x, length), pad_sorted(y, length)
     prefix_gaps = np.cumsum(yp, axis=-1) - np.cumsum(xp, axis=-1)
-    worst = prefix_gaps.min(axis=-1)
-    tolerance = tol * np.fmax(1.0, np.abs(yp).sum(axis=-1))
-    return MajorizationVerdict(worst >= -tolerance, prefix_gaps[..., -1], worst, tolerance)
+    weak = gap_verdict(prefix_gaps.min(axis=-1), tol, np.abs(yp).sum(axis=-1))
+    return MajorizationVerdict(weak.holds, prefix_gaps[..., -1], weak.witness, weak.tolerance_used)
 
 
 def sv_dominates(lhs, rhs, factor: float = 1.0, tol: float = PSD_TOL) -> OrderVerdict:
@@ -97,6 +101,4 @@ def sv_dominates(lhs, rhs, factor: float = 1.0, tol: float = PSD_TOL) -> OrderVe
     s_r = singular_values_stack(rhs)
     length = max(s_l.shape[-1], s_r.shape[-1])
     gaps = pad_sorted(s_r, length) - factor * pad_sorted(s_l, length)
-    witness = gaps.min(axis=-1)
-    tolerance = tol * scale_stack(rhs)
-    return OrderVerdict(witness >= -tolerance, witness, tolerance)
+    return gap_verdict(gaps.min(axis=-1), tol, scale_stack(rhs))

@@ -38,7 +38,7 @@ from .linalg import hermitian_part as _herm
 from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
 from .maps import apply_map_blockwise
-from .orders import PSD_TOL, is_psd, majorizes, psd_verdict, sv_dominates
+from .orders import PSD_TOL, gap_verdict, is_psd, majorizes, psd_verdict, sv_dominates
 from .rng import Stream, check_seed, derive_seed, is_int
 
 # ---------------------------------------------------------------------------
@@ -147,10 +147,6 @@ def _pm_cols(verdict) -> list:
     """The plus and minus columns of a verdict on a _norm_sides stack."""
     return [_col(label, w, h)
             for label, w, h in zip(("plus", "minus"), verdict.witness, verdict.holds)]
-
-
-def _scalar_col(label: str, gap, tol: float, scale) -> tuple:
-    return _col(label, gap, gap >= -tol * np.fmax(1.0, scale))
 
 
 def _term(fn) -> cached_property:
@@ -376,7 +372,7 @@ def _trace_2x2(gap, d: Derived, tol):
     b2 = np.float_power(np.hypot(tr_b.real, tr_b.imag), 2.0)
     tr_ac, tr_bb = _tr(ab @ cb).real, _tr(_ct(bb) @ bb).real
     scale = np.abs(ac) + b2 + np.abs(tr_ac) + tr_bb
-    return [_scalar_col("main", gap(ac, b2, tr_ac, tr_bb), tol, scale)]
+    return [_vcol("main", gap_verdict(gap(ac, b2, tr_ac, tr_bb), tol, scale))]
 
 
 def _ck_sums(x: np.ndarray) -> np.ndarray:
@@ -536,9 +532,7 @@ def _kyfan_gaps(lhs, rhs, factor: float) -> np.ndarray:
 
 def _case_coro55_norms(d: Derived, tol):
     lhs, rhs = _norm_sides(*_blocks_2x2(d.a))
-    scale = scale_stack(rhs)
-    return [_scalar_col(label, gap, tol, scale)
-            for label, gap in zip(("plus", "minus"), _kyfan_gaps(lhs, rhs, 2.0))]
+    return _pm_cols(gap_verdict(_kyfan_gaps(lhs, rhs, 2.0), tol, scale_stack(rhs)))
 
 
 def _case_coro_half(d: Derived, tol):
@@ -551,7 +545,7 @@ def _case_coro_half(d: Derived, tol):
     ], axis=-2)
     factor = 2.0 / (d.n + 1)
     gap = _kyfan_gaps(lhs, traces, factor) / factor  # rescale to the norm bound
-    return [_scalar_col("main", gap, tol, scale_stack(traces) * (d.n + 1))]
+    return [_vcol("main", gap_verdict(gap, tol, scale_stack(traces) * (d.n + 1)))]
 
 
 def _case_thm37_singular(d: Derived, tol):
@@ -577,7 +571,7 @@ def _case_lem38(pair, tol):
     rhs = plain[..., :n_rows] + shift[..., None]
     witness = (rhs - lhs).min(axis=-1)
     scale = scale_stack(m_fac) ** 2 + scale_stack(n_fac) ** 2
-    return [_scalar_col("main", witness, tol, scale)]
+    return [_vcol("main", gap_verdict(witness, tol, scale))]
 
 
 def _case_abs_block(x, tol):

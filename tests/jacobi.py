@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import require_hermitian
+from blocktrace.linalg import require_hermitian
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 60

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktrace.jacobi import jacobi_eigh
 from blocktrace.linalg import hermitian_eigvals
 from blocktrace.rng import Stream
+
+from jacobi import jacobi_eigh
 
 
 def _random_hermitian(seed, n):

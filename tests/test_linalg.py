@@ -15,6 +15,7 @@ from blocktrace.linalg import (
     require_hermitian,
     scale_stack,
     singular_values,
+    tolerance,
 )
 from blocktrace.rng import Stream
 
@@ -50,9 +51,21 @@ def test_hermitian_part_is_exactly_hermitian(seed, height, k):
     assert hermitian_part_eigvals(x).tobytes() == want.tobytes()
 
 
-def test_scale_stack_floors_at_one():
-    assert scale_stack(np.zeros((2, 2))) == 1.0
+def test_scale_stack_is_the_frobenius_norm():
+    """No floor: the zero matrix has scale 0 and a sub-unit matrix its own norm."""
+    assert scale_stack(np.zeros((2, 2))) == 0.0
+    assert scale_stack(0.5 * np.eye(2)) == pytest.approx(0.5 * np.sqrt(2))
     assert scale_stack(10 * np.eye(2)) == pytest.approx(10 * np.sqrt(2))
+
+
+def test_tolerance_floors_the_scale_at_one():
+    """tol itself up to scale 1, tol * scale above it; elementwise on arrays."""
+    for tol in (1e-8, 1e-3, 0.0):
+        for s in (0.0, 0.5, 1.0):
+            assert tolerance(tol, s) == tol
+        for s in (1.5, 10.0, 1e200):
+            assert tolerance(tol, s) == tol * s
+    assert tolerance(1e-8, np.array([0.0, 0.5, 4.0])).tolist() == [1e-8, 1e-8, 4e-8]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # squaring 1e200

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import GenSpec, gen
-from blocktrace.jacobi import jacobi_eigh
 from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
                                hermitian_part_eigvals, pad_sorted, scale_stack,
-                               singular_values_stack)
+                               singular_values_stack, tolerance)
 from blocktrace.orders import (PSD_TOL, is_ppt, is_psd, loewner_ge, majorizes, psd_verdict,
                                sv_dominates)
 from blocktrace.rng import Stream
+
+from jacobi import jacobi_eigh
 
 
 def test_psd_accepts_gram_and_rejects_indefinite():
@@ -62,10 +63,10 @@ def test_huge_entries_get_finite_tolerances():
 def _is_psd_reference(a, tol):
     """(holds, witness, tolerance) of is_psd's rule written out: the last
     of the checked non-increasing spectrum, against tol times the stacked
-    scale."""
+    Frobenius scale floored at 1."""
     a = np.asarray(a, dtype=np.complex128)
     lam_min = hermitian_eigvals_stack(a)[..., -1]
-    tolerance = tol * scale_stack(a)
+    tolerance = tol * np.fmax(1.0, scale_stack(a))
     return lam_min >= -tolerance, lam_min, tolerance
 
 
@@ -100,6 +101,33 @@ def test_loewner_order():
     assert not loewner_ge(b, a).holds
     with pytest.raises(ValueError):
         loewner_ge(a, np.eye(3))
+
+
+def test_loewner_ge_below_unit_scale_uses_the_absolute_floor():
+    """0 >= 1e-9 I holds: the scale 1e-9 * sqrt(2) is below 1, so the
+    tolerance is PSD_TOL itself and the witness -1e-9 is within it.  An
+    instance scaled small enough passes every PSD claim this way, true or
+    not; whether the floor max(1, scale) stays is still to be decided."""
+    v = loewner_ge(np.zeros((2, 2)), 1e-9 * np.eye(2))
+    assert v.holds and v.witness == -1e-9
+    assert v.tolerance_used == PSD_TOL
+
+
+def test_sub_unit_scales_take_the_one_tolerance_rule():
+    """On inputs scaled by 1e-3, below unit scale, each verdict's
+    tolerance_used is tolerance(tol, scale) bit for bit, its scale being
+    the Frobenius norm of the matrix or rhs, or sum |y| for majorization."""
+    g = 1e-3 * Stream(7).complex_gaussians((3, 4, 4))
+    h = hermitian_part(g)
+    lhs = 1e-3 * Stream(8).complex_gaussians((3, 4, 4))
+    y, x = hermitian_eigvals_stack(h), np.diagonal(h, axis1=-2, axis2=-1).real
+    assert (scale_stack(h) < 1).all() and (np.abs(y).sum(axis=-1) < 1).all()
+    for tol in (PSD_TOL, 1e-3):
+        assert _same_bits(psd_verdict(h, tol).tolerance_used, tolerance(tol, scale_stack(h)))
+        assert _same_bits(sv_dominates(lhs, g, 2.0, tol).tolerance_used,
+                          tolerance(tol, scale_stack(g)))
+        assert _same_bits(majorizes(y, x, tol).tolerance_used,
+                          tolerance(tol, np.abs(y).sum(axis=-1)))
 
 
 def test_ppt_detects_entanglement():

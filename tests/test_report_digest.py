@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blocktrace as bt
 
@@ -28,23 +29,27 @@ def _inputs():
             report_digest.suite_report(bt, DIMS, 3, 1),
             report_digest.suite_report(bt, ((2, 2), (3, 2)), 5, 2),
             report_digest.extreme_records(bt, report_digest.extreme_matrices(((2, 2),))),
-            report_digest.slack_records(bt, DIMS, SEEDS))
+            report_digest.slack_records(bt, DIMS, SEEDS),
+            report_digest.scaled_records(bt, DIMS, SEEDS, report_digest.SCALE_FACTORS))
 
 
 SLACK_IDS = [c for c, case in bt.suite.REGISTRY.items()
              if case.check_kind in report_digest.SLACK_KINDS]
+SCALED_IDS = [c for c, case in bt.suite.REGISTRY.items()
+              if case.input_class in report_digest.SCALED_CLASSES]
 
 
 def test_equal_reports_give_equal_digests():
-    verify, records, scan, suite, chunks, extremes, slacks = _inputs()
+    verify, records, scan, suite, chunks, extremes, slacks, scaled = _inputs()
     assert verify.startswith("{") and '"trials": 3' in verify
     assert len(records) == len(bt.case_ids()) * len(DIMS) * len(SEEDS)
     assert len(json.loads(suite)["cases"]) == len(bt.case_ids())
     assert json.loads(chunks)["config"]["trials"] == 5
     assert len(extremes) == len(report_digest.EXACT_CASES) * 8
     assert len(slacks) == len(SLACK_IDS) * len(DIMS) * len(SEEDS)
-    assert report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks) == \
-        report_digest.digest(*_inputs())
+    assert len(scaled) == len(SCALED_IDS) * len(DIMS) * len(SEEDS) * 3
+    assert report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks,
+                                scaled) == report_digest.digest(*_inputs())
 
 
 def test_extreme_records_are_exact():
@@ -59,8 +64,8 @@ def test_extreme_records_are_exact():
 
 
 def test_one_flipped_witness_bit_changes_the_digest():
-    verify, records, scan, suite, chunks, extremes, slacks = _inputs()
-    want = report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks)
+    verify, records, scan, suite, chunks, extremes, slacks, scaled = _inputs()
+    want = report_digest.digest(verify, records, scan, suite, chunks, extremes, slacks, scaled)
     case_id, seed, m, n, _, parts = records[7]
     _, bits, _ = parts[0]
     report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
@@ -68,21 +73,24 @@ def test_one_flipped_witness_bit_changes_the_digest():
     flipped = copy.deepcopy(records)
     flipped[7][5][0][1] = f"{int(bits, 16) ^ 1:016x}"
     assert flipped != records
-    assert report_digest.digest(verify, flipped, scan, suite, chunks, extremes, slacks) != want
+    assert report_digest.digest(verify, flipped, scan, suite, chunks, extremes, slacks,
+                                scaled) != want
     worst_seed = json.loads(suite)["cases"]["ando"]["worst_seed"]
     other_seed = suite.replace(str(worst_seed), str(worst_seed ^ 1))
     assert other_seed != suite
-    assert report_digest.digest(verify, records, scan, other_seed, chunks, extremes, slacks) != want
+    assert report_digest.digest(verify, records, scan, other_seed, chunks, extremes, slacks,
+                                scaled) != want
     flipped = copy.deepcopy(extremes)
     flipped[0][2][0][1] = f"{int(flipped[0][2][0][1], 16) ^ 1:016x}"
-    assert report_digest.digest(verify, records, scan, suite, chunks, flipped, slacks) != want
+    assert report_digest.digest(verify, records, scan, suite, chunks, flipped, slacks,
+                                scaled) != want
 
 
 def test_slack_records_hash_every_slack_bit():
     """A record holds the sha256 of its slack's bytes, so a slack that
     differs in one bit changes its record and the digest."""
-    *rest, slacks = _inputs()
-    want = report_digest.digest(*rest, slacks)
+    *rest, slacks, scaled = _inputs()
+    want = report_digest.digest(*rest, slacks, scaled)
     case_id, seed, m, n, labeled = slacks[5]
     assert case_id in SLACK_IDS
     label, dtype, shape, bits = labeled[0]
@@ -93,7 +101,31 @@ def test_slack_records_hash_every_slack_bit():
     changed = copy.deepcopy(slacks)
     changed[5][4][0][3] = hashlib.sha256(s.tobytes()).hexdigest()
     assert changed != slacks
-    assert report_digest.digest(*rest, changed) != want
+    assert report_digest.digest(*rest, changed, scaled) != want
+
+
+def test_scaled_records_check_each_instance_times_each_factor():
+    """Each scaled record is check_case on factor times the make_instance
+    input, so a linear slack's witness scales with it (up to rounding) and
+    a sub-unit instance is decided by the same verdict rule; one flipped
+    holds bit moves only the scaled section."""
+    inputs = _inputs()
+    scaled = inputs[-1]
+    assert {r[0] for r in scaled} == set(SCALED_IDS)
+    assert "eq18-matrix" not in SCALED_IDS  # its zero class is one fixed instance per dims
+    by_key = {(r[0], r[1], r[2], r[3], r[4]): r[6] for r in scaled}
+    case_id, seed, m, n, _, _, parts = next(r for r in scaled if r[0] == "ando" and r[2] == 2)
+    report = bt.check_case(case_id, bt.make_instance(case_id, m, n, seed), seed=seed)
+    for factor in report_digest.SCALE_FACTORS:
+        label, bits, holds = by_key[case_id, seed, m, n, factor][0]
+        assert holds and label == report.parts[0].label
+        assert struct.unpack("<d", bytes.fromhex(bits))[0] == pytest.approx(
+            factor * report.parts[0].witness, rel=1e-9)
+    sections = report_digest.section_digests(*inputs)
+    flipped = copy.deepcopy(scaled)
+    flipped[3][6][0][2] = not flipped[3][6][0][2]
+    moved = report_digest.section_digests(*inputs[:-1], flipped)
+    assert [name for name in sections if moved[name] != sections[name]] == ["scaled"]
 
 
 def test_section_digests_name_the_section_that_moved():

@@ -842,7 +842,7 @@ def test_slack_builders_cover_declared_cases():
         inst = make_instance(cid, 2, 3, 0)
         if case.check_kind in ("psd-slack", "ppt-of-derived"):
             slacks = build_slack(cid, inst)
-            assert slacks and all(s.shape == (inst.size, inst.size) for _, s in slacks)
+            assert slacks and all(s.shape == (inst.m * inst.n,) * 2 for _, s in slacks)
         else:
             with pytest.raises(ValueError):
                 build_slack(cid, inst)
