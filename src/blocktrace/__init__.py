@@ -21,6 +21,7 @@ from .blocks import (
 )
 from .generate import GenSpec, gen
 from .linalg import hermitian_eigvals, kyfan_norm, matrix_abs, singular_values
+from .maps import apply_map_blockwise
 from .orders import is_ppt, is_psd, loewner_ge, majorizes, sv_dominates
 from .rng import Stream, derive_seed
 from .suite import (
@@ -47,6 +48,7 @@ __all__ = [
     "SlackReport",
     "Stream",
     "TheoremCase",
+    "apply_map_blockwise",
     "block_diag",
     "build_slack",
     "case_ids",

@@ -37,7 +37,6 @@ from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, matrix_abs
 from .linalg import hermitian_part as _herm
 from .linalg import one_blas_thread
 from .linalg import trace_stack as _tr
-from .maps import apply_map_blockwise
 from .orders import PSD_TOL, gap_verdict, is_psd, majorizes, psd_verdict, sv_dominates
 from .rng import Stream, check_seed, derive_seed, is_int
 
@@ -276,6 +275,13 @@ class LinearSlacks:
 
 # R(A) = (tr A) I + A - I_m (x) tr_1 A - (tr_2 A) (x) I_n
 _RESIDUAL = ((1, "t"), (1, "dense"), (-1, "l1"), (-1, "r2"))
+# (tr_2 A^tau) (x) I_n -+ A^tau: blockwise psi(X) = (tr X) I - X on A^tau's
+# blocks, and the partial transpose of blockwise phi(X) = (tr X) I + X on A's.
+_CHOI_PLUS = ((1, "r2_tau"), (-1, "tau"))
+_CHOI_MINUS = ((1, "r2_tau"), (1, "tau"))
+# Blockwise phi, (tr_2 A) (x) I_n + A, and its partial transpose; at m = 2 it
+# is the lin-2x2-ppt matrix.
+_PHI = LinearSlacks((("derived", ((1, "r2"), (1, "dense"))), ("derived-tau", _CHOI_MINUS)))
 _HORODECKI = LinearSlacks((("tr1", ((1, "g"),)), ("tr2", ((1, "r2"), (-1, "dense")))))
 
 
@@ -292,10 +298,6 @@ def _sb_sandwich(base, corr, k, d):
 
 def _sb_lambda_min(base, k, d):
     return [("main", getattr(d, base) + d.tau - (getattr(d, k) - 1) * d.lam_min * d.identity)]
-
-
-def _sb_psi_copositive(d):
-    return [("main", apply_map_blockwise("psi", BlockMatrix(d.m, d.n, d.tau)).dense)]
 
 
 def _sb_choi_hermitian_ando(d):
@@ -334,17 +336,11 @@ def _sb_eq18(d):
     return [("main", eq18_slack(d.m, d.n))]
 
 
-def _derived(build):
-    """Builder of the derived block matrix build(A) and its partial transpose,
-    the two objects a ppt-of-derived case asserts to be PSD."""
-    def slacks(d):
-        b = build(d.a)
-        return [("derived", b.dense), ("derived-tau", partial_transpose(b).dense)]
-    return slacks
-
-
-# Blockwise phi(X) = (tr X) I + X; at m = 2 it is the lin-2x2-ppt matrix.
-_sb_phi = _derived(partial(apply_map_blockwise, "phi"))
+def _sb_choi_block(d):
+    """choi_block(A) and its partial transpose, the two objects
+    choi-block-ppt asserts to be PSD."""
+    b = choi_block(d.a)
+    return [("derived", b.dense), ("derived-tau", partial_transpose(b).dense)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +353,7 @@ def _case_psi_not_2_positive(d: Derived, tol):
 
     At n = 1, psi(x) = x - x = 0 on 1x1 blocks, so psi(E) is zero and no
     violation exists: the case reports witness 0 and holds=False."""
-    w = apply_map_blockwise("psi", d.a).dense
-    lam_min = hermitian_part_eigvals(w)[..., -1]
+    lam_min = hermitian_part_eigvals(d.r2 - d.dense)[..., -1]  # blockwise psi(E)
     return [_col("violation-detected", lam_min, lam_min <= -1.0 + tol)]
 
 
@@ -503,11 +498,10 @@ def _case_ppt_majorization(d: Derived, tol):
 
 
 def _offdiag_majorization(skew: bool, d: Derived, tol):
-    h = symmetrize_offdiag(d.a, skew)
-    # h is exactly Hermitian, so its Hermitian part is h itself.
-    lam_h = hermitian_part_eigvals(h.dense)
-    lam_sum = hermitian_part_eigvals(h.block(0, 0) + h.block(1, 1))
-    return [_vcol("main", majorizes(lam_sum, lam_h, tol))]
+    # H = symmetrize_offdiag(A) is exactly Hermitian, so its Hermitian part
+    # is H itself.  Its diagonal blocks M and N sum to A_11 + A_22 = tr_1 A.
+    lam_h = hermitian_part_eigvals(symmetrize_offdiag(d.a, skew).dense)
+    return [_vcol("main", majorizes(d.lam_tr1, lam_h, tol))]
 
 
 def _norm_sides(ab, bb, cb):
@@ -536,13 +530,8 @@ def _case_coro55_norms(d: Derived, tol):
 
 
 def _case_coro_half(d: Derived, tol):
-    ab, bb, cb = _blocks_2x2(d.a)
-    tr_b = _tr(bb)
-    lhs = _unit(tr_b) * _eye(d.n) + bb
-    traces = np.stack([
-        np.stack([_tr(ab), tr_b], axis=-1),
-        np.stack([tr_b.conjugate(), _tr(cb)], axis=-1),
-    ], axis=-2)
+    traces = d.tr2  # [[tr A, tr B], [tr B*, tr C]]
+    lhs = _unit(traces[..., 0, 1]) * _eye(d.n) + d.a.block(0, 1)
     factor = 2.0 / (d.n + 1)
     gap = _kyfan_gaps(lhs, traces, factor) / factor  # rescale to the norm bound
     return [_vcol("main", gap_verdict(gap, tol, scale_stack(traces) * (d.n + 1)))]
@@ -619,14 +608,14 @@ def _registry():
         TheoremCase("tr2-lambda-min", "psd", "psd-slack", "lambda_min variant of the tr2 bound",
                     partial(_sb_lambda_min, "r2_tau", "n")),
         TheoremCase("choi-tr2-pm", "psd", "psd-slack", "(tr2 A^tau)(x)I_n dominates +-A^tau",
-                    LinearSlacks((("plus", ((1, "r2_tau"), (-1, "tau"))),
-                                  ("minus", ((1, "r2_tau"), (1, "tau")))))),
+                    LinearSlacks((("plus", _CHOI_PLUS), ("minus", _CHOI_MINUS)))),
         TheoremCase("horodecki-reduction", "ppt", "psd-slack",
                     "reduction criterion for PPT instances", _HORODECKI),
         TheoremCase("phi-completely-ppt", "psd", "ppt-of-derived",
-                    "blockwise (tr X)I + X yields a PPT block matrix", _sb_phi),
+                    "blockwise (tr X)I + X yields a PPT block matrix", _PHI),
         TheoremCase("psi-completely-copositive", "psd", "psd-slack",
-                    "blockwise (tr X)I - X on swapped blocks stays PSD", _sb_psi_copositive),
+                    "blockwise (tr X)I - X on swapped blocks stays PSD",
+                    LinearSlacks((("main", _CHOI_PLUS),))),
         TheoremCase("psi-not-2-positive", "matrix-unit-E", "expected-failure",
                     "blockwise (tr X)I - X breaks positivity on the "
                     "matrix-unit block instance", _case_psi_not_2_positive),
@@ -704,9 +693,9 @@ def _registry():
                     "skew-Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
                     partial(_offdiag_majorization, True)),
         TheoremCase("lin-2x2-ppt", "psd-2x2", "ppt-of-derived",
-                    "trace-augmented 2x2 block matrix is PPT", _sb_phi),
+                    "trace-augmented 2x2 block matrix is PPT", _PHI),
         TheoremCase("choi-block-ppt", "psd-2x2", "ppt-of-derived",
-                    "cross-trace-augmented 2x2 block matrix is PPT", _derived(choi_block)),
+                    "cross-trace-augmented 2x2 block matrix is PPT", _sb_choi_block),
         TheoremCase("coro55-norms", "psd-2x2", "scalar",
                     "Ky Fan family: 2||(trB)I+-B|| <= ||(tr(A+C))I + A+C||",
                     _case_coro55_norms),

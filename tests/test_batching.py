@@ -323,10 +323,12 @@ def _same_bits(got, want) -> bool:
 
 def _psi_on_swapped_blocks(a: BlockMatrix) -> np.ndarray:
     """[psi(A_ji)] built without A^tau: psi applied to a block-swapped view
-    of A's blocks, the reference for psi on A^tau."""
+    of A's blocks, the reference for psi on A^tau.  The block traces are
+    summed by the einsum that partial_trace_2 sums them with; the result is
+    made contiguous, since at n = 1 from_blocks gives a transposed view."""
     blocks = a.as_blocks().swapaxes(-4, -3)
-    trace_eye = linalg.trace_stack(blocks)[..., None, None] * np.eye(a.n)
-    return from_blocks(a.m, a.n, trace_eye - blocks).dense
+    trace_eye = np.einsum("...ijrr->...ij", blocks)[..., None, None] * np.eye(a.n)
+    return np.ascontiguousarray(from_blocks(a.m, a.n, trace_eye - blocks).dense)
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -653,7 +653,7 @@ def test_linear_slack_rows_name_derived_terms_and_are_linear(dims):
     """Every coefficient-table row of the registry starts from coef 1 and
     names only Derived terms, and its slack is linear in A: on seeded PSD
     stacks, S(A + B) = S(A) + S(B) and S(2A) = 2 S(A) up to rounding."""
-    assert len(LINEAR_CASES) == 12
+    assert len(LINEAR_CASES) == 15
     m, n = dims
     a, b = (make_instance("ando", m, n, np.arange(k, k + 4, dtype=np.uint64)) for k in (0, 4))
     both, twice = BlockMatrix(m, n, a.dense + b.dense), BlockMatrix(m, n, 2 * a.dense)
@@ -699,28 +699,53 @@ def test_tight_tolerance_catches_a_residual_short_by_1e_10_trace(monkeypatch):
 # Parts of two registry rows that state one linear map: (case, label) of
 # each part, then (case, label) of its twin.
 RESTATEMENTS = ((("psi-completely-copositive", "main"), ("choi-tr2-pm", "plus")),
-                (("phi-completely-ppt", "derived-tau"), ("choi-tr2-pm", "minus")))
+                (("phi-completely-ppt", "derived-tau"), ("choi-tr2-pm", "minus")),
+                (("lin-2x2-ppt", "derived-tau"), ("choi-tr2-pm", "minus")))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_restated_parts_build_their_twins_slacks(m):
     """psi-completely-copositive/main is choi-tr2-pm/plus, (tr2 A^tau)(x)I_n
-    - A^tau, and phi-completely-ppt/derived-tau is choi-tr2-pm/minus.  On
-    40 seeded psd instances at each n, their build_slack matrices are equal
-    bit for bit at n <= 3, and within 1e-12 * max(1, ||A||_F) at n = 4..6,
-    where partial_trace_2's einsum and trace_stack sum the block traces in
-    a different order."""
+    - A^tau, and phi-completely-ppt/derived-tau is choi-tr2-pm/minus, as is
+    lin-2x2-ppt/derived-tau at m = 2, its one dims.  On 40 seeded psd
+    instances at each n, their build_slack matrices are equal bit for bit."""
     seeds = derive_seed(0, "restatements", np.arange(40))
     for n in range(1, 7):
         a = make_instance("choi-tr2-pm", m, n, seeds)
-        scale = scale_stack(a.dense)[:, None, None]
         for (case_id, label), (twin_id, twin_label) in RESTATEMENTS:
+            if case_id == "lin-2x2-ppt" and m != 2:
+                continue
             got = dict(build_slack(case_id, a))[label]
             want = dict(build_slack(twin_id, a))[twin_label]
+            assert got.tobytes() == want.tobytes(), (case_id, m, n)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_public_maps_agree_with_the_phi_and_psi_rows(m):
+    """blocktrace.apply_map_blockwise, which sums each block's trace by
+    trace_stack, builds the slacks of the phi and psi rows, which read
+    partial_trace_2's einsum sums: phi on A is phi-completely-ppt/derived,
+    its partial transpose is /derived-tau, and psi on A^tau is
+    psi-completely-copositive/main.  On 40 seeded psd instances at each n,
+    they are equal bit for bit at n <= 3, where the two sums agree, and
+    within 1e-12 * max(1, ||A||_F) at n = 4..6."""
+    seeds = derive_seed(0, "public-maps", np.arange(40))
+    for n in range(1, 7):
+        a = make_instance("phi-completely-ppt", m, n, seeds)
+        phi = blocktrace.apply_map_blockwise("phi", a)
+        psi_tau = blocktrace.apply_map_blockwise("psi", partial_transpose(a))
+        rows = dict(REGISTRY["phi-completely-ppt"].fn(Derived(a)))
+        [(_, psi_row)] = REGISTRY["psi-completely-copositive"].fn(Derived(a))
+        pairs = ((phi.dense, rows["derived"]),
+                 (partial_transpose(phi).dense, rows["derived-tau"]),
+                 (psi_tau.dense, psi_row))
+        scale = np.fmax(1.0, scale_stack(a.dense))[:, None, None]
+        for i, (got, want) in enumerate(pairs):
             if n <= 3:
-                assert got.tobytes() == want.tobytes(), (case_id, m, n)
+                assert (np.ascontiguousarray(got).tobytes()
+                        == np.ascontiguousarray(want).tobytes()), (i, m, n)
             else:
-                assert (np.abs(got - want) <= 1e-12 * scale).all(), (case_id, m, n)
+                assert (np.abs(got - want) <= 1e-12 * scale).all(), (i, m, n)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1", None, 1j])
