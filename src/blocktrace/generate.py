@@ -8,7 +8,7 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .linalg import hermitian_part
-from .rng import Stream, box_muller, check_seed, is_int
+from .rng import Stream, check_seed, complex_normals, is_int
 
 INT_BOUND = 100  # real-int entries lie in [-INT_BOUND, INT_BOUND]
 
@@ -61,10 +61,10 @@ def random_hermitian(stream: Stream, size: int) -> np.ndarray:
 
 
 def _rank1_psd(u: np.ndarray) -> np.ndarray:
-    """g g* for the complex Gaussian column g Box-Muller makes of the doubles
-    u (..., 2 size): what random_psd(stream, size, rank=1) draws from them."""
-    re, im = box_muller(u)
-    return _gram((re + 1j * im)[..., None])
+    """g g* for the complex Gaussian column g = complex_normals(u) of the
+    doubles u (..., 2 size): what random_psd(stream, size, rank=1) draws from
+    them."""
+    return _gram(complex_normals(u)[..., None])
 
 
 def random_ppt(stream: Stream, m: int, n: int) -> np.ndarray:

@@ -117,6 +117,13 @@ def box_muller(u: np.ndarray) -> tuple:
     return r * np.cos(theta), r * np.sin(theta)
 
 
+def complex_normals(u: np.ndarray) -> np.ndarray:
+    """re + 1j * im of (re, im) = box_muller(u): standard complex normals,
+    as many as u has pairs along its last axis."""
+    re, im = box_muller(u)
+    return re + 1j * im
+
+
 class Stream:
     """Value-like stateful view over the counter-based stream.
 
@@ -154,8 +161,7 @@ class Stream:
         """Matrix of independent standard complex Gaussians (re, im ~ N(0,1))."""
         shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
-        g = self.gaussians(2 * count)
-        return (g[..., :count] + 1j * g[..., count:]).reshape(self.batch + shape)
+        return complex_normals(self.doubles(2 * count)).reshape(self.batch + shape)
 
     def integers(self, low: int, high: int, shape) -> np.ndarray:
         """Uniform integers in [low, high] via rejection-free modular draw.

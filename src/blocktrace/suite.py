@@ -13,7 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -178,10 +178,27 @@ class Derived:
     g = _term(lambda d: d.l1 - d.dense)  # I_m (x) tr_1 A - A
     tau_j = _term(lambda d: d.tau * d.jb)  # A^tau o (J_m (x) I_n)
     g_j = _term(lambda d: d.g * d.jb)  # g o (J_m (x) I_n)
+    diag = _term(lambda d: np.diagonal(d.dense, axis1=-2, axis2=-1).real)  # real diagonal of A
     # Eigenvalues of each matrix, non-increasing along the last axis.
     lam = _term(lambda d: hermitian_part_eigvals(d.dense))
+    lam_tau = _term(lambda d: hermitian_part_eigvals(d.tau))
     lam_tr1 = _term(lambda d: hermitian_part_eigvals(d.tr1))
     lam_tr2 = _term(lambda d: hermitian_part_eigvals(d.tr2))
+    lam_da = _term(lambda d: hermitian_eigvals_stack(d.d_a))  # refuses a non-Hermitian D_A
+    # H = symmetrize_offdiag(A) is exactly Hermitian, so its Hermitian part is
+    # H itself.  Its diagonal blocks M and N sum to A_11 + A_22 = tr_1 A.
+    lam_sym = _term(lambda d: hermitian_part_eigvals(symmetrize_offdiag(d.a, False).dense))
+    lam_skew = _term(lambda d: hermitian_part_eigvals(symmetrize_offdiag(d.a, True).dense))
+
+    @_term
+    def lam_blocks(d):
+        # lambda(A_11) + ... + lambda(A_mm) as sorted vectors, by one eigvalsh
+        # call over every diagonal block.
+        spectra = hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))
+        acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
+        for i in range(d.m):  # in block order: spectra.sum(axis=-2) moves witness bits
+            acc += spectra[..., i, :]
+        return acc
 
     @property
     def jb(self):
@@ -452,56 +469,19 @@ _CK_IMPROVED = (
 )
 
 
-def _case_schur(d: Derived, tol):
-    diagonal = np.diagonal(d.dense, axis1=-2, axis2=-1).real
-    return [_vcol("main", majorizes(d.lam, diagonal, tol))]
-
-
-def _summed_block_spectra(d: Derived) -> np.ndarray:
-    """Sorted-vector sum lambda(A_11) + ... + lambda(A_mm), by one eigvalsh
-    call over every diagonal block."""
-    spectra = hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))
-    acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
-    for i in range(d.m):  # in block order: spectra.sum(axis=-2) moves witness bits
-        acc += spectra[..., i, :]
-    return acc
-
-
-def _case_eqm(middle, d: Derived, tol):
-    """lambda(D_A) < middle(d) < sum of block spectra."""
-    mid = middle(d)
-    return [
-        _vcol("lower", majorizes(mid, hermitian_eigvals_stack(d.d_a), tol)),
-        _vcol("upper", majorizes(_summed_block_spectra(d), mid, tol)),
-    ]
+def _majorizations(rows, d: Derived, tol):
+    """One part per (label, y, x) row over Derived term names: the spectrum
+    x majorized by the spectrum y."""
+    return [_vcol(label, majorizes(getattr(d, y), getattr(d, x), tol)) for label, y, x in rows]
 
 
 def _case_hiroshima(d: Derived, tol):
     """Each majorization part exists in the trials whose domination premise
     holds; in the others it is absent, a premise miss."""
     premises = _psd_cols(_HORODECKI(d), len(d.dense), tol)
-    cols = []
-    for (label, _, premise), lam_tr in zip(premises, (d.lam_tr1, d.lam_tr2)):
-        _, witnesses, holds = _vcol(label, majorizes(lam_tr, d.lam, tol))
-        cols.append((label, witnesses, [h if p else None for h, p in zip(holds, premise)]))
-    return cols
-
-
-def _case_ppt_majorization(d: Derived, tol):
-    lam_tau = hermitian_part_eigvals(d.tau)
-    return [
-        _vcol("a-tr1", majorizes(d.lam_tr1, d.lam, tol)),
-        _vcol("a-tr2", majorizes(d.lam_tr2, d.lam, tol)),
-        _vcol("tau-tr1", majorizes(d.lam_tr1, lam_tau, tol)),
-        _vcol("tau-tr2", majorizes(d.lam_tr2, lam_tau, tol)),
-    ]
-
-
-def _offdiag_majorization(skew: bool, d: Derived, tol):
-    # H = symmetrize_offdiag(A) is exactly Hermitian, so its Hermitian part
-    # is H itself.  Its diagonal blocks M and N sum to A_11 + A_22 = tr_1 A.
-    lam_h = hermitian_part_eigvals(symmetrize_offdiag(d.a, skew).dense)
-    return [_vcol("main", majorizes(d.lam_tr1, lam_h, tol))]
+    parts = _majorizations((("tr1", "lam_tr1", "lam"), ("tr2", "lam_tr2", "lam")), d, tol)
+    return [(label, witnesses, [h if p else None for h, p in zip(holds, premise)])
+            for (label, witnesses, holds), (_, _, premise) in zip(parts, premises)]
 
 
 def _norm_sides(ab, bb, cb):
@@ -673,25 +653,30 @@ def _registry():
                     "commuting-J matrix inequality behind the scalar improvements",
                     _sb_eq18),
         TheoremCase("schur-majorization", "hermitian", "majorization",
-                    "diagonal majorized by eigenvalues", _case_schur),
+                    "diagonal majorized by eigenvalues",
+                    partial(_majorizations, (("main", "lam", "diag"),))),
         TheoremCase("eqm1-majorization", "psd", "majorization",
                     "lambda(D_A) < lambda(A) < sum of block spectra",
-                    partial(_case_eqm, attrgetter("lam"))),
+                    partial(_majorizations, (("lower", "lam", "lam_da"),
+                                             ("upper", "lam_blocks", "lam")))),
         TheoremCase("eqm2-rotfeld-thompson", "psd", "majorization",
                     "lambda(D_A) < lambda(tr1 A) < sum of block spectra",
-                    partial(_case_eqm, attrgetter("lam_tr1"))),
+                    partial(_majorizations, (("lower", "lam_tr1", "lam_da"),
+                                             ("upper", "lam_blocks", "lam_tr1")))),
         TheoremCase("hiroshima-conditional", "psd", "conditional-majorization",
                     "domination premise implies spectrum majorized by "
                     "partial trace", _case_hiroshima),
         TheoremCase("ppt-majorization", "ppt", "majorization",
                     "spectra of A and A^tau majorized by both partial traces",
-                    _case_ppt_majorization),
+                    partial(_majorizations, (
+                        ("a-tr1", "lam_tr1", "lam"), ("a-tr2", "lam_tr2", "lam"),
+                        ("tau-tr1", "lam_tr1", "lam_tau"), ("tau-tr2", "lam_tr2", "lam_tau")))),
         TheoremCase("hermitian-offdiag-majorization", "psd-2x2", "majorization",
                     "Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
-                    partial(_offdiag_majorization, False)),
+                    partial(_majorizations, (("main", "lam_tr1", "lam_sym"),))),
         TheoremCase("skew-offdiag-majorization", "psd-2x2", "majorization",
                     "skew-Hermitian off-diagonal block: lambda(H) < lambda(M+N)",
-                    partial(_offdiag_majorization, True)),
+                    partial(_majorizations, (("main", "lam_tr1", "lam_skew"),))),
         TheoremCase("lin-2x2-ppt", "psd-2x2", "ppt-of-derived",
                     "trace-augmented 2x2 block matrix is PPT", _PHI),
         TheoremCase("choi-block-ppt", "psd-2x2", "ppt-of-derived",

@@ -6,9 +6,10 @@ prints exactly one PASS/FAIL line so the gate can be read off the log.
 Criterion 3 includes the degenerate size n = 1.  There psi(x) = (tr x)I - x
 = x - x = 0 on 1x1 blocks, so the blockwise image of E = diag(1, 0) is the
 zero matrix and the faithful witness is exactly 0: no violation exists.
-That sub-case asserts the zero witness exactly.
+That sub-case asserts the zero witness exactly, as +0.0.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -132,7 +133,8 @@ def test_criterion_3_counterexample_fidelity(n):
         # independent oracle: E is diag(1, 0) and psi sends it to zero
         assert np.array_equal(inst.dense, np.diag([1, 0]))
         assert not w.any()
-        ok = report.witness == 0.0 and report.holds is False
+        ok = (report.witness == 0.0 and math.copysign(1.0, report.witness) == 1.0
+              and report.holds is False)
     _report(f"3-counterexample-n{n}", ok, f"witness={report.witness:.6g}")
 
 

@@ -9,8 +9,9 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _run(sha="a" * 64, correct=True):
-    return {"report_sha256": sha, "correct": correct}
+def _run(sha="a" * 64, correct=True, env=None):
+    return {"report_sha256": sha, "correct": correct,
+            "env": {"git_sha": "c" * 40} if env is None else env}
 
 
 def test_matching_correct_pair_counts():
@@ -21,6 +22,8 @@ def test_matching_correct_pair_counts():
     ({"parent": _run(), "change": _run("b" * 64)}, "report_sha256 differs"),
     ({"parent": _run(correct=False), "change": _run()}, "parent run is not correct"),
     ({"parent": _run(), "change": _run(correct=False)}, "change run is not correct"),
+    ({"parent": _run(env={"git_sha": None}), "change": _run()}, "parent is not a git checkout"),
+    ({"parent": _run(), "change": _run(env={"git_sha": None})}, "change is not a git checkout"),
 ])
 def test_mismatched_or_incorrect_pair_is_refused(pair, words):
     assert words in bench_pairs.pair_problem(pair)

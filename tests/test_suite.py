@@ -3,7 +3,7 @@ import math
 import subprocess
 import sys
 import threading
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +444,23 @@ def test_report_without_parts_holds_with_infinite_witness():
     assert SlackReport("ando", 0, 2, 2, ()).premise_misses == 0
 
 
+def test_zero_witnesses_are_positive_zeros():
+    """No check_case part reports -0.0 on the make_instance input of any
+    case at dims 1..4x1..4 and seeds 0 and 1.  The sign is a bit of the
+    report: a slack copied into the merged verdict without its Hermitian
+    part gives -0.0 where (X + X*) / 2 gives +0.0."""
+    zeros = 0
+    for case_id in ALL_IDS:
+        for m, n in DIMS_1_4:
+            for seed in (0, 1):
+                report = check_case(case_id, make_instance(case_id, m, n, seed), seed=seed)
+                for part in report.parts:
+                    if part.witness == 0.0:
+                        zeros += 1
+                        assert math.copysign(1.0, part.witness) == 1.0, (case_id, m, n, seed, part)
+    assert zeros > 0
+
+
 def test_report_witness_keeps_the_first_of_tied_zeros():
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         report = SlackReport("x", 0, 1, 1, (Part("a", first, True), Part("b", second, False)))
@@ -619,9 +636,19 @@ def _spelled_terms(a: BlockMatrix) -> dict:
         "tau_j": partial_transpose(a).dense * j_block(m, n).dense,
         "g_j": (kron_left(tr1, m) - a.dense) * j_block(m, n).dense,
         "r2_da": kron_right(partial_trace_2(block_diag(a)), n),
+        "diag": np.diagonal(a.dense, axis1=-2, axis2=-1).real,
+        "lam": hermitian_eigvals_stack(hermitian_part(a.dense)),
+        "lam_tau": hermitian_eigvals_stack(hermitian_part(partial_transpose(a).dense)),
         "lam_tr1": hermitian_eigvals_stack(hermitian_part(tr1)),
         "lam_tr2": hermitian_eigvals_stack(hermitian_part(tr2)),
-    }
+        "lam_da": hermitian_eigvals_stack(block_diag(a).dense),
+        # summed in block order, from a +0.0 start
+        "lam_blocks": sum(hermitian_eigvals_stack(hermitian_part(a.block(i, i)))
+                          for i in range(m)),
+    } | ({
+        "lam_sym": hermitian_eigvals_stack(symmetrize_offdiag(a, skew=False).dense),
+        "lam_skew": hermitian_eigvals_stack(symmetrize_offdiag(a, skew=True).dense),
+    } if m == 2 else {})
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (4, 4)])
@@ -669,6 +696,39 @@ def test_linear_slack_rows_name_derived_terms_and_are_linear(dims):
             assert x.shape == a.dense.shape, (cid, label)
             np.testing.assert_allclose(z, x + y, rtol=0, atol=1e-12, err_msg=cid)
             np.testing.assert_allclose(w, 2 * x, rtol=0, atol=1e-12, err_msg=cid)
+
+
+MAJORIZATION_CASES = [cid for cid, case in REGISTRY.items()
+                      if isinstance(case.fn, partial) and case.fn.func is suite._majorizations]
+DIMS_2_4 = tuple((m, n) for m in range(2, 5) for n in range(2, 5))
+
+
+def test_majorization_rows_fail_when_swapped():
+    """Negative controls: every (label, y, x) row of the six majorization
+    cases names Derived terms and holds on 60 seeded trials at dims 2..4x2..4
+    (trial t at dims t % 9, the engine's layout), and the same row with y and
+    x swapped fails at least one of those trials."""
+    assert sorted(MAJORIZATION_CASES) == sorted([
+        "schur-majorization", "eqm1-majorization", "eqm2-rotfeld-thompson",
+        "ppt-majorization", "hermitian-offdiag-majorization", "skew-offdiag-majorization"])
+    rows = {cid: REGISTRY[cid].fn.args[0] for cid in MAJORIZATION_CASES}
+    assert sum(map(len, rows.values())) == 11
+    trials = 60
+    for cid, case_rows in rows.items():
+        for _, y, x in case_rows:
+            assert _is_derived_term(y) and _is_derived_term(x), (cid, y, x)
+        swapped = tuple((label, x, y) for label, y, x in case_rows)
+        held, caught = [0] * len(case_rows), [0] * len(case_rows)
+        for g, (m, n) in enumerate(DIMS_2_4):
+            seeds = derive_seed(42, cid, np.arange(g, trials, len(DIMS_2_4)))
+            d = Derived(make_instance(cid, m, n, seeds))
+            for i, ((_, _, holds), (_, _, swapped_holds)) in enumerate(zip(
+                    suite._majorizations(case_rows, d, suite.PSD_TOL),
+                    suite._majorizations(swapped, d, suite.PSD_TOL))):
+                held[i] += sum(holds)
+                caught[i] += swapped_holds.count(False)
+        assert held == [trials] * len(case_rows), cid
+        assert all(caught), (cid, caught)
 
 
 SWEEP_CASES = tuple(c for c in ALL_IDS if c not in ("psi-not-2-positive", "open-question-residual"))
