@@ -143,11 +143,7 @@ def slack_records(bt, dims, seeds) -> list:
 def scaled(bt, instance, factor: float):
     """instance with every matrix multiplied by factor: a block matrix's
     dense matrix, both factors of a pair, or a plain matrix."""
-    if isinstance(instance, bt.BlockMatrix):
-        return bt.BlockMatrix(instance.m, instance.n, factor * instance.dense)
-    if isinstance(instance, tuple):
-        return tuple(factor * x for x in instance)
-    return factor * instance
+    return bt.suite._each(instance, lambda x: factor * x)
 
 
 def scaled_records(bt, dims, seeds, factors) -> list:

@@ -26,10 +26,8 @@ from .suite import (
     RunConfig,
     case_ids,
     check_case,
-    check_tol,
     run_suite,
     open_question_scan,
-    require_instance,
     total_failures,
 )
 
@@ -127,19 +125,15 @@ def _cmd_verify(args) -> int:
 def _cmd_case(args) -> int:
     if args.id not in REGISTRY:
         return _error(f"unknown case id {args.id!r}")
-    name = REGISTRY[args.id].input_class
+    load = INPUT_CLASSES[REGISTRY[args.id].input_class].load
     try:
-        check_tol(args.tol)
-    except ValueError as exc:
-        return _error(exc)
-    try:
-        instance = require_instance(name, INPUT_CLASSES[name].load(serialize.load(args.input)))
+        instance = load(serialize.load(args.input))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return _error(f"cannot read input: {exc}")
-    problem = INPUT_CLASSES[name].problem(instance, args.tol)
-    if problem is not None:
-        return _error(problem)
-    report = check_case(args.id, instance, args.tol)
+    try:
+        report = check_case(args.id, instance, args.tol)
+    except ValueError as exc:
+        return _error(exc)
     obj = {
         "case": args.id,
         "holds": report.holds,

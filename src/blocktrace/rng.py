@@ -151,12 +151,6 @@ class Stream:
         """Uniform doubles in (0, 1]; 53-bit resolution, never exactly 0."""
         return ((self.words(count) >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
-    def gaussians(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller on consecutive double pairs."""
-        pairs = (count + 1) // 2
-        out = np.concatenate(box_muller(self.doubles(2 * pairs)), axis=-1)
-        return out[..., :count]
-
     def complex_gaussians(self, shape) -> np.ndarray:
         """Matrix of independent standard complex Gaussians (re, im ~ N(0,1))."""
         shape = tuple(shape)

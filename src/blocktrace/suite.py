@@ -743,14 +743,14 @@ def _zero_instances(m: int, n: int, seed):
 
 
 def _psd_problem(a: BlockMatrix, tol):
-    if not is_psd(_herm(a.dense), tol).holds:
+    if not is_psd(_herm(a.dense), tol).holds.all():
         return "input matrix is not positive semidefinite"
     return None
 
 
 def _ppt_problem(a: BlockMatrix, tol):
     problem = _psd_problem(a, tol)
-    if problem is None and not is_psd(_herm(partial_transpose(a).dense), tol).holds:
+    if problem is None and not is_psd(_herm(partial_transpose(a).dense), tol).holds.all():
         return "input matrix does not have a PSD partial transpose"
     return problem
 
@@ -769,9 +769,10 @@ def _own_dims(m: int, n: int) -> tuple:
 
 def _fixed_problem(input_class: str, name: str):
     """problem of a class whose draw at each dims ignores the seed: any
-    input other than that fixed instance of its dims is refused."""
+    input, or row of a stack, other than that fixed instance of its dims is
+    refused."""
     def problem(a: BlockMatrix, tol):
-        if not np.array_equal(_draw_at(input_class, a.m, a.n, 0).dense, a.dense):
+        if not (_draw_at(input_class, a.m, a.n, 0).dense == a.dense).all():
             return f"input matrix is not the {name} instance of its dims"
         return None
     return problem
@@ -784,16 +785,18 @@ class InputClass:
     shape(m, n) is the shape of the instance at dims (m, n): the only dims
     that draw and nbytes see, so the engine draws the trials of dims with
     one shape together.  shape(*shape(m, n)) is shape(m, n), and an input
-    whose dims are not a shape is refused (require_instance).
+    whose dims are not a shape is refused (require_shape).
     draw(m, n, seed) is the seeded instance of shape (m, n); a 1-D seed
     array gives every seed's instance stacked along a leading trial axis.
     load(obj) parses the JSON object of one instance, in serialize's format
     of its type, and raises ValueError when it is malformed or non-finite.
     nbytes(m, n) is the bytes of one instance of shape (m, n), which size
-    the chunks of trials; load and nbytes default to a block class's.  problem(instance, tol) names the precondition
-    that a `case --input` instance fails, or is None.  payload(stack) is
-    what the non-slack checks of the class read of a stack, taken once for
-    every case of a draw: the stack itself, or real-int's exact sums."""
+    the chunks of trials; load and nbytes default to a block class's.
+    problem(instance, tol) names the precondition that an instance, or a
+    row of a stack, fails, or is None; require_instance is its one caller.
+    payload(stack) is what the non-slack checks of the class read of a
+    stack, taken once for every case of a draw: the stack itself, or
+    real-int's exact sums."""
     draw: Callable
     load: Callable = serialize.block_from_obj
     nbytes: Callable = lambda m, n: 16 * (m * n) ** 2
@@ -841,9 +844,8 @@ def make_instance(case_id: str, m: int, n: int, seed):
 
 def build_slack(case_id: str, instance):
     """The Hermitian objects whose positivity the case asserts, of an
-    instance or of a stack of them; ValueError unless their dims are a
-    shape of the case's input class (require_shape) and every matrix is
-    finite and Hermitian (require_hermitian).
+    instance or of a stack of them; ValueError unless every row is an
+    instance of the case's input class (require_instance at PSD_TOL).
 
     psd-slack cases return their labeled slack matrices; ppt-of-derived
     cases return the derived block matrix and its partial transpose."""
@@ -852,8 +854,7 @@ def build_slack(case_id: str, instance):
         raise KeyError(f"unknown case id {case_id!r}")
     if case.check_kind not in _SLACK_KINDS:
         raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
-    require_shape(case.input_class, instance)
-    require_hermitian(instance.dense)
+    require_instance(case.input_class, instance)
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
@@ -895,21 +896,29 @@ def require_shape(input_class: str, instance) -> None:
         raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
 
 
-def require_instance(input_class: str, instance):
-    """instance itself; ValueError unless it is one instance of the input
-    class, as `case --input` and check_case require: one matrix per array,
-    a pair's factors of one shape, dims that are a shape of the class, and a
-    block matrix finite and Hermitian within HERMITIAN_TOL."""
-    arrays = instance if isinstance(instance, tuple) else (getattr(instance, "dense", instance),)
-    shapes = set(map(np.shape, arrays))
-    if len(shapes) != 1:
+def require_instance(input_class: str, instance, tol: float = PSD_TOL):
+    """instance itself; ValueError unless it is an instance of the input
+    class, or a stack of them every row of which is, as check_case,
+    build_slack and `case --input` require: a pair's factors of one shape,
+    dims that are a shape of the class, a block matrix finite and Hermitian
+    within HERMITIAN_TOL, and the class's problem at tol None."""
+    if isinstance(instance, tuple) and np.shape(instance[0]) != np.shape(instance[1]):
         raise ValueError("the two factors of the pair differ in shape")
-    if len(*shapes) != 2:
-        raise ValueError("input is not one instance: an array has shape {}".format(*shapes))
     require_shape(input_class, instance)
     if isinstance(instance, BlockMatrix):
         require_hermitian(instance.dense)
+    problem = INPUT_CLASSES[input_class].problem(instance, tol)
+    if problem is not None:
+        raise ValueError(problem)
     return instance
+
+
+def _one(x) -> np.ndarray:
+    """x as a stack of one matrix; ValueError unless x is one matrix."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"input is not one instance: an array has shape {x.shape}")
+    return x[None]
 
 
 def _each(instance, fn):
@@ -946,7 +955,10 @@ def _rows(evaluated) -> list:
 
 
 def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> SlackReport:
-    """Run one case on one instance, checked as a stack of one.
+    """Run one case on one instance, checked as a stack of one; ValueError
+    unless tol is valid (check_tol), every array of the instance is one
+    matrix, and it is an instance of the case's input class
+    (require_instance at tol).
 
     run_case_trials passes instead the _Row of a trial whose shape group it
     evaluated at once; the report is that row after case_id and seed."""
@@ -954,8 +966,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
         raise KeyError(f"unknown case id {case_id!r}")
     if not isinstance(instance, _Row):
         check_tol(tol)
-        require_instance(REGISTRY[case_id].input_class, instance)
-        one_trial = _each(instance, lambda x: np.asarray(x)[None])
+        one_trial = require_instance(REGISTRY[case_id].input_class, _each(instance, _one), tol)
         instance = _rows(_decided(_evaluate([REGISTRY[case_id]], one_trial, 1, tol))[0])[0]
     return _new(SlackReport, (case_id, seed) + instance)
 

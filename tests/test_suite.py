@@ -11,11 +11,11 @@ import pytest
 
 import blocktrace
 from blocktrace import serialize, suite
-from blocktrace.blocks import (BlockMatrix, block_diag, j_block, kron_left, kron_right,
-                               partial_trace_1, partial_trace_2, partial_transpose)
+from blocktrace.blocks import (BlockMatrix, block_diag, diagonal_blocks, j_block, kron_left,
+                               kron_right, partial_trace_1, partial_trace_2, partial_transpose)
 from blocktrace.generate import GenSpec, gen
 from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
-                               scale_stack, trace_stack)
+                               hermitian_part_eigvals, scale_stack, trace_stack)
 from blocktrace.orders import is_psd
 from blocktrace.rng import check_seed, derive_seed
 from blocktrace.suite import (
@@ -736,24 +736,81 @@ DIMS_1_4 = tuple((m, n) for m in range(1, 5) for n in range(1, 5))
 DIMS_5_8 = tuple((m, n) for m in range(5, 9) for n in range(5, 9))
 
 
-@pytest.mark.parametrize("dims, trials, seed", [(DIMS_1_4, 300, 42), (DIMS_5_8, 64, 7)],
-                         ids=["dims-1..4", "dims-5..8"])
-def test_sweep_holds_at_tight_tolerance(dims, trials, seed):
+def _draw_rank_one(monkeypatch):
+    """Make the psd and psd-2x2 classes draw rank-one instances a a*."""
+    for name in ("psd", "psd-2x2"):
+        monkeypatch.setitem(INPUT_CLASSES, name, dataclasses.replace(
+            INPUT_CLASSES[name],
+            draw=lambda m, n, s: gen(GenSpec("psd", m=m, n=n, seed=s, rank=1))))
+
+
+@pytest.mark.parametrize("dims, trials, seed, rank_one",
+                         [(DIMS_1_4, 300, 42, False), (DIMS_5_8, 64, 7, False),
+                          (DIMS_1_4, 300, 42, True)],
+                         ids=["dims-1..4", "dims-5..8", "dims-1..4-rank-one"])
+def test_sweep_holds_at_tight_tolerance(monkeypatch, dims, trials, seed, rank_one):
     """The criterion-2 case set gives no failure at tol=1e-12, four orders
-    below PSD_TOL."""
+    below PSD_TOL, on default draws and with psd and psd-2x2 drawn at rank
+    one."""
+    if rank_one:
+        _draw_rank_one(monkeypatch)
     assert total_failures(run_suite(RunConfig(SWEEP_CASES, dims, trials, seed, 1e-12))) == 0
 
 
-def test_tight_tolerance_catches_a_residual_short_by_1e_10_trace(monkeypatch):
+@pytest.mark.parametrize("rank_one", [False, True], ids=["default", "rank-one"])
+def test_tight_tolerance_catches_a_residual_short_by_1e_10_trace(monkeypatch, rank_one):
     """The Ando residual minus 1e-10 (tr A) I, a wrong constant that
     PSD_TOL lets through: the tight sweep fails in ando alone, and the
-    sweep at PSD_TOL passes."""
+    sweep at PSD_TOL passes, on default and on rank-one draws."""
+    if rank_one:
+        _draw_rank_one(monkeypatch)
     mutant = suite.LinearSlacks((("main", suite._RESIDUAL + ((-1e-10, "t"),)),))
     monkeypatch.setitem(REGISTRY, "ando", dataclasses.replace(REGISTRY["ando"], fn=mutant))
     config = RunConfig(SWEEP_CASES, DIMS_1_4, 300, 42, 1e-12)
     tight = run_suite(config)
     assert total_failures(tight) == tight["cases"]["ando"]["failures"] > 0
     assert total_failures(run_suite(dataclasses.replace(config, tol=suite.PSD_TOL))) == 0
+
+
+def _replace_row(case_id: str, new_row: tuple, monkeypatch) -> None:
+    """Give the majorization case new_row in place of its row of that label."""
+    rows = tuple(new_row if row[0] == new_row[0] else row for row in REGISTRY[case_id].fn.args[0])
+    monkeypatch.setitem(REGISTRY, case_id, dataclasses.replace(
+        REGISTRY[case_id], fn=partial(suite._majorizations, rows)))
+
+
+def _lam_blocks_without_block_0(monkeypatch) -> None:
+    def lam_blocks(d):
+        return hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))[..., 1:, :].sum(axis=-2)
+    monkeypatch.setattr(Derived, "lam_blocks", property(lam_blocks))
+
+
+EQM_CASES = ("eqm1-majorization", "eqm2-rotfeld-thompson")
+# mutant -> (the cases it changes, the change): a majorization row that
+# names a neighbouring Derived spectrum, or lam_blocks without block 0.
+NEIGHBOUR_MUTANTS = {
+    "eqm1-upper-tr1-for-blocks": (EQM_CASES[:1], partial(
+        _replace_row, "eqm1-majorization", ("upper", "lam_tr1", "lam"))),
+    "eqm1-upper-tau-for-lam": (EQM_CASES[:1], partial(
+        _replace_row, "eqm1-majorization", ("upper", "lam_blocks", "lam_tau"))),
+    "eqm2-upper-tr2-for-tr1": (EQM_CASES[1:], partial(
+        _replace_row, "eqm2-rotfeld-thompson", ("upper", "lam_blocks", "lam_tr2"))),
+    "lam-blocks-without-block-0": (EQM_CASES, _lam_blocks_without_block_0),
+}
+
+
+@pytest.mark.parametrize("mutant", NEIGHBOUR_MUTANTS)
+def test_majorization_rows_fail_with_a_neighbouring_spectrum(monkeypatch, mutant):
+    """Negative controls: a sweep of the eqm cases at dims 1..4x1..4, 200
+    trials, seed 42, has no failure, and each mutant fails at least one of
+    its trials in every case it changes.  The single-term substitutions
+    that this sweep does not catch are listed in the README."""
+    cases, mutate = NEIGHBOUR_MUTANTS[mutant]
+    config = RunConfig(cases, DIMS_1_4, 200, 42)
+    assert total_failures(run_suite(config)) == 0
+    mutate(monkeypatch)
+    entries = run_suite(config)["cases"]
+    assert all(entries[case_id]["failures"] > 0 for case_id in cases), entries
 
 
 # Parts of two registry rows that state one linear map: (case, label) of
@@ -885,19 +942,29 @@ def _nan_block() -> BlockMatrix:
     return BlockMatrix(2, 2, x)
 
 
+# A Hermitian draw that is not PSD, a PSD draw that is not PPT, and a PSD
+# 2x2 draw, which is neither the matrix-unit nor the zero instance.
+_NOT_PSD = make_instance("schur-majorization", 2, 2, 3)
+_NOT_PPT = make_instance("ando", 2, 2, 3)
+_PSD_2X2 = make_instance("thm37-singular", 2, 2, 3)
 # input class -> (one of its cases, [(instance case --input would refuse, error), ...])
 REFUSED_INSTANCES = {
-    "psd": ("ando", [(_non_hermitian(2, 2), "not Hermitian")]),
+    "psd": ("ando", [(_non_hermitian(2, 2), "not Hermitian"),
+                     (_NOT_PSD, "not positive semidefinite")]),
     "hermitian": ("schur-majorization", [(_non_hermitian(3, 1), "not Hermitian"),
                                          (_nan_block(), "not Hermitian")]),
-    "ppt": ("horodecki-reduction", [(_non_hermitian(2, 3), "not Hermitian")]),
+    "ppt": ("horodecki-reduction", [(_non_hermitian(2, 3), "not Hermitian"),
+                                    (_NOT_PPT, "does not have a PSD partial transpose")]),
     "psd-2x2": ("thm37-singular", [(make_instance("ando", 3, 2, 1), "cannot have dims 3x2"),
-                                   (_non_hermitian(2, 2), "not Hermitian")]),
+                                   (_non_hermitian(2, 2), "not Hermitian"),
+                                   (_NOT_PSD, "not positive semidefinite")]),
     "gram-pair": ("lem39-singular", [((np.ones((2, 3)), np.ones((3, 2))), "differ in shape")]),
     "real-int": ("ck-lih", [(np.arange(4), "not one instance")]),
     "matrix-unit-E": ("psi-not-2-positive",
-                      [(make_instance("ando", 3, 2, 1), "cannot have dims 3x2")]),
-    "zero": ("eq18-matrix", [(_nan_block(), "not Hermitian")]),
+                      [(make_instance("ando", 3, 2, 1), "cannot have dims 3x2"),
+                       (_PSD_2X2, "not the matrix-unit instance")]),
+    "zero": ("eq18-matrix", [(_nan_block(), "not Hermitian"),
+                             (_PSD_2X2, "not the zero instance")]),
     "square": ("abs-block-corollary", [(np.ones((2, 3), dtype=np.complex128),
                                         "cannot have dims 2x3")]),
 }
@@ -906,9 +973,9 @@ REFUSED_INSTANCES = {
 @pytest.mark.parametrize("input_class", list(INPUT_CLASSES))
 def test_check_case_refuses_what_case_input_refuses(input_class):
     """check_case raises ValueError on a stack of two instances, and on an
-    instance whose dims are not a shape of its class, or that is not one
-    matrix per array, finite and Hermitian, before it evaluates anything.
-    The seeded instance passes."""
+    instance whose dims are not a shape of its class, that is not one
+    matrix per array, finite and Hermitian, or that fails its class's
+    problem, before it evaluates anything.  The seeded instance passes."""
     case_id, refused = REFUSED_INSTANCES[input_class]
     assert REGISTRY[case_id].input_class == input_class
     stack = make_instance(case_id, 2, 2, np.array([1, 2], dtype=np.uint64))
@@ -918,6 +985,20 @@ def test_check_case_refuses_what_case_input_refuses(input_class):
     instance = make_instance(case_id, 2, 2, 1)
     assert require_instance(input_class, instance) is instance
     check_case(case_id, instance)
+
+
+def test_build_slack_refuses_a_stack_with_one_row_outside_its_class():
+    """A stack of seeded instances whose one row is not PSD, or not PPT, is
+    refused with the message `case --input` prints for that row alone."""
+    seeds = derive_seed(0, "stack", np.arange(3))
+    for case_id, row, message in (("ando", _NOT_PSD, "not positive semidefinite"),
+                                  ("horodecki-reduction", _NOT_PPT, "PSD partial transpose")):
+        stack = make_instance(case_id, 2, 2, seeds)
+        assert len(build_slack(case_id, stack)[0][1]) == 3
+        dense = stack.dense.copy()
+        dense[1] = row.dense
+        with pytest.raises(ValueError, match=message):
+            build_slack(case_id, BlockMatrix(2, 2, dense))
 
 
 def test_slack_builders_cover_declared_cases():
