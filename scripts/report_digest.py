@@ -65,7 +65,6 @@ EXTREME_DIMS = ((1, 1), (1, 2), (2, 2), (6, 6))
 EXTREME_VALUES = (2**63 - 1, -(2**63 - 1), -(2**63), 0)
 SLACK_DIMS = tuple((m, n) for m in range(1, 9) for n in range(1, 9))
 SLACK_SEEDS = tuple(range(3))
-SLACK_KINDS = ("psd-slack", "ppt-of-derived")
 SCALED_CLASSES = ("psd", "hermitian", "ppt", "psd-2x2", "gram-pair", "square")
 SCALED_DIMS = tuple((m, n) for m in range(1, 4) for n in range(1, 4))
 SCALED_SEEDS = tuple(range(3))
@@ -128,7 +127,7 @@ def slack_records(bt, dims, seeds) -> list:
     of build_slack on every slack case's instance at each dims and seed."""
     records = []
     for case_id in bt.case_ids():
-        if bt.suite.REGISTRY[case_id].check_kind not in SLACK_KINDS:
+        if bt.suite.REGISTRY[case_id].check_kind not in bt.suite._SLACK_KINDS:
             continue
         for m, n in dims:
             for seed in seeds:

@@ -93,7 +93,9 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def hermitian_part(x, out=None) -> np.ndarray:
-    """(X + X*) / 2 of a matrix or of each matrix of a stack, into out if given."""
+    """(X + X*) / 2 of a matrix or of each matrix of a stack, into out if
+    given; exactly Hermitian, as entry (j, i) rounds the conjugate of entry
+    (i, j)'s sum, IEEE addition commutes, and rounding commutes with negation."""
     out = np.add(x, x.conj().swapaxes(-1, -2), out=out)
     out /= 2
     return out
@@ -109,25 +111,16 @@ def pad_sorted(values, length: int) -> np.ndarray:
     return np.sort(out, axis=-1)[..., ::-1]
 
 
-def _eigvals_descending(a: np.ndarray) -> np.ndarray:
+def eigvals_descending(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every exactly Hermitian matrix of a complex128 stack,
+    unchecked, each row non-increasing: the engine's spectral kernel."""
     return np.linalg.eigvalsh(a)[..., ::-1]  # eigvalsh returns them ascending
 
 
 def hermitian_eigvals_stack(a) -> np.ndarray:
     """Eigenvalues of every Hermitian matrix of a stack, each row sorted
     non-increasing, by one eigvalsh call after require_hermitian."""
-    return _eigvals_descending(require_hermitian(a))
-
-
-def hermitian_part_eigvals(x) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (X + X*) / 2 of every matrix of a
-    stack, each row sorted non-increasing; equal bit for bit to
-    hermitian_eigvals_stack(hermitian_part(x)).
-
-    No Hermiticity check runs: hermitian_part's output is exactly Hermitian,
-    because entry (j, i) rounds the conjugate of entry (i, j)'s sum, IEEE
-    addition commutes, and rounding and halving commute with negation."""
-    return _eigvals_descending(_square(hermitian_part(x)))
+    return eigvals_descending(require_hermitian(a))
 
 
 def hermitian_eigvals(a) -> np.ndarray:

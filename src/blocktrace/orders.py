@@ -57,8 +57,9 @@ def gap_verdict(witness, tol: float, scale) -> OrderVerdict:
 def psd_verdict(a: np.ndarray, tol: float = PSD_TOL) -> OrderVerdict:
     """PSD test for every matrix of a complex128 (..., k, k) stack that is
     exactly Hermitian, unchecked, by one eigvalsh call: witness is
-    lambda_min, at the scale ||.||_F."""
-    lam_min = np.linalg.eigvalsh(a)[..., 0]  # eigvalsh sorts ascending
+    lambda_min, at the scale ||.||_F.  A witness is never -0.0: x + 0.0 has
+    the bits of x for every x but -0.0, which it makes +0.0."""
+    lam_min = np.linalg.eigvalsh(a)[..., 0] + 0.0  # eigvalsh sorts ascending
     return gap_verdict(lam_min, tol, scale_stack(a))
 
 

@@ -32,7 +32,7 @@ from .blocks import (
 )
 from .generate import GenSpec, gen, ginibre
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
-from .linalg import (hermitian_eigvals_stack, hermitian_part_eigvals, matrix_abs_stack,
+from .linalg import (eigvals_descending, hermitian_eigvals_stack, matrix_abs_stack,
                      pad_sorted, require_hermitian, scale_stack, singular_values_stack)
 from .linalg import hermitian_part as _herm
 from .linalg import one_blas_thread
@@ -124,14 +124,15 @@ def _col(label: str, witness, holds) -> tuple:
 
 def _psd_cols(slacks: list, trials: int, tol: float) -> list:
     """One column per labeled slack stack, all decided by one stacked
-    eigvalsh on their Hermitian parts.  A slack without the trial axis (the
-    eq18-matrix slack depends only on the dims) is decided once for all."""
+    eigvalsh on the slacks as they are, exactly Hermitian as their instance.
+    A slack without the trial axis (the eq18-matrix slack depends only on
+    the dims) is decided once for all."""
     labels = [label for label, _ in slacks]
     stack = np.empty((len(slacks),) + slacks[0][1].shape, dtype=np.complex128)
     for i, out in enumerate(stack):  # each slack is released once copied
-        _herm(slacks[i][1], out)
+        out[...] = slacks[i][1]
         slacks[i] = None
-    verdict = psd_verdict(stack, tol)  # _herm's output is exactly Hermitian
+    verdict = psd_verdict(stack, tol)
     shape = (len(labels), trials)
     return list(zip(labels,
                     np.broadcast_to(verdict.witness.reshape(len(labels), -1), shape).tolist(),
@@ -157,7 +158,8 @@ class Derived:
     """Common derived objects of a block instance, or of a (T, mn, mn)
     stack of them: the terms every bound is written in, each built once on
     first read and read-only.  Per-matrix scalars (tr, lam_max, lam_min)
-    carry two unit axes, so they scale matrices directly."""
+    carry two unit axes, so they scale matrices directly.  The instance and
+    every matrix term are exactly Hermitian, so spectra read them as they are."""
 
     def __init__(self, a: BlockMatrix):
         self.a = a
@@ -180,21 +182,21 @@ class Derived:
     g_j = _term(lambda d: d.g * d.jb)  # g o (J_m (x) I_n)
     diag = _term(lambda d: np.diagonal(d.dense, axis1=-2, axis2=-1).real)  # real diagonal of A
     # Eigenvalues of each matrix, non-increasing along the last axis.
-    lam = _term(lambda d: hermitian_part_eigvals(d.dense))
-    lam_tau = _term(lambda d: hermitian_part_eigvals(d.tau))
-    lam_tr1 = _term(lambda d: hermitian_part_eigvals(d.tr1))
-    lam_tr2 = _term(lambda d: hermitian_part_eigvals(d.tr2))
+    lam = _term(lambda d: eigvals_descending(d.dense))
+    lam_tau = _term(lambda d: eigvals_descending(d.tau))
+    lam_tr1 = _term(lambda d: eigvals_descending(d.tr1))
+    lam_tr2 = _term(lambda d: eigvals_descending(d.tr2))
     lam_da = _term(lambda d: hermitian_eigvals_stack(d.d_a))  # refuses a non-Hermitian D_A
-    # H = symmetrize_offdiag(A) is exactly Hermitian, so its Hermitian part is
-    # H itself.  Its diagonal blocks M and N sum to A_11 + A_22 = tr_1 A.
-    lam_sym = _term(lambda d: hermitian_part_eigvals(symmetrize_offdiag(d.a, False).dense))
-    lam_skew = _term(lambda d: hermitian_part_eigvals(symmetrize_offdiag(d.a, True).dense))
+    # The diagonal blocks M and N of H = symmetrize_offdiag(A) sum to
+    # A_11 + A_22 = tr_1 A.
+    lam_sym = _term(lambda d: eigvals_descending(symmetrize_offdiag(d.a, False).dense))
+    lam_skew = _term(lambda d: eigvals_descending(symmetrize_offdiag(d.a, True).dense))
 
     @_term
     def lam_blocks(d):
         # lambda(A_11) + ... + lambda(A_mm) as sorted vectors, by one eigvalsh
         # call over every diagonal block.
-        spectra = hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))
+        spectra = eigvals_descending(diagonal_blocks(d.a.as_blocks()))
         acc = np.zeros(spectra.shape[:-2] + spectra.shape[-1:])
         for i in range(d.m):  # in block order: spectra.sum(axis=-2) moves witness bits
             acc += spectra[..., i, :]
@@ -226,12 +228,12 @@ def _blocks_2x2(a: BlockMatrix):
 @_constant
 def eq18_slack(m: int, n: int) -> np.ndarray:
     """(m-2)n I + n J_m (x) I_n - J_m (x) J_n - (m-2) I_m (x) J_n; read-only."""
-    return _frozen(_herm(
+    return _frozen(
         (m - 2) * n * np.eye(m * n)
         + n * _jb(m, n).real
         - np.ones((m * n, m * n))
         - (m - 2) * kron_left(np.ones((n, n)), m).real
-    ))
+    )
 
 
 def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
@@ -240,14 +242,15 @@ def symmetrize_offdiag(a: BlockMatrix, skew: bool) -> BlockMatrix:
     positivity is preserved (average of two PSD matrices).
 
     The conjugate U A U* by U = [[0, I], [s I, 0]], s = -1 when skew and 1
-    otherwise, is the block swap [[A_22, s A_21], [s A_12, A_11]]."""
+    otherwise, is the block swap [[A_22, s A_21], [s A_12, A_11]]; the
+    average is exactly Hermitian when A is, as IEEE addition commutes."""
     if a.m != 2:
         raise ValueError("needs a 2x2 block matrix")
     b12, b21 = a.block(0, 1), a.block(1, 0)
     if skew:
         b12, b21 = -b12, -b21
     swapped = np.block([[a.block(1, 1), b21], [b12, a.block(0, 0)]])
-    return BlockMatrix(2, a.n, _herm((a.dense + swapped) / 2))
+    return BlockMatrix(2, a.n, (a.dense + swapped) / 2)
 
 
 def choi_block(a: BlockMatrix) -> BlockMatrix:
@@ -370,7 +373,7 @@ def _case_psi_not_2_positive(d: Derived, tol):
 
     At n = 1, psi(x) = x - x = 0 on 1x1 blocks, so psi(E) is zero and no
     violation exists: the case reports witness 0 and holds=False."""
-    lam_min = hermitian_part_eigvals(d.r2 - d.dense)[..., -1]  # blockwise psi(E)
+    lam_min = eigvals_descending(d.r2 - d.dense)[..., -1]  # blockwise psi(E)
     return [_col("violation-detected", lam_min, lam_min <= -1.0 + tol)]
 
 
@@ -532,8 +535,8 @@ def _case_lem38(pair, tol):
     m_fac, n_fac = pair
     n_rows = m_fac.shape[-2]
     gram = _ct(m_fac) @ m_fac + _ct(n_fac) @ n_fac
-    star = hermitian_part_eigvals(gram)
-    plain = hermitian_part_eigvals(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac))
+    star = eigvals_descending(_herm(gram))  # matmul products are not exactly Hermitian
+    plain = eigvals_descending(_herm(m_fac @ _ct(m_fac) + n_fac @ _ct(n_fac)))
     cross = _ct(m_fac) @ n_fac
     shift = 0.5 * _tr(gram - cross - _ct(cross)).real
     lhs = pad_sorted(star, max(star.shape[-1], n_rows))[..., :n_rows]
@@ -743,14 +746,14 @@ def _zero_instances(m: int, n: int, seed):
 
 
 def _psd_problem(a: BlockMatrix, tol):
-    if not is_psd(_herm(a.dense), tol).holds.all():
+    if not is_psd(a.dense, tol).holds.all():
         return "input matrix is not positive semidefinite"
     return None
 
 
 def _ppt_problem(a: BlockMatrix, tol):
     problem = _psd_problem(a, tol)
-    if problem is None and not is_psd(_herm(partial_transpose(a).dense), tol).holds.all():
+    if problem is None and not is_psd(partial_transpose(a).dense, tol).holds.all():
         return "input matrix does not have a PSD partial transpose"
     return problem
 
@@ -854,7 +857,7 @@ def build_slack(case_id: str, instance):
         raise KeyError(f"unknown case id {case_id!r}")
     if case.check_kind not in _SLACK_KINDS:
         raise ValueError(f"case {case_id!r} has no slack-matrix form; use check_case")
-    require_instance(case.input_class, instance)
+    instance = require_instance(case.input_class, instance)
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
@@ -897,17 +900,19 @@ def require_shape(input_class: str, instance) -> None:
 
 
 def require_instance(input_class: str, instance, tol: float = PSD_TOL):
-    """instance itself; ValueError unless it is an instance of the input
-    class, or a stack of them every row of which is, as check_case,
-    build_slack and `case --input` require: a pair's factors of one shape,
-    dims that are a shape of the class, a block matrix finite and Hermitian
-    within HERMITIAN_TOL, and the class's problem at tol None."""
+    """The instance check_case, build_slack and `case --input` evaluate: a
+    block matrix's Hermitian part, exact as every draw is, or the instance
+    itself.  ValueError unless it, or every row of a stack of them, is an
+    instance of the input class: a pair's factors of one shape, dims that
+    are a shape of the class, a block matrix finite and Hermitian within
+    HERMITIAN_TOL, and the class's problem None at max(tol, PSD_TOL), so a
+    tight tol does not refuse its rank-deficient draws on rounding."""
     if isinstance(instance, tuple) and np.shape(instance[0]) != np.shape(instance[1]):
         raise ValueError("the two factors of the pair differ in shape")
     require_shape(input_class, instance)
     if isinstance(instance, BlockMatrix):
-        require_hermitian(instance.dense)
-    problem = INPUT_CLASSES[input_class].problem(instance, tol)
+        instance = BlockMatrix(instance.m, instance.n, _herm(require_hermitian(instance.dense)))
+    problem = INPUT_CLASSES[input_class].problem(instance, max(tol, PSD_TOL))
     if problem is not None:
         raise ValueError(problem)
     return instance

@@ -153,16 +153,18 @@ def test_psd_verdicts_equal_is_psd_per_matrix():
 
 
 def test_psd_cols_equal_is_psd_per_part():
-    """_psd_cols decides its merged stack without is_psd; each column is
-    is_psd of that part's Hermitian part, witness and holds bit for bit."""
+    """_psd_cols decides its merged stack of exactly Hermitian slacks
+    without is_psd; each column is is_psd of that part, witness and holds
+    bit for bit."""
     g = Stream(12).complex_gaussians((2, 3, 5, 5))
-    parts = g @ g.conj().swapaxes(-1, -2) + 1e-3 * Stream(13).complex_gaussians((2, 3, 5, 5))
+    parts = linalg.hermitian_part(
+        g @ g.conj().swapaxes(-1, -2) + 1e-3 * Stream(13).complex_gaussians((2, 3, 5, 5)))
     parts[0, 1] -= 3 * np.eye(5)
     parts[1, 2] *= 1e6
     cols = suite._psd_cols([("a", parts[0].copy()), ("b", parts[1].copy())], 3, 1e-8)
     assert [label for label, _, _ in cols] == ["a", "b"]
     for (_, witnesses, holds), part in zip(cols, parts):
-        want = is_psd(linalg.hermitian_part(part), 1e-8)
+        want = is_psd(part, 1e-8)
         assert np.array(witnesses).tobytes() == want.witness.tobytes()
         assert holds == want.holds.tolist()
     assert cols[0][2] == [True, False, True]

@@ -92,6 +92,18 @@ def test_case_precondition_rejected(tmp_path, capsys):
     assert "not positive semidefinite" in capsys.readouterr().err
 
 
+def test_case_tol_zero_evaluates_a_rank_deficient_psd_input(tmp_path, capsys):
+    """The class precondition runs at max(--tol, PSD_TOL), so --tol 0
+    evaluates the rank-one all-ones instance, whose rounded lambda_min may
+    fall below 0, instead of refusing it as not PSD."""
+    inst = tmp_path / "ones.json"
+    assert main(["gen", "--kind", "ones-kron", "--m", "2", "--n", "2", "--out", str(inst)]) == 0
+    code = main(["case", "--id", "ando", "--input", str(inst), "--tol", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "ando"
+    assert code == (0 if report["holds"] else 1)
+
+
 def test_case_detects_failure(tmp_path, capsys):
     """Exit code 1 from the expected-failure case: on the canonical
     matrix-unit instance at n = 1, diag(1, 0), psi is zero on the 1x1 blocks

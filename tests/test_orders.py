@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from blocktrace.blocks import BlockMatrix
 from blocktrace.generate import GenSpec, gen
-from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
-                               hermitian_part_eigvals, pad_sorted, scale_stack,
-                               singular_values_stack, tolerance)
+from blocktrace.linalg import (eigvals_descending, hermitian_eigvals, hermitian_eigvals_stack,
+                               hermitian_part, pad_sorted, scale_stack, singular_values_stack,
+                               tolerance)
 from blocktrace.orders import (PSD_TOL, is_ppt, is_psd, loewner_ge, majorizes, psd_verdict,
                                sv_dominates)
 from blocktrace.rng import Stream
@@ -249,7 +249,7 @@ def test_spectral_kernels_give_the_bits_of_a_sort(k):
     stack = _contract_stack(k, k)
     x = stack + Stream(k + 100).complex_gaussians(stack.shape)  # not Hermitian
     assert _same_bits(hermitian_eigvals_stack(stack), _descending(np.linalg.eigvalsh(stack)))
-    assert _same_bits(hermitian_part_eigvals(x),
+    assert _same_bits(eigvals_descending(hermitian_part(x)),
                       _descending(np.linalg.eigvalsh(hermitian_part(x))))
     for a in (stack, x, x[..., : max(1, k - 2), :]):  # square and wide
         assert _same_bits(singular_values_stack(a),

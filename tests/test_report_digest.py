@@ -34,7 +34,7 @@ def _inputs():
 
 
 SLACK_IDS = [c for c, case in bt.suite.REGISTRY.items()
-             if case.check_kind in report_digest.SLACK_KINDS]
+             if case.check_kind in bt.suite._SLACK_KINDS]
 SCALED_IDS = [c for c, case in bt.suite.REGISTRY.items()
               if case.input_class in report_digest.SCALED_CLASSES]
 

@@ -15,8 +15,8 @@ from blocktrace.blocks import (BlockMatrix, block_diag, diagonal_blocks, j_block
                                kron_right, partial_trace_1, partial_trace_2, partial_transpose)
 from blocktrace.generate import GenSpec, gen
 from blocktrace.linalg import (hermitian_eigvals, hermitian_eigvals_stack, hermitian_part,
-                               hermitian_part_eigvals, scale_stack, trace_stack)
-from blocktrace.orders import is_psd
+                               scale_stack, trace_stack)
+from blocktrace.orders import is_ppt, is_psd
 from blocktrace.rng import check_seed, derive_seed
 from blocktrace.suite import (
     INPUT_CLASSES,
@@ -781,7 +781,7 @@ def _replace_row(case_id: str, new_row: tuple, monkeypatch) -> None:
 
 def _lam_blocks_without_block_0(monkeypatch) -> None:
     def lam_blocks(d):
-        return hermitian_part_eigvals(diagonal_blocks(d.a.as_blocks()))[..., 1:, :].sum(axis=-2)
+        return hermitian_eigvals_stack(diagonal_blocks(d.a.as_blocks()))[..., 1:, :].sum(axis=-2)
     monkeypatch.setattr(Derived, "lam_blocks", property(lam_blocks))
 
 
@@ -913,7 +913,7 @@ def test_block_load_accepts_rounding_asymmetry():
     x[0, 1] += 1e-13  # within HERMITIAN_TOL * max(1, ||x||_F)
     loaded = require_instance("psd", INPUT_CLASSES["psd"].load(
         serialize.block_to_obj(BlockMatrix(2, 3, x))))
-    assert np.array_equal(loaded.dense, x)
+    assert np.array_equal(loaded.dense, hermitian_part(x))
     assert check_case("ando", loaded).holds
 
 
@@ -983,7 +983,11 @@ def test_check_case_refuses_what_case_input_refuses(input_class):
         with pytest.raises(ValueError, match=message):
             check_case(case_id, instance)
     instance = make_instance(case_id, 2, 2, 1)
-    assert require_instance(input_class, instance) is instance
+    accepted = require_instance(input_class, instance)
+    if isinstance(instance, BlockMatrix):  # a draw is its own Hermitian part
+        assert accepted.dense.tobytes() == instance.dense.tobytes()
+    else:
+        assert accepted is instance
     check_case(case_id, instance)
 
 
@@ -1012,3 +1016,96 @@ def test_slack_builders_cover_declared_cases():
         else:
             with pytest.raises(ValueError):
                 build_slack(cid, inst)
+
+
+# The block classes whose cases read an input's Hermitian part; zero and
+# matrix-unit-E refuse any input but their one instance.
+HERMITIAN_PART_CLASSES = ("psd", "hermitian", "ppt", "psd-2x2")
+HERMITIAN_PART_IDS = [c for c in ALL_IDS if REGISTRY[c].input_class in HERMITIAN_PART_CLASSES]
+
+
+def _skewed(case_id: str, m: int, n: int, seed: int) -> BlockMatrix:
+    """The case's draw with entry (0, 1) moved by 1e-13: not exactly
+    Hermitian, and within HERMITIAN_TOL."""
+    a = make_instance(case_id, m, n, seed)
+    x = a.dense.copy()
+    x[0, 1] += 1e-13
+    return BlockMatrix(a.m, a.n, x)
+
+
+def _part_bits(report) -> list:
+    return [(p.label, np.float64(p.witness).tobytes(), p.holds) for p in report.parts]
+
+
+def test_every_eigvalsh_input_is_exactly_hermitian(monkeypatch):
+    """The engine takes no Hermitian part before a spectrum: every matrix
+    that reaches eigvalsh equals its conjugate transpose, in a sweep of all
+    44 cases and in check_case on inputs a rounding away from Hermitian."""
+    real, seen = np.linalg.eigvalsh, []
+
+    def eigvalsh(a, *args, **kwargs):
+        seen.append(bool((a == np.conj(np.swapaxes(a, -1, -2))).all()))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    run_suite(RunConfig(tuple(ALL_IDS), DIMS_1_4, 32, 5))
+    sweep = len(seen)
+    for case_id in HERMITIAN_PART_IDS:
+        for m, n in ((2, 2), (3, 2), (2, 3)):
+            for seed in (0, 1):
+                check_case(case_id, _skewed(case_id, m, n, seed))
+    assert sweep > 0 and len(seen) > sweep
+    assert all(seen)
+
+
+@pytest.mark.parametrize("case_id", HERMITIAN_PART_IDS)
+def test_check_case_reads_the_hermitian_part(case_id):
+    """check_case of an input a rounding away from Hermitian is check_case
+    of its Hermitian part, bit for bit."""
+    for m, n in ((2, 2), (3, 2), (2, 3)):
+        for seed in (0, 1, 2):
+            a = _skewed(case_id, m, n, seed)
+            h = BlockMatrix(a.m, a.n, hermitian_part(a.dense))
+            assert _part_bits(check_case(case_id, a)) == _part_bits(check_case(case_id, h))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, suite.PSD_TOL])
+def test_check_case_accepts_its_own_draws_at_every_tol(tol):
+    """The class precondition runs at max(tol, PSD_TOL), so a tight verdict
+    tol does not refuse the rank-deficient draws (seed % 5 == 0) that a
+    sweep at that tol evaluates."""
+    for case_id in ALL_IDS:
+        for m, n in ((2, 2), (3, 3), (2, 3)):
+            for seed in (0, 1, 5, 10):
+                check_case(case_id, make_instance(case_id, m, n, seed), tol)
+
+
+def test_lam_da_accepts_what_the_boundary_accepts():
+    """J_4 with 3.6e-10i added to entry (0, 1) is Hermitian within
+    tolerance(HERMITIAN_TOL, ||A||_F = 4).  D_A's own tolerance would be
+    taken at ||D_A||_F < ||A||_F and refuse it; check_case builds D_A from
+    the Hermitian part, so lam_da's check passes."""
+    x = np.ones((4, 4), dtype=np.complex128)
+    x[0, 1] += 3.6e-10j
+    a = BlockMatrix(2, 2, x)
+    require_instance("psd", a)
+    assert check_case("ando", a).holds
+    for case_id in ("eqm1-majorization", "eqm2-rotfeld-thompson"):
+        assert check_case(case_id, a).holds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetrize_offdiag_is_ppt(n):
+    """Why lam_tr2 for lam_tr1 cannot fail either off-diagonal case: H is
+    PPT, since H^tau = H with a Hermitian off-diagonal block and
+    D H^tau D = H with a skew one, D = diag(I, -I).  So lambda(H) <
+    lambda(tr_2 H) (ppt-majorization), and tr_2 H averages tr_2 A with a
+    unitary conjugate of it, so lambda(tr_2 H) < lambda(tr_2 A)."""
+    a = make_instance("hermitian-offdiag-majorization", 2, n, derive_seed(0, "sym", np.arange(50)))
+    d = np.repeat([1.0, -1.0], n)
+    h = symmetrize_offdiag(a, skew=False)
+    hs = symmetrize_offdiag(a, skew=True)
+    assert (partial_transpose(h).dense == h.dense).all()
+    assert (d[:, None] * partial_transpose(hs).dense * d == hs.dense).all()
+    for x in (h, hs):
+        assert is_ppt(x).holds
