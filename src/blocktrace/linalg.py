@@ -112,9 +112,9 @@ def pad_sorted(values, length: int) -> np.ndarray:
 
 
 def eigvals_descending(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every exactly Hermitian matrix of a complex128 stack,
-    unchecked, each row non-increasing: the engine's spectral kernel."""
-    return np.linalg.eigvalsh(a)[..., ::-1]  # eigvalsh returns them ascending
+    """Eigenvalues of every exactly Hermitian matrix of a stack, unchecked, each
+    row non-increasing, by complex128 eigvalsh: the engine's spectral kernel."""
+    return np.linalg.eigvalsh(np.asarray(a, dtype=np.complex128))[..., ::-1]  # from ascending
 
 
 def hermitian_eigvals_stack(a) -> np.ndarray:

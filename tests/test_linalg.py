@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrace.linalg import (
+    eigvals_descending,
     hermitian_defect,
     hermitian_eigvals,
     hermitian_part,
@@ -46,6 +47,16 @@ def test_hermitian_part_is_exactly_hermitian(seed, height, k):
     h = hermitian_part(x)
     assert (hermitian_defect(h) == 0.0).all()
     assert (h == h.conj().swapaxes(-1, -2)).all()
+
+
+def test_eigvals_descending_takes_the_complex_kernel_of_real_input():
+    """A real symmetric stack (a real gram-pair's Gram matrices in
+    lem38-eigen) gets complex128 eigvalsh, as it did when its spectra
+    were taken of a complex Hermitian part: the same bits for either dtype."""
+    g = np.random.default_rng(3).standard_normal((40, 5, 5))
+    x = g @ g.swapaxes(-1, -2)
+    want = np.linalg.eigvalsh(x.astype(np.complex128))[..., ::-1]
+    assert eigvals_descending(x).tobytes() == want.tobytes()
 
 
 def test_scale_stack_is_the_frobenius_norm():

@@ -447,8 +447,8 @@ def test_report_without_parts_holds_with_infinite_witness():
 def test_zero_witnesses_are_positive_zeros():
     """No check_case part reports -0.0 on the make_instance input of any
     case at dims 1..4x1..4 and seeds 0 and 1.  The sign is a bit of the
-    report: a slack copied into the merged verdict without its Hermitian
-    part gives -0.0 where (X + X*) / 2 gives +0.0."""
+    report: eigvalsh gives some slacks a -0.0 lambda_min, which
+    psd_verdict's + 0.0 makes +0.0."""
     zeros = 0
     for case_id in ALL_IDS:
         for m, n in DIMS_1_4:
