@@ -92,11 +92,11 @@ def require_hermitian(a) -> np.ndarray:
     return a
 
 
-def hermitian_part(x, out=None) -> np.ndarray:
-    """(X + X*) / 2 of a matrix or of each matrix of a stack, into out if
-    given; exactly Hermitian, as entry (j, i) rounds the conjugate of entry
-    (i, j)'s sum, IEEE addition commutes, and rounding commutes with negation."""
-    out = np.add(x, x.conj().swapaxes(-1, -2), out=out)
+def hermitian_part(x) -> np.ndarray:
+    """(X + X*) / 2 of a matrix or of each matrix of a stack; exactly
+    Hermitian, as entry (j, i) rounds the conjugate of entry (i, j)'s sum,
+    IEEE addition commutes, and rounding commutes with negation."""
+    out = np.add(x, x.conj().swapaxes(-1, -2))
     out /= 2
     return out
 
