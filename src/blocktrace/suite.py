@@ -305,15 +305,19 @@ _PHI = LinearSlacks((("derived", ((1, "r2"), (1, "dense"))), ("derived-tau", _CH
 _HORODECKI = LinearSlacks((("tr1", ((1, "g"),)), ("tr2", ((1, "r2"), (-1, "dense")))))
 
 
+# The Hermitian bounds k lambda_min(A) I <= lhs - rhs <= k lambda_max(A) I; each
+# side is a psd row on the shift A - lambda_min(A) I or lambda_max(A) I - A.
+def _lambda_sides(lhs, rhs, k, d):
+    """(lower, upper) slacks: lhs - k lambda_min I - rhs, rhs + k lambda_max I - lhs."""
+    return lhs - k * d.lam_min * d.identity - rhs, rhs + k * d.lam_max * d.identity - lhs
+
+
 # The sandwich and lambda_min bounds of base + A^tau, with correction corr and
 # multiplier k - 1, name their terms: ("l1", "d_a", "m") or ("r2_tau", "tau_j", "n").
 def _sb_sandwich(base, corr, k, d):
-    mid = getattr(d, base) + d.tau
-    corr, k = getattr(d, corr), getattr(d, k)
-    return [
-        ("upper", (k - 1) * d.lam_max * d.identity + 2 * corr - mid),
-        ("lower", mid - (k - 1) * d.lam_min * d.identity - 2 * corr),
-    ]
+    lower, upper = _lambda_sides(getattr(d, base) + d.tau, 2 * getattr(d, corr),
+                                 getattr(d, k) - 1, d)
+    return [("upper", upper), ("lower", lower)]
 
 
 def _sb_lambda_min(base, k, d):
@@ -321,35 +325,21 @@ def _sb_lambda_min(base, k, d):
 
 
 def _sb_choi_hermitian_ando(d):
-    both = d.l1 + d.r2
-    rhs = d.dense + d.t
-    k = (d.m - 1) * (d.n - 1)
-    return [
-        ("max", both - rhs + k * d.lam_max * d.identity),
-        ("min", rhs - k * d.lam_min * d.identity - both),
-    ]
+    lower, upper = _lambda_sides(d.dense + d.t, d.l1 + d.r2, (d.m - 1) * (d.n - 1), d)
+    return [("max", upper), ("min", lower)]
 
 
 def _sb_prop_hermitian_minus(d):
     lhs = d.t - d.r2
-    k_plus = (d.m - 1) * (d.n - 1)
-    k_minus = (d.m - 1) * (d.n + 1)
-    return [
-        ("ge-plus", lhs - d.g - k_plus * d.lam_min * d.identity),
-        ("ge-minus", lhs + d.g - k_minus * d.lam_min * d.identity),
-        ("le-plus", d.g + k_plus * d.lam_max * d.identity - lhs),
-        ("le-minus", -d.g + k_minus * d.lam_max * d.identity - lhs),
-    ]
+    ge_plus, le_plus = _lambda_sides(lhs, d.g, (d.m - 1) * (d.n - 1), d)
+    ge_minus, le_minus = _lambda_sides(lhs, -d.g, (d.m - 1) * (d.n + 1), d)
+    return [("ge-plus", ge_plus), ("ge-minus", ge_minus),
+            ("le-plus", le_plus), ("le-minus", le_minus)]
 
 
 def _sb_prop_hermitian_plus(d):
-    lhs = d.t + d.r2
-    rhs = d.l1 + d.dense
-    k = (d.m + 1) * (d.n - 1)
-    return [
-        ("ge", lhs - rhs - k * d.lam_min * d.identity),
-        ("le", rhs + k * d.lam_max * d.identity - lhs),
-    ]
+    ge, le = _lambda_sides(d.t + d.r2, d.l1 + d.dense, (d.m + 1) * (d.n - 1), d)
+    return [("ge", ge), ("le", le)]
 
 
 def _sb_eq18(d):

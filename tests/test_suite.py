@@ -1109,3 +1109,104 @@ def test_symmetrize_offdiag_is_ppt(n):
     assert (d[:, None] * partial_transpose(hs).dense * d == hs.dense).all()
     for x in (h, hs):
         assert is_ppt(x).holds
+
+
+def test_every_case_has_part_columns():
+    """Every registry case's _evaluate gives at least one part column, at
+    dims 1..4x1..4 on two seeded draws.  The engine relies on it: a case
+    without columns makes check_case raise IndexError (no trial to read a
+    row from) and run_suite count each of its trials failed, while
+    SlackReport.holds counts a report without parts as held.  An engine
+    that aggregates the columns directly must keep this rule, or change it
+    on purpose and say which way a case without parts counts."""
+    seeds = np.arange(2, dtype=np.uint64)
+    for case_id in ALL_IDS:
+        for m, n in DIMS_1_4:
+            stack = make_instance(case_id, m, n, seeds)
+            [(_, _, columns)] = suite._decided(
+                suite._evaluate([REGISTRY[case_id]], stack, len(seeds), suite.PSD_TOL))
+            assert columns, (case_id, m, n)
+            assert all(len(w) == len(h) == len(seeds) for _, w, h in columns), (case_id, m, n)
+
+
+# Each Hermitian part is a psd-class row on a spectral shift of A (see
+# _shifts): (case, its part on P, its part on Q, the row's (case, label)).
+SHIFT_ROWS = (
+    ("tr1-hermitian-sandwich", "lower", "upper", ("li-tr1-improved", "main")),
+    ("tr2-hermitian-sandwich", "lower", "upper", ("tr2-hadamard", "main")),
+    ("choi-hermitian-ando", "min", "max", ("ando", "main")),
+    ("prop-hermitian-minus", "ge-plus", "le-plus", ("ando", "main")),
+    ("prop-hermitian-minus", "ge-minus", "le-minus", ("li-liu-huang-pm", "minus")),
+    ("prop-hermitian-plus", "ge", "le", ("li-liu-huang-pm", "plus")),
+)
+# The lambda_min cases: (case, row, correction term C) with
+# case(A) = row(P) + 2 C(P) + 2 lambda_min(A) I.
+LAMBDA_MIN_ROWS = (("tr1-lambda-min", "li-tr1-improved", "d_a"),
+                   ("tr2-lambda-min", "tr2-hadamard", "tau_j"))
+SHIFT_PAIRS = ({(c, part) for c, lower, upper, _ in SHIFT_ROWS for part in (lower, upper)}
+               | {(c, "main") for c, _, _ in LAMBDA_MIN_ROWS})
+
+
+def _shifts(a: BlockMatrix) -> tuple:
+    """P = A - lambda_min(A) I and Q = lambda_max(A) I - A: PSD, and exactly
+    Hermitian when A is."""
+    d = Derived(a)
+    return (BlockMatrix(a.m, a.n, a.dense - d.lam_min * d.identity),
+            BlockMatrix(a.m, a.n, d.lam_max * d.identity - a.dense))
+
+
+def _shift_misses(m: int, n: int) -> set:
+    """The (case, part) of SHIFT_PAIRS whose slack, on seeded draws of its
+    case at m x n, is not its identity's right-hand side within
+    1e-12 * max(1, ||A||_F).  The rows are build_slack of psd cases, so
+    each shift is also checked to be an instance of the psd class."""
+    seeds = derive_seed(0, "spectral-shifts", np.arange(4))
+    misses = set()
+
+    def check(case_id, label, got, want, a):
+        bound = 1e-12 * np.fmax(1.0, scale_stack(a.dense))[:, None, None]
+        if not (np.abs(got - want) <= bound).all():
+            misses.add((case_id, label))
+
+    for case_id, lower, upper, (row_id, row_label) in SHIFT_ROWS:
+        a = make_instance(case_id, m, n, seeds)
+        parts = dict(build_slack(case_id, a))
+        for label, shift in zip((lower, upper), _shifts(a)):
+            check(case_id, label, parts[label], dict(build_slack(row_id, shift))[row_label], a)
+    for case_id, row_id, term in LAMBDA_MIN_ROWS:
+        a = make_instance(case_id, m, n, seeds)
+        d, (p, _) = Derived(a), _shifts(a)
+        [(_, row)] = build_slack(row_id, p)
+        want = row + 2 * getattr(Derived(p), term) + 2 * d.lam_min * d.identity
+        check(case_id, "main", dict(build_slack(case_id, a))["main"], want, a)
+    return misses
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hermitian_parts_are_psd_rows_on_spectral_shifts(m):
+    """Each side of a Hermitian bound is a psd row on a shift of A: L(A) -
+    c lambda_min(A) I is L(A - lambda_min(A) I) and c lambda_max(A) I -
+    L(A) is L(lambda_max(A) I - A), since L(I) = c I, and both shifts are
+    PSD.  So the sandwiches are li-tr1-improved and tr2-hadamard, the
+    (m-1)(n-1) sides ando, the (m-1)(n+1) sides li-liu-huang-pm/minus and
+    the (m+1)(n-1) sides li-liu-huang-pm/plus.  The lambda_min cases are
+    their sandwich's row on P plus the PSD 2 D_P or 2 P^tau o (J_m (x)
+    I_n), plus 2 lambda_min(A) I.  Checked at n = 1..8."""
+    for n in range(1, 9):
+        assert not _shift_misses(m, n), (m, n)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_one_more_lambda_breaks_every_shift_identity(monkeypatch, m):
+    """Negative control: with k + 1 in _lambda_sides, and one more
+    lambda_min(A) I taken from each lambda_min case, every identity above
+    fails at every n = 1..8."""
+    sides = suite._lambda_sides
+    monkeypatch.setattr(suite, "_lambda_sides", lambda lhs, rhs, k, d: sides(lhs, rhs, k + 1, d))
+    for case_id, _, _ in LAMBDA_MIN_ROWS:
+        case = REGISTRY[case_id]
+        monkeypatch.setitem(REGISTRY, case_id, dataclasses.replace(
+            case, fn=lambda d, fn=case.fn: [(label, s - d.lam_min * d.identity)
+                                            for label, s in fn(d)]))
+    for n in range(1, 9):
+        assert _shift_misses(m, n) == SHIFT_PAIRS, (m, n)
