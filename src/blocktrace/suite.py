@@ -855,18 +855,24 @@ def _evaluate(cases: list, stack, height: int, tol: float) -> list:
     """(m, n, columns) of each of cases on one draw of a shape group, case i
     on its rows [i * height, (i + 1) * height): every part column, for all
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
-    case among them are decided together by one _psd_cols call."""
+    case among them are decided together by one _psd_cols call.
+
+    While that verdict runs, `slacks` is the only holder of the draw's
+    arrays: no name keeps a slack, whose _psd_cols frees it once copied,
+    and the draw is dropped first, so a caller that passes it unnamed
+    frees it there."""
     m, n = _dims(stack)
     payload = INPUT_CLASSES[cases[0].input_class].payload(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
     for i, case in enumerate(cases):
         own = _each(payload, lambda x: x[i * height:(i + 1) * height])
         if case.check_kind in _SLACK_KINDS:
-            case_slacks = case.fn(Derived(own))  # its Derived is freed before the verdict
-            slacks += case_slacks
-            columns.append(len(case_slacks))
+            count = len(slacks)
+            slacks += case.fn(Derived(own))  # its Derived is freed before the verdict
+            columns.append(len(slacks) - count)
         else:
             columns.append(case.fn(Derived(own) if isinstance(own, BlockMatrix) else own, tol))
+    del stack, payload, own
     decided = iter(_psd_cols(slacks, height, tol) if slacks else ())
     return [(m, n, list(islice(decided, c)) if isinstance(c, int) else c) for c in columns]
 
@@ -1082,8 +1088,11 @@ def _decided_groups(case_ids: list, config: RunConfig):
             per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
             evaluated.append([])
             for b in range(0, len(cases), per_draw):
-                stack = make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())
-                evaluated[-1] += _evaluate(cases[b:b + per_draw], stack, len(t), config.tol)
+                # Passed unnamed, the draw is freed before _evaluate's verdict.
+                evaluated[-1] += _evaluate(
+                    cases[b:b + per_draw],
+                    make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel()),
+                    len(t), config.tol)
         for i, case_id in enumerate(case_ids):
             decided = _decided([group[i] for group in evaluated])
             for (_, _, t, seeds), columns in zip(groups, decided):

@@ -3,7 +3,9 @@ for bit: vectorized seeds, stacked draws, stacked PSD verdicts, the chunked
 runner, random_ppt's single draw and the builders that assemble blocks or
 reuse cached constants are each checked against a plain oracle."""
 
+import dataclasses
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -697,6 +699,54 @@ def test_slack_verdicts_stay_within_four_draws(monkeypatch):
     # Some draws merge the slacks of several cases, and some hold one case.
     assert max(count for _, _, count in decided) > most
     assert min(count for _, _, count in decided) == 1
+
+
+RELEASE_CONFIGS = {
+    # One hermitian case per draw: a 16-trial chunk of 8x8 draws fills
+    # _CHUNK_BYTES, so each of the five cases has a draw and a verdict.
+    "hermitian-8x8": (tuple(c for c in case_ids() if REGISTRY[c].input_class == "hermitian"
+                            and REGISTRY[c].check_kind in suite._SLACK_KINDS), ((8, 8),), 12, 5),
+    # Every psd slack case in one draw, with one merged verdict.
+    "psd-2x2": (tuple(c for c in case_ids() if REGISTRY[c].input_class == "psd"
+                      and REGISTRY[c].check_kind in suite._SLACK_KINDS), ((2, 2),), 6, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELEASE_CONFIGS))
+def test_merged_verdict_holds_the_only_reference_to_each_slack(monkeypatch, name):
+    """While psd_verdict runs, no slack of any draw and no draw's dense
+    stack is alive outside the merged verdict's own copy: every slack is
+    freed once _psd_cols copies it, and every draw before the verdict."""
+    cases, dims, trials, verdicts = RELEASE_CONFIGS[name]
+    slacks, draws, alive = [], [], []
+
+    def keep_refs(fn):
+        def built(d):
+            out = fn(d)
+            slacks.extend(weakref.ref(s) for _, s in out)
+            return out
+        return built
+
+    for c in cases:
+        monkeypatch.setitem(REGISTRY, c, dataclasses.replace(REGISTRY[c], fn=keep_refs(
+            REGISTRY[c].fn)))
+    real_draw, real_verdict = suite.make_instance, suite.psd_verdict
+
+    def draw(case_id, m, n, seeds):
+        stack = real_draw(case_id, m, n, seeds)
+        draws.append(weakref.ref(stack.dense))
+        return stack
+
+    def verdict(stack, tol):
+        alive.append((sum(r() is not None for r in slacks), sum(r() is not None for r in draws)))
+        return real_verdict(stack, tol)
+
+    monkeypatch.setattr(suite, "make_instance", draw)
+    monkeypatch.setattr(suite, "psd_verdict", verdict)
+    run_suite(RunConfig(cases, dims, trials, 1))
+    assert len(alive) == verdicts and len(draws) == verdicts
+    assert len(slacks) >= len(cases)
+    assert alive == [(0, 0)] * verdicts
 
 
 def test_merged_group_draw_budget_is_the_sum_of_its_dims_shares(monkeypatch):
