@@ -857,10 +857,10 @@ def _evaluate(cases: list, stack, height: int, tol: float) -> list:
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
     case among them are decided together by one _psd_cols call.
 
-    While that verdict runs, `slacks` is the only holder of the draw's
-    arrays: no name keeps a slack, whose _psd_cols frees it once copied,
-    and the draw is dropped first, so a caller that passes it unnamed
-    frees it there."""
+    While that verdict runs, its stack is the only copy of the draw's
+    slacks: no name here keeps a slack, and _psd_cols frees each once
+    copied.  The draw is dropped before the call, so a caller that passes
+    it unnamed frees it there too."""
     m, n = _dims(stack)
     payload = INPUT_CLASSES[cases[0].input_class].payload(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
