@@ -8,11 +8,7 @@ hash and end-to-end metrics, plus each side's median and quartiles and the
 number of pairs the change won. A pair whose sides report different hashes,
 where either side is not `correct`, or where either checkout is not a git
 repository (its environment line has no git sha), stops the script with
-exit code 1 before it reaches the summary. With --allow-report-change, a
-pair whose hashes differ still counts when both sides are `correct` git
-checkouts, for a change that moves witnesses in the last bits; a `correct`
-run has failed no trial. The BENCH file records the flag as
-"allow_report_change".
+exit code 1 before it reaches the summary.
 
 Each metric of each workload also gets a verdict, printed on stderr when
 the workload ends (see `verdict`): gain, worse, unresolved or flat.
@@ -55,20 +51,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def pair_problem(pair: dict, allow_report_change: bool = False) -> str | None:
+def pair_problem(pair: dict) -> str | None:
     """Why a pair cannot count toward the summary, or None if it can.
 
     Both sides must be git checkouts: peak_rss_mb reads about 0.3 MB more
-    on a copy of the same tree without .git, a shift no code causes.  Both
-    must be correct, and their report hashes equal unless
-    allow_report_change."""
+    on a copy of the same tree without .git, a shift no code causes."""
     for side in ("parent", "change"):
         if pair[side]["env"]["git_sha"] is None:
             return f"{side} is not a git checkout (env git_sha is null)"
         if not pair[side]["correct"]:
             return f"{side} run is not correct"
-    differs = pair["parent"]["report_sha256"] != pair["change"]["report_sha256"]
-    if differs and not allow_report_change:
+    if pair["parent"]["report_sha256"] != pair["change"]["report_sha256"]:
         return (f"report_sha256 differs: parent {pair['parent']['report_sha256']}, "
                 f"change {pair['change']['report_sha256']}")
     return None
@@ -137,15 +130,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--allow-report-change", action="store_true",
-                        help="count a pair whose report_sha256 differs when both "
-                             "sides are correct git checkouts")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    report = {"pairs": PAIRS, "seconds": seconds,
-              "allow_report_change": args.allow_report_change, "workloads": {}}
+    report = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for p in range(PAIRS):
@@ -155,7 +144,7 @@ def main(argv=None) -> int:
                     for side in order}
             print(workload, seed, {side: pair[side]["metrics"]["trials_per_s"] for side in order},
                   file=sys.stderr, flush=True)
-            problem = pair_problem(pair, args.allow_report_change)
+            problem = pair_problem(pair)
             if problem:
                 print(f"{workload} seed {seed}: {problem}", file=sys.stderr)
                 return 1

@@ -851,16 +851,19 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
-def _evaluate(cases: list, stack, height: int, tol: float) -> list:
+def _evaluate(cases: list, draw: list, height: int, tol: float) -> list:
     """(m, n, columns) of each of cases on one draw of a shape group, case i
     on its rows [i * height, (i + 1) * height): every part column, for all
     its trials at once.  The slacks of every psd-slack and ppt-of-derived
     case among them are decided together by one _psd_cols call.
 
-    While that verdict runs, its stack is the only copy of the draw's
-    slacks: no name here keeps a slack, and _psd_cols frees each once
-    copied.  The draw is dropped before the call, so a caller that passes
-    it unnamed frees it there too."""
+    draw is a one-element list holding the draw's stack, which _evaluate
+    takes out of it, so that no argument of the call keeps the stack alive
+    (CPython 3.10 holds a call's arguments until it returns, and so does a
+    wrapper that holds *args).  While the verdict runs, its stack is the
+    only copy of the draw's slacks: no name here keeps a slack, _psd_cols
+    frees each once copied, and the draw is dropped before the call."""
+    stack = draw.pop()
     m, n = _dims(stack)
     payload = INPUT_CLASSES[cases[0].input_class].payload(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
@@ -968,7 +971,7 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     if not isinstance(instance, _Row):
         check_tol(tol)
         one_trial = require_instance(REGISTRY[case_id].input_class, _each(instance, _one), tol)
-        instance = _rows(_decided(_evaluate([REGISTRY[case_id]], one_trial, 1, tol))[0])[0]
+        instance = _rows(_decided(_evaluate([REGISTRY[case_id]], [one_trial], 1, tol))[0])[0]
     return _new(SlackReport, (case_id, seed) + instance)
 
 
@@ -1088,11 +1091,8 @@ def _decided_groups(case_ids: list, config: RunConfig):
             per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
             evaluated.append([])
             for b in range(0, len(cases), per_draw):
-                # Passed unnamed, the draw is freed before _evaluate's verdict.
-                evaluated[-1] += _evaluate(
-                    cases[b:b + per_draw],
-                    make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel()),
-                    len(t), config.tol)
+                draw = [make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())]
+                evaluated[-1] += _evaluate(cases[b:b + per_draw], draw, len(t), config.tol)
         for i, case_id in enumerate(case_ids):
             decided = _decided([group[i] for group in evaluated])
             for (_, _, t, seeds), columns in zip(groups, decided):
@@ -1215,7 +1215,7 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
                               _chunk_trials("psd", dims)):
             for m, n, t, (group_seeds,) in groups:
                 [(_, _, [(_, witnesses, holds)])] = _evaluate(
-                    [residual], _gen("psd", m, n, group_seeds), len(t), tol)
+                    [residual], [_gen("psd", m, n, group_seeds)], len(t), tol)
                 arr[t], seeds[t] = witnesses, group_seeds
                 sanity_violations += holds.count(False)
         counts, edges = np.histogram(arr, bins=_SCAN_BINS)

@@ -1,5 +1,4 @@
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -28,46 +27,6 @@ def test_matching_correct_pair_counts():
 ])
 def test_mismatched_or_incorrect_pair_is_refused(pair, words):
     assert words in bench_pairs.pair_problem(pair)
-
-
-@pytest.mark.parametrize("allow", [False, True])
-def test_report_change_counts_only_with_the_flag(allow):
-    pair = {"parent": _run(), "change": _run("b" * 64)}
-    problem = bench_pairs.pair_problem(pair, allow_report_change=allow)
-    assert (problem is None) if allow else ("report_sha256 differs" in problem)
-
-
-@pytest.mark.parametrize("pair, words", [
-    ({"parent": _run(correct=False), "change": _run("b" * 64)}, "parent run is not correct"),
-    ({"parent": _run(), "change": _run("b" * 64, correct=False)}, "change run is not correct"),
-    ({"parent": _run(env={"git_sha": None}), "change": _run("b" * 64)},
-     "parent is not a git checkout"),
-    ({"parent": _run(), "change": _run("b" * 64, env={"git_sha": None})},
-     "change is not a git checkout"),
-])
-def test_report_change_flag_still_refuses_incorrect_or_non_git_sides(pair, words):
-    assert words in bench_pairs.pair_problem(pair, allow_report_change=True)
-
-
-def test_bench_file_records_the_flag(monkeypatch, tmp_path):
-    """main writes allow_report_change at the top level of the BENCH file,
-    and without the flag stops at a pair whose report hashes differ."""
-    hashes = iter(["a" * 64, "b" * 64] * bench_pairs.PAIRS * 8)
-
-    def run_once(checkout, workload, seed, seconds):
-        run = _run(next(hashes))
-        run["metrics"] = {"trials_per_s": 1.0, "setup_s": 1.0, "cpu_s": 1.0, "peak_rss_mb": 1.0}
-        return run
-
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    out = tmp_path / "bench.json"
-    args = ["--parent", "p", "--change", "c", "--out", str(out)]
-    assert bench_pairs.main(args) == 1 and not out.exists()
-    assert bench_pairs.main(args + ["--allow-report-change"]) == 0
-    report = json.loads(out.read_text())
-    assert report["allow_report_change"] is True
-    assert set(report["workloads"]) == {w["name"] for w in json.loads(
-        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]}
 
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]

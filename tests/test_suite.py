@@ -307,7 +307,7 @@ def test_one_evaluation_of_int64_and_object_groups_equals_the_oracle():
     assert [suite._ck_sums(x).dtype for x in stacks] == [np.int64, object, np.int64]
     for case_id, gaps in CK_GAPS.items():
         entries = [entry for x in stacks
-                   for entry in suite._evaluate([REGISTRY[case_id]], x, len(x), 0.0)]
+                   for entry in suite._evaluate([REGISTRY[case_id]], [x], len(x), 0.0)]
         assert all(isinstance(columns, suite._Exact) for _, _, columns in entries)
         decided = suite._decided(entries)
         assert [(m, n) for m, n, _ in decided] == [(2, 3), (2, 2), (3, 1)]
@@ -515,8 +515,8 @@ def test_tied_worst_in_engine_columns_goes_to_earliest_trial(monkeypatch):
         drawn.append(seeds.tolist())
         return make(case_id, m, n, seeds)
 
-    def tied(cases, stack, height, tol):
-        [(m, n, columns)] = evaluate(cases, stack, height, tol)
+    def tied(cases, draw, height, tol):
+        [(m, n, columns)] = evaluate(cases, draw, height, tol)
         witnesses = [1.0 if seed == first else 0.0 for seed in drawn.pop()]
         return [(m, n, [(label, witnesses, holds) for label, _, holds in columns])]
 
@@ -1124,7 +1124,7 @@ def test_every_case_has_part_columns():
         for m, n in DIMS_1_4:
             stack = make_instance(case_id, m, n, seeds)
             [(_, _, columns)] = suite._decided(
-                suite._evaluate([REGISTRY[case_id]], stack, len(seeds), suite.PSD_TOL))
+                suite._evaluate([REGISTRY[case_id]], [stack], len(seeds), suite.PSD_TOL))
             assert columns, (case_id, m, n)
             assert all(len(w) == len(h) == len(seeds) for _, w, h in columns), (case_id, m, n)
 
