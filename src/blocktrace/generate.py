@@ -24,14 +24,20 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not (is_int(self.m) and is_int(self.n)) or self.m < 1 or self.n < 1:
-            raise ValueError(f"dimensions must be positive integers, got {self.m!r}x{self.n!r}")
+        check_draw(self.m, self.n, self.seed)
         if self.rank is not None and not (is_int(self.rank) and 1 <= self.rank <= self.m * self.n):
             raise ValueError(f"rank {self.rank!r} out of range for size {self.m * self.n}")
-        if isinstance(self.seed, np.ndarray):
-            _check_seed_array(self.seed)
-        else:
-            check_seed(self.seed)
+
+
+def check_draw(m, n, seed) -> None:
+    """ValueError unless m and n are positive integers and seed is a seed
+    (check_seed) or a 1-D array of them: the arguments of every draw."""
+    if not (is_int(m) and is_int(n)) or m < 1 or n < 1:
+        raise ValueError(f"dimensions must be positive integers, got {m!r}x{n!r}")
+    if isinstance(seed, np.ndarray):
+        _check_seed_array(seed)
+    else:
+        check_seed(seed)
 
 
 def _check_seed_array(seeds: np.ndarray) -> None:

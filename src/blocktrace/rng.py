@@ -11,6 +11,8 @@ seed i alone, so a whole stack of trials costs one set of numpy calls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GAMMA_INT = 0x9E3779B97F4A7C15
@@ -61,9 +63,8 @@ def _seed_words(seed) -> np.ndarray:
 def splitmix64(seed, start: int, count: int) -> np.ndarray:
     """Raw words at counters [start, start+count) for the given seed; a seed
     array gives one row of words per seed."""
-    with np.errstate(over="ignore"):
-        counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix(_seed_words(seed) + counters * GAMMA)
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _mix(_seed_words(seed) + counters * GAMMA)
 
 
 def _token_bytes(tok) -> bytes:
@@ -154,7 +155,7 @@ class Stream:
     def complex_gaussians(self, shape) -> np.ndarray:
         """Matrix of independent standard complex Gaussians (re, im ~ N(0,1))."""
         shape = tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         return complex_normals(self.doubles(2 * count)).reshape(self.batch + shape)
 
     def integers(self, low: int, high: int, shape) -> np.ndarray:
@@ -165,7 +166,7 @@ class Stream:
         if high < low:
             raise ValueError("empty integer range")
         shape = tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         span = np.uint64(high - low + 1)
         vals = (self.words(count) % span).astype(np.int64) + low
         return vals.reshape(self.batch + shape)

@@ -30,7 +30,7 @@ from .blocks import (
     partial_trace_2,
     partial_transpose,
 )
-from .generate import GenSpec, gen, ginibre
+from .generate import GenSpec, check_draw, gen, ginibre
 from .linalg import hermitian_eigvals  # noqa: F401  (kept as suite.hermitian_eigvals)
 from .linalg import (eigvals_descending, hermitian_eigvals_stack, matrix_abs_stack,
                      pad_sorted, require_hermitian, scale_stack, singular_values_stack)
@@ -818,9 +818,12 @@ INPUT_CLASSES = {
 
 
 def _draw_at(input_class: str, m: int, n: int, seed):
-    """The input class's instance at dims (m, n): its draw at their shape."""
+    """The input class's instance at dims (m, n): its draw at their shape,
+    whose arguments are checked as gen checks a GenSpec's (check_draw)."""
     row = INPUT_CLASSES[input_class]
-    return row.draw(*row.shape(m, n), seed)
+    shape = row.shape(m, n)
+    check_draw(*shape, seed)
+    return row.draw(*shape, seed)
 
 
 def _nbytes_at(input_class: str, m: int, n: int) -> int:
@@ -831,7 +834,8 @@ def _nbytes_at(input_class: str, m: int, n: int) -> int:
 
 def make_instance(case_id: str, m: int, n: int, seed):
     """Instance of the case's input class at the given dims; a 1-D array of
-    seeds gives every seed's instance stacked along a leading trial axis."""
+    seeds gives every seed's instance stacked along a leading trial axis.
+    ValueError where gen would refuse the class's shape dims or the seed."""
     return _draw_at(REGISTRY[case_id].input_class, m, n, seed)
 
 
@@ -1066,74 +1070,63 @@ def _groups(base: int, tokens, dims, trials: int, step: int, shape=_own_dims):
                for (m, n), start, end in zip(members, [0] + ends, ends) if start < end]
 
 
-def _decided_groups(case_ids: list, config: RunConfig):
-    """(case_id, t, seeds, columns) of each of case_ids, requested cases of
-    one input class, in every shape group of every chunk: the group's trial
-    indices and the case's seeds for them, as lists, and _evaluate's
-    (m, n, columns) of the case on them.
+def _class_entries(case_ids: list, config: RunConfig) -> dict:
+    """The entry of each of case_ids, requested cases of one input class.
 
-    In each shape group of a chunk, the cases' seed rows are drawn by one
-    make_instance call, and one _evaluate call checks every case on its
-    own rows of that stack, with one merged PSD verdict for their slacks.
-    A draw holds the rows of at most _CHUNK_BYTES // (nbytes * chunk)
-    cases, so its bytes are the group's fraction of the chunk's trials
-    times _CHUNK_BYTES, and many cases split into several draws.  At the
-    chunk's end, _decided finishes each case's groups at once: an
-    exact-integer case's gaps are evaluated once on all its groups."""
+    In each shape group of every chunk (_groups), the cases' seed rows are
+    drawn by one make_instance call, and one _evaluate call checks every
+    case on its own rows of that stack, with one merged PSD verdict for
+    their slacks.  A draw holds the rows of at most
+    _CHUNK_BYTES // (nbytes * chunk) cases, so its bytes are the group's
+    fraction of the chunk's trials times _CHUNK_BYTES, and many cases split
+    into several draws.  At the chunk's end, case by case, _decided
+    finishes the case's groups at once (an exact-integer case's gaps are
+    evaluated once on all its groups); check_case makes every trial's
+    report from its _rows row, and maps, sum and min aggregate the case's
+    run of each group.  A trial's worst_dims is its configured dims,
+    config.dims[t % len(dims)], whatever shape its group was drawn at."""
     name = REGISTRY[case_ids[0]].input_class
     input_class, cases = INPUT_CLASSES[name], [REGISTRY[c] for c in case_ids]
-    step = _chunk_trials(name, config.dims)
+    dims, tol = config.dims, config.tol
+    step = _chunk_trials(name, dims)
     chunk = min(step, config.trials)  # the trials of a full chunk
-    for groups in _groups(config.seed, case_ids, config.dims, config.trials, step,
-                          input_class.shape):
+    # Per case: trials, failures, premise misses, worst witness, its trial
+    # and seed.
+    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
+    for groups in _groups(config.seed, case_ids, dims, config.trials, step, input_class.shape):
         evaluated = []  # per group, every case's (m, n, columns)
         for m, n, t, seeds in groups:
             per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
             evaluated.append([])
             for b in range(0, len(cases), per_draw):
                 draw = [make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())]
-                evaluated[-1] += _evaluate(cases[b:b + per_draw], draw, len(t), config.tol)
+                evaluated[-1] += _evaluate(cases[b:b + per_draw], draw, len(t), tol)
         for i, case_id in enumerate(case_ids):
+            trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
             decided = _decided([group[i] for group in evaluated])
             for (_, _, t, seeds), columns in zip(groups, decided):
-                yield case_id, t.tolist(), seeds[i].tolist(), columns
-
-
-def _class_entries(case_ids: list, config: RunConfig) -> dict:
-    """The entry of each of case_ids, requested cases of one input class.
-
-    Case by case and group by group (_decided_groups), check_case makes
-    every trial's report from its _rows row, and maps, sum and min
-    aggregate the case's run of the group.  A trial's worst_dims is its
-    configured dims, config.dims[t % len(dims)], whatever shape its group
-    was drawn at."""
-    dims, tol = config.dims, config.tol
-    # Per case: trials, failures, premise misses, worst witness, its trial
-    # and seed.
-    totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
-    for case_id, t, case_seeds, group in _decided_groups(case_ids, config):
-        trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
-        height = len(t)
-        reports = list(map(check_case, repeat(case_id), _rows(group), repeat(tol), case_seeds))
-        trials += height
-        misses += sum(map(_misses, reports))
-        # SlackReport.holds and .witness of each report, on parts read
-        # once; a report without parts holds and is skipped.
-        parts = list(map(_parts, reports))
-        failures += height - sum(map(all, map(map, repeat(_holds), parts)))
-        kept = range(height)
-        if not all(parts):
-            kept = list(compress(kept, parts))
-            parts = list(filter(None, parts))
-        if parts:
-            witnesses = list(map(min, map(map, repeat(_witness), parts)))
-            witness = min(witnesses)
-            # The first least witness in trial order.  Groups arrive out
-            # of trial order; a tie stays with the earliest trial.
-            j = kept[witnesses.index(witness)]
-            if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
-                worst, worst_t, worst_seed = witness, t[j], case_seeds[j]
-        totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed
+                t, case_seeds, height = t.tolist(), seeds[i].tolist(), len(t)
+                reports = list(map(check_case, repeat(case_id), _rows(columns), repeat(tol),
+                                   case_seeds))
+                trials += height
+                misses += sum(map(_misses, reports))
+                # SlackReport.holds and .witness of each report, on parts
+                # read once; a report without parts holds and is skipped.
+                parts = list(map(_parts, reports))
+                failures += height - sum(map(all, map(map, repeat(_holds), parts)))
+                kept = range(height)
+                if not all(parts):
+                    kept = list(compress(kept, parts))
+                    parts = list(filter(None, parts))
+                if parts:
+                    witnesses = list(map(min, map(map, repeat(_witness), parts)))
+                    witness = min(witnesses)
+                    # The first least witness in trial order.  Groups arrive
+                    # out of trial order; a tie stays with the earliest trial.
+                    j = kept[witnesses.index(witness)]
+                    if worst is None or witness < worst or (witness == worst and t[j] < worst_t):
+                        worst, worst_t, worst_seed = witness, t[j], case_seeds[j]
+            totals[case_id] = trials, failures, misses, worst, worst_t, worst_seed
     return {case_id: {"trials": trials, "failures": failures, "premise_misses": misses,
                       "worst_witness": worst, "worst_seed": worst_seed,
                       "worst_dims": None if worst_t is None else

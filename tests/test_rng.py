@@ -3,8 +3,13 @@ words guard against silent drift in the mixing constants or the counter
 layout."""
 
 import numpy as np
+import pytest
 
 from blocktrace.rng import Stream, box_muller, derive_seed, splitmix64
+
+# uint64 wraparound is the mixer's arithmetic: any overflow warning that an
+# rng path lets through fails here.
+pytestmark = pytest.mark.filterwarnings("error")
 
 # reference vector for the 64-bit mixer at seed 0
 GOLDEN_SEED0 = [
@@ -94,6 +99,12 @@ def test_derive_seed_golden():
     assert derive_seed(42, "ando", 0) == 5152479815633439501
     assert derive_seed(42, "ando", 1) == 8770110154575268770
     assert derive_seed(0, "x") == 3964739607747407278
+
+
+def test_derive_seed_of_a_0d_array_token_is_its_int_token_seed_without_warning():
+    # A 0-d array's bytes fold as numpy scalars, whose multiply warns on
+    # the wraparound that arrays take silently.
+    assert derive_seed(7, "x", np.array(5)) == derive_seed(7, "x", 5) == 7465904087255601685
 
 
 def test_derive_seed_sensitivity():

@@ -398,6 +398,17 @@ def test_seed_bounds_and_seed_arrays_are_accepted():
     GenSpec("psd", seed=np.array([0, 2**64 - 1], dtype=np.uint64))
 
 
+@pytest.mark.parametrize("name", list(INPUT_CLASSES))
+def test_make_instance_refuses_what_gen_refuses_for_every_input_class(name):
+    case_id = next(c for c, case in REGISTRY.items() if case.input_class == name)
+    for seed in (-1, 1.5, True, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            make_instance(case_id, 2, 2, seed)
+    assert INPUT_CLASSES[name].shape(2, 0)[1] == 0
+    with pytest.raises(ValueError, match="dimensions"):
+        make_instance(case_id, 2, 0, 1)
+
+
 @pytest.mark.parametrize("bad", [(2, 0), (0, 2), (-1, 3), (2, 2.0), (2,), (2, 2, 2)])
 def test_dims_must_be_pairs_of_positive_integers(bad):
     for case_id in ("ando", "lem38-eigen", "abs-block-corollary"):
