@@ -221,7 +221,7 @@ class Derived:
 
 def _blocks_2x2(a: BlockMatrix):
     """(A, B, C) of a 2x2 block instance [[A, B], [B*, C]]; its callers get
-    only instances of 2 blocks (require_shape)."""
+    only instances of 2 blocks (require_instance)."""
     return a.block(0, 0), a.block(0, 1), a.block(1, 1)
 
 
@@ -420,24 +420,24 @@ def _ck(gaps, sums: np.ndarray, tol) -> _Exact:
 
 
 def _decided(entries: list) -> list:
-    """entries, one case's (m, n, columns) of _evaluate on several shape
-    groups, with an exact-integer case's _Exact made its columns: each gap
+    """entries, one case's columns of _evaluate on several shape groups,
+    with an exact-integer case's _Exact made its columns: each gap
     evaluated once on the sums of all the groups, with one .tolist() per
     column, and each group's columns its slice.  A gap is an integer
     expression in the row's own m and n, so groups of any dims, int64 or
     Python-int sums, share one evaluation.  Other entries are returned as
     they are."""
-    if not isinstance(entries[0][2], _Exact):
+    if not isinstance(entries[0], _Exact):
         return entries
-    sums = np.concatenate([exact.sums for _, _, exact in entries]).T
+    sums = np.concatenate([exact.sums for exact in entries]).T
     columns = []
-    for label, gap in entries[0][2].gaps:
+    for label, gap in entries[0].gaps:
         g = gap(*sums)
         columns.append((label, g.astype(np.float64).tolist(), (g >= 0).tolist()))
     decided, lo = [], 0
-    for m, n, exact in entries:
+    for exact in entries:
         hi = lo + len(exact.sums)
-        decided.append((m, n, [(label, w[lo:hi], h[lo:hi]) for label, w, h in columns]))
+        decided.append([(label, w[lo:hi], h[lo:hi]) for label, w, h in columns])
         lo = hi
     return decided
 
@@ -778,7 +778,7 @@ class InputClass:
     shape(m, n) is the shape of the instance at dims (m, n): the only dims
     that draw and nbytes see, so the engine draws the trials of dims with
     one shape together.  shape(*shape(m, n)) is shape(m, n), and an input
-    whose dims are not a shape is refused (require_shape).
+    whose dims are not a shape is refused (require_instance).
     draw(m, n, seed) is the seeded instance of shape (m, n); a 1-D seed
     array gives every seed's instance stacked along a leading trial axis.
     load(obj) parses the JSON object of one instance, in serialize's format
@@ -855,20 +855,17 @@ def build_slack(case_id: str, instance):
     return [(label, _herm(s)) for label, s in case.fn(Derived(instance))]
 
 
-def _evaluate(cases: list, draw: list, height: int, tol: float) -> list:
-    """(m, n, columns) of each of cases on one draw of a shape group, case i
-    on its rows [i * height, (i + 1) * height): every part column, for all
-    its trials at once.  The slacks of every psd-slack and ppt-of-derived
-    case among them are decided together by one _psd_cols call.
+def _evaluate(cases: list, draw: Callable, height: int, tol: float) -> list:
+    """The columns of each of cases on the stack draw() makes, case i on its
+    rows [i * height, (i + 1) * height): every part column, for all its
+    trials at once.  The slacks of every psd-slack and ppt-of-derived case
+    among them are decided together by one _psd_cols call.
 
-    draw is a one-element list holding the draw's stack, which _evaluate
-    takes out of it, so that no argument of the call keeps the stack alive
-    (CPython 3.10 holds a call's arguments until it returns, and so does a
-    wrapper that holds *args).  While the verdict runs, its stack is the
-    only copy of the draw's slacks: no name here keeps a slack, _psd_cols
-    frees each once copied, and the draw is dropped before the call."""
-    stack = draw.pop()
-    m, n = _dims(stack)
+    The stack is made here, so no caller holds it.  While the verdict runs,
+    its stack is the only copy of the draw's slacks: no name here keeps a
+    slack, _psd_cols frees each once copied, and the draw is dropped before
+    the call."""
+    stack = draw()
     payload = INPUT_CLASSES[cases[0].input_class].payload(stack)
     columns, slacks = [], []  # per case, its columns or its count of slacks
     for i, case in enumerate(cases):
@@ -881,7 +878,7 @@ def _evaluate(cases: list, draw: list, height: int, tol: float) -> list:
             columns.append(case.fn(Derived(own) if isinstance(own, BlockMatrix) else own, tol))
     del stack, payload, own
     decided = iter(_psd_cols(slacks, height, tol) if slacks else ())
-    return [(m, n, list(islice(decided, c)) if isinstance(c, int) else c) for c in columns]
+    return [list(islice(decided, c)) if isinstance(c, int) else c for c in columns]
 
 
 def _dims(instance) -> tuple:
@@ -894,14 +891,6 @@ def _dims(instance) -> tuple:
     return np.shape(instance)[-2:]
 
 
-def require_shape(input_class: str, instance) -> None:
-    """ValueError unless the dims of the instance, or of a stack of them,
-    are a shape of the input class: shape(*dims) == dims."""
-    dims = _dims(instance)
-    if INPUT_CLASSES[input_class].shape(*dims) != dims:
-        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
-
-
 def require_instance(input_class: str, instance, tol: float = PSD_TOL):
     """The instance check_case, build_slack and `case --input` evaluate: a
     block matrix's Hermitian part, exact as every draw is, or the instance
@@ -912,7 +901,9 @@ def require_instance(input_class: str, instance, tol: float = PSD_TOL):
     tight tol does not refuse its rank-deficient draws on rounding."""
     if isinstance(instance, tuple) and np.shape(instance[0]) != np.shape(instance[1]):
         raise ValueError("the two factors of the pair differ in shape")
-    require_shape(input_class, instance)
+    dims = _dims(instance)
+    if INPUT_CLASSES[input_class].shape(*dims) != dims:
+        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
     if isinstance(instance, BlockMatrix):
         instance = BlockMatrix(instance.m, instance.n, _herm(require_hermitian(instance.dense)))
     problem = INPUT_CLASSES[input_class].problem(instance, max(tol, PSD_TOL))
@@ -947,13 +938,12 @@ class _Row(NamedTuple):
     premise_misses: int
 
 
-def _rows(evaluated) -> list:
-    """The _Row of every trial of one case's (m, n, columns) from _evaluate.
+def _rows(m: int, n: int, columns: list) -> list:
+    """The _Row of every trial of one case's columns from _evaluate at dims (m, n).
 
     Each column becomes its trials' Parts in one map, and zip turns the
     columns into per-trial tuples.  Only a case with absent parts (holds
     None, a premise miss) is filtered trial by trial."""
-    m, n, columns = evaluated
     trials = zip(*[map(_new, repeat(Part), zip(repeat(label), witnesses, holds))
                    for label, witnesses, holds in columns])
     if any(None in holds for _, _, holds in columns):
@@ -975,7 +965,8 @@ def check_case(case_id: str, instance, tol: float = PSD_TOL, seed: int = 0) -> S
     if not isinstance(instance, _Row):
         check_tol(tol)
         one_trial = require_instance(REGISTRY[case_id].input_class, _each(instance, _one), tol)
-        instance = _rows(_decided(_evaluate([REGISTRY[case_id]], [one_trial], 1, tol))[0])[0]
+        columns = _decided(_evaluate([REGISTRY[case_id]], lambda: one_trial, 1, tol))[0]
+        instance = _rows(*_dims(one_trial), columns)[0]
     return _new(SlackReport, (case_id, seed) + instance)
 
 
@@ -1094,20 +1085,20 @@ def _class_entries(case_ids: list, config: RunConfig) -> dict:
     # and seed.
     totals = dict.fromkeys(case_ids, (0, 0, 0, None, None, None))
     for groups in _groups(config.seed, case_ids, dims, config.trials, step, input_class.shape):
-        evaluated = []  # per group, every case's (m, n, columns)
+        evaluated = []  # per group, every case's columns
         for m, n, t, seeds in groups:
             per_draw = max(1, _CHUNK_BYTES // (input_class.nbytes(m, n) * chunk))
             evaluated.append([])
             for b in range(0, len(cases), per_draw):
-                draw = [make_instance(case_ids[b], m, n, seeds[b:b + per_draw].ravel())]
+                draw = partial(make_instance, case_ids[b], m, n, seeds[b:b + per_draw].ravel())
                 evaluated[-1] += _evaluate(cases[b:b + per_draw], draw, len(t), tol)
         for i, case_id in enumerate(case_ids):
             trials, failures, misses, worst, worst_t, worst_seed = totals[case_id]
             decided = _decided([group[i] for group in evaluated])
-            for (_, _, t, seeds), columns in zip(groups, decided):
+            for (m, n, t, seeds), columns in zip(groups, decided):
                 t, case_seeds, height = t.tolist(), seeds[i].tolist(), len(t)
-                reports = list(map(check_case, repeat(case_id), _rows(columns), repeat(tol),
-                                   case_seeds))
+                reports = list(map(check_case, repeat(case_id), _rows(m, n, columns),
+                                   repeat(tol), case_seeds))
                 trials += height
                 misses += sum(map(_misses, reports))
                 # SlackReport.holds and .witness of each report, on parts
@@ -1207,8 +1198,8 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
         for groups in _groups(seed, ("open-question-scan",), dims, trials,
                               _chunk_trials("psd", dims)):
             for m, n, t, (group_seeds,) in groups:
-                [(_, _, [(_, witnesses, holds)])] = _evaluate(
-                    [residual], [_gen("psd", m, n, group_seeds)], len(t), tol)
+                [[(_, witnesses, holds)]] = _evaluate(
+                    [residual], partial(_gen, "psd", m, n, group_seeds), len(t), tol)
                 arr[t], seeds[t] = witnesses, group_seeds
                 sanity_violations += holds.count(False)
         counts, edges = np.histogram(arr, bins=_SCAN_BINS)

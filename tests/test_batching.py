@@ -388,8 +388,10 @@ def test_eq18_slack_matches_kron_formula(n):
 def _group_reports(case_id, m, n, seeds, tol=suite.PSD_TOL):
     """check_case on every row of one stacked evaluation of the dims group."""
     stacked = make_instance(case_id, m, n, seeds)
-    [group] = suite._decided(suite._evaluate([REGISTRY[case_id]], [stacked], len(seeds), tol))
-    return stacked, [check_case(case_id, suite._rows(group)[j], tol, seed)
+    [columns] = suite._decided(suite._evaluate([REGISTRY[case_id]], lambda: stacked, len(seeds),
+                                               tol))
+    rows = suite._rows(*suite._dims(stacked), columns)
+    return stacked, [check_case(case_id, rows[j], tol, seed)
                      for j, seed in enumerate(seeds.tolist())]
 
 
@@ -418,11 +420,11 @@ def test_row_reports_equal_public_constructors(case_id):
     seeds = np.array([0, 1, 5, BIG], dtype=np.uint64)
     for m, n in DIMS_1_3:
         stacked = make_instance(case_id, m, n, seeds)
-        [group] = suite._decided(suite._evaluate([REGISTRY[case_id]], [stacked], len(seeds),
-                                                 suite.PSD_TOL))
-        gm, gn, columns = group
+        [columns] = suite._decided(suite._evaluate([REGISTRY[case_id]], lambda: stacked,
+                                                   len(seeds), suite.PSD_TOL))
+        gm, gn = suite._dims(stacked)
         for j, seed in enumerate(seeds.tolist()):
-            report = check_case(case_id, suite._rows(group)[j], suite.PSD_TOL, seed)
+            report = check_case(case_id, suite._rows(gm, gn, columns)[j], suite.PSD_TOL, seed)
             parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns if h[j] is not None)
             want = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
             assert type(report) is SlackReport and report == want and repr(report) == repr(want)
@@ -487,13 +489,13 @@ def _reference_entries(config: RunConfig) -> dict:
         for groups in suite._groups(config.seed, (case_id,), config.dims, config.trials,
                                     max(1, config.trials)):
             for m, n, t, (seeds,) in groups:
-                stacked = make_instance(case_id, m, n, seeds)
-                [(gm, gn, columns)] = suite._decided(suite._evaluate(
-                    [REGISTRY[case_id]], [stacked], len(t), config.tol))
+                [columns] = suite._decided(suite._evaluate(
+                    [REGISTRY[case_id]], lambda: make_instance(case_id, m, n, seeds), len(t),
+                    config.tol))
                 for j, (tj, seed) in enumerate(zip(t.tolist(), seeds.tolist())):
                     parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns
                                   if h[j] is not None)
-                    report = SlackReport(case_id, seed, gm, gn, parts, len(columns) - len(parts))
+                    report = SlackReport(case_id, seed, m, n, parts, len(columns) - len(parts))
                     trials += 1
                     misses += report.premise_misses
                     if not parts:
@@ -597,15 +599,15 @@ def test_rows_with_absent_parts_equal_a_per_trial_build():
     columns = [("a", [0.5, -1.0, 0.0, 2.0], [True, False, None, None]),
                ("b", [-0.0, 3.0, 1.0, 4.0], [None, True, True, None]),
                ("c", [1.0, 2.0, -3.0, 5.0], [True, True, False, True])]
-    rows = suite._rows((2, 3, columns))
+    rows = suite._rows(2, 3, columns)
     for j, row in enumerate(rows):
         parts = tuple(Part(label, w[j], h[j]) for label, w, h in columns if h[j] is not None)
         assert type(row) is suite._Row and row == (2, 3, parts, len(columns) - len(parts))
         assert [type(p) for p in row.parts] == [Part] * len(parts)
     assert [row.premise_misses for row in rows] == [1, 0, 1, 2]
     assert _witness_bits(rows[0].parts[0].witness) == _witness_bits(0.5)
-    assert suite._rows((1, 1, [("a", [-0.0], [None])])) == [(1, 1, (), 1)]
-    assert suite._rows((1, 1, [("a", [-0.0], [True])]))[0].parts == (Part("a", -0.0, True),)
+    assert suite._rows(1, 1, [("a", [-0.0], [None])]) == [(1, 1, (), 1)]
+    assert suite._rows(1, 1, [("a", [-0.0], [True])])[0].parts == (Part("a", -0.0, True),)
 
 
 @pytest.mark.parametrize("input_class", sorted(suite.INPUT_CLASSES))
@@ -627,10 +629,9 @@ MIXED_DRAWS = {
 }
 
 
-def _column_bits(evaluated) -> tuple:
+def _column_bits(columns) -> list:
     """An _evaluate entry with each witness column as its bits."""
-    m, n, columns = evaluated
-    return m, n, [(label, _bits(w), h) for label, w, h in columns]
+    return [(label, _bits(w), h) for label, w, h in columns]
 
 
 @pytest.mark.parametrize("height", [1, 3])
@@ -654,7 +655,8 @@ def test_one_evaluate_call_equals_one_call_per_case(monkeypatch, input_class, he
             seeds = [derive_seed(base, c, np.arange(height)) for c in cases]
             stack = make_instance(cases[0], m, n, np.concatenate(seeds))
             calls.clear()
-            got = suite._evaluate([REGISTRY[c] for c in cases], [stack], height, suite.PSD_TOL)
+            got = suite._evaluate([REGISTRY[c] for c in cases], lambda: stack, height,
+                                  suite.PSD_TOL)
             # One call for the slacks of every slack case, and hiroshima's
             # own call for its premises.
             merged = [label for c in cases if REGISTRY[c].check_kind in suite._SLACK_KINDS
@@ -663,10 +665,10 @@ def test_one_evaluate_call_equals_one_call_per_case(monkeypatch, input_class, he
                 "hiroshima-conditional" in cases))
             assert len(got) == len(cases)
             for case_id, case_seeds, entry in zip(cases, seeds, got):
-                [want] = suite._evaluate([REGISTRY[case_id]], [make_instance(
-                    case_id, m, n, case_seeds)], height, suite.PSD_TOL)
+                [want] = suite._evaluate([REGISTRY[case_id]], lambda: make_instance(
+                    case_id, m, n, case_seeds), height, suite.PSD_TOL)
                 assert _column_bits(entry) == _column_bits(want), (case_id, m, n, base)
-                misses += sum(h is None for _, _, holds in entry[2] for h in holds)
+                misses += sum(h is None for _, _, holds in entry for h in holds)
     assert (misses > 0) == ("hiroshima-conditional" in cases)
 
 
