@@ -12,6 +12,7 @@ seed i alone, so a whole stack of trials costs one set of numpy calls.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -93,11 +94,11 @@ def derive_seed(base: int, *tokens):
     derive_seed(base, ..., tokens[-2][k], array), all folded at once."""
     last = tokens[-1] if tokens else None
     if not isinstance(last, np.ndarray):
-        return _absorb(base & _MASK64, tokens)
+        return _absorb(operator.index(base) & _MASK64, tokens)
     if last.dtype.kind not in "iu" or (last.size and last.min() < 0):
         raise TypeError("an array token must hold non-negative integers")
     table = len(tokens) > 1 and isinstance(tokens[-2], list)
-    h = _absorb(base & _MASK64, tokens[:-2] if table else tokens[:-1])
+    h = _absorb(operator.index(base) & _MASK64, tokens[:-2] if table else tokens[:-1])
     values = last.astype(np.uint64)
     heads = [_absorb(h, (tok,)) for tok in tokens[-2]] if table else h
     # Unit axes for the values' axes; the first round broadcasts them out.

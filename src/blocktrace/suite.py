@@ -826,6 +826,13 @@ def _draw_at(input_class: str, m: int, n: int, seed):
     return row.draw(*shape, seed)
 
 
+@_constant
+def _instance_type(input_class: str) -> type:
+    """The type of the input class's instances: BlockMatrix, ndarray or a
+    pair's tuple, read off its draw at 1x1."""
+    return type(_draw_at(input_class, 1, 1, 0))
+
+
 def _nbytes_at(input_class: str, m: int, n: int) -> int:
     """The bytes of one instance of the input class at dims (m, n)."""
     row = INPUT_CLASSES[input_class]
@@ -895,17 +902,27 @@ def require_instance(input_class: str, instance, tol: float = PSD_TOL):
     """The instance check_case, build_slack and `case --input` evaluate: a
     block matrix's Hermitian part, exact as every draw is, or the instance
     itself.  ValueError unless it, or every row of a stack of them, is an
-    instance of the input class: a pair's factors of one shape, dims that
-    are a shape of the class, a block matrix finite and Hermitian within
-    HERMITIAN_TOL, and the class's problem None at max(tol, PSD_TOL), so a
-    tight tol does not refuse its rank-deficient draws on rounding."""
-    if isinstance(instance, tuple) and np.shape(instance[0]) != np.shape(instance[1]):
+    instance of the input class: of the type of the class's draws (a
+    BlockMatrix, an array, or a pair of factors of one shape), with dims
+    that are a shape of the class, every float or complex array finite, a
+    block matrix Hermitian within HERMITIAN_TOL, and the class's problem
+    None at max(tol, PSD_TOL), so a tight tol does not refuse its
+    rank-deficient draws on rounding."""
+    kind = _instance_type(input_class)
+    if not isinstance(instance, kind) or kind is tuple and len(instance) != 2:
+        raise ValueError(f"a {input_class} instance is a {kind.__name__}"
+                         f"{' of two factors' if kind is tuple else ''}, "
+                         f"got type {type(instance).__name__}")
+    if kind is tuple and np.shape(instance[0]) != np.shape(instance[1]):
         raise ValueError("the two factors of the pair differ in shape")
     dims = _dims(instance)
-    if INPUT_CLASSES[input_class].shape(*dims) != dims:
-        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
-    if isinstance(instance, BlockMatrix):
+    if len(dims) != 2 or INPUT_CLASSES[input_class].shape(*dims) != dims:
+        raise ValueError(f"a {input_class} instance cannot have dims {'x'.join(map(str, dims))}")
+    if kind is BlockMatrix:  # require_hermitian refuses a non-finite entry
         instance = BlockMatrix(instance.m, instance.n, _herm(require_hermitian(instance.dense)))
+    elif any(x.dtype.kind in "fc" and not np.isfinite(x).all()
+             for x in map(np.asarray, instance if kind is tuple else (instance,))):
+        raise ValueError("input has a non-finite entry")
     problem = INPUT_CLASSES[input_class].problem(instance, max(tol, PSD_TOL))
     if problem is not None:
         raise ValueError(problem)
@@ -992,6 +1009,11 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(dict.fromkeys(self.cases)))  # each id once
+        # Python values, so a report serializes and derive_seed folds them:
+        # a numpy scalar becomes its .item(), and the dims ints (below).
+        for name in ("trials", "seed", "tol"):
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
         if not is_int(self.trials) or self.trials < 0:
             raise ValueError(f"trials must be a non-negative integer, got {self.trials!r}")
         if not self.dims:
@@ -999,6 +1021,7 @@ class RunConfig:
         for item in self.dims:
             if np.shape(item) != (2,) or not all(is_int(k) and k >= 1 for k in item):
                 raise ValueError(f"dims items must be pairs of integers >= 1, got {item!r}")
+        object.__setattr__(self, "dims", tuple((int(m), int(n)) for m, n in self.dims))
         check_seed(self.seed)
         check_tol(self.tol)
         unknown = [c for c in self.cases if c not in REGISTRY]
@@ -1181,7 +1204,8 @@ def open_question_scan(dims, trials: int, seed: int, tol: float = PSD_TOL) -> di
     a RunConfig of the open-question-residual case: ValueError when dims is
     empty, trials is negative or tol is not a finite non-negative number.
     The scan runs with OpenBLAS on one thread, as run_suite does."""
-    dims = RunConfig(("open-question-residual",), tuple(dims), trials, seed, tol).dims
+    config = RunConfig(("open-question-residual",), tuple(dims), trials, seed, tol)
+    dims, trials, seed, tol = config.dims, config.trials, config.seed, config.tol
     residual = REGISTRY["open-question-residual"]
     if not trials:
         return {

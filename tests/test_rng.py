@@ -107,6 +107,19 @@ def test_derive_seed_of_a_0d_array_token_is_its_int_token_seed_without_warning()
     assert derive_seed(7, "x", np.array(5)) == derive_seed(7, "x", 5) == 7465904087255601685
 
 
+@pytest.mark.parametrize("base", [np.uint64(2**63), np.int64(2**62), np.uint8(7)])
+def test_derive_seed_folds_a_numpy_integer_base_as_its_python_int(base):
+    """A numpy integer base folds as the Python int of its value, with no
+    overflow warning and in both the scalar and the array path; a float
+    base is still refused."""
+    assert derive_seed(base, "a") == derive_seed(int(base), "a")
+    assert type(derive_seed(base, "a")) is int
+    t = np.arange(3)
+    assert (derive_seed(base, ["a", "b"], t) == derive_seed(int(base), ["a", "b"], t)).all()
+    with pytest.raises(TypeError):
+        derive_seed(1.0, "a")
+
+
 def test_derive_seed_sensitivity():
     base = derive_seed(1, "case", 0)
     assert derive_seed(1, "case", 1) != base

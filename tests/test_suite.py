@@ -915,6 +915,37 @@ def test_trials_must_be_a_non_negative_integer(trials):
     assert RunConfig(("ando",), ((2, 2),), np.int64(3), 0).trials == 3
 
 
+# (field, numpy value, the Python value a RunConfig stores and reports)
+NUMPY_SCALARS = [("seed", np.int64(5), 5), ("seed", np.uint64(5), 5),
+                 ("trials", np.int64(4), 4), ("tol", np.float32(1e-8), float(np.float32(1e-8))),
+                 ("tol", np.float64(0.0), 0.0), ("dims", ((np.int64(2), np.uint8(3)),), ((2, 3),))]
+
+
+@pytest.mark.parametrize("field,value,python", NUMPY_SCALARS,
+                         ids=[f"{f}-{type(np.ravel(v)[0]).__name__}" for f, v, _ in NUMPY_SCALARS])
+def test_a_run_of_numpy_scalars_reports_the_bytes_of_its_python_values(field, value, python):
+    """A RunConfig stores each numpy scalar as its Python value, so the run
+    derives the same seeds and its report serializes to the same bytes as
+    the run of the Python-typed config; the scan takes its arguments back
+    from the RunConfig it builds."""
+    fields = {"cases": ("ando", "ck-lih"), "dims": ((2, 2),), "trials": 3, "seed": 7, "tol": 0}
+    got = RunConfig(**{**fields, field: value})
+    want = RunConfig(**{**fields, field: python})
+    assert repr(got) == repr(want)  # Python values: numpy scalars repr as np.int64(5)
+    assert serialize.dump(run_suite(got)) == serialize.dump(run_suite(want))
+    if field != "dims":
+        args = {"dims": [(2, 3)], "trials": 3, "seed": 7, "tol": 0}
+        scan = open_question_scan(**{**args, field: value})
+        assert serialize.dump(scan) == serialize.dump(open_question_scan(**{**args, field: python}))
+
+
+def test_a_python_typed_run_keeps_its_values():
+    """Python ints and floats are stored as given: tol=0 still reports 0."""
+    config = RunConfig(("ando",), [[2, 2]], 1, 2**64 - 1, 0)
+    assert (config.dims, config.seed, config.tol) == (((2, 2),), 2**64 - 1, 0)
+    assert type(config.tol) is int and '"tol": 0' in serialize.dump(run_suite(config))
+
+
 def test_input_classes_match_registry():
     assert {c.input_class for c in REGISTRY.values()} == set(INPUT_CLASSES)
 
@@ -979,6 +1010,55 @@ REFUSED_INSTANCES = {
     "square": ("abs-block-corollary", [(np.ones((2, 3), dtype=np.complex128),
                                         "cannot have dims 2x3")]),
 }
+
+
+_NAN = np.array([[np.nan, 2.0], [3.0, 4.0]])
+_INF = np.array([[np.inf, 2.0], [3.0, 4.0]], dtype=np.complex128)
+# (case, an instance with an inf or NaN entry) of each non-block class with
+# float or complex entries: each used to reach its check.
+NON_FINITE = [("abs-block-corollary", _NAN), ("abs-block-corollary", _INF),
+              ("lem39-singular", (_NAN, np.ones((2, 2)))),
+              ("lem39-singular", (np.ones((2, 2)), _INF)),
+              ("lem38-eigen", (_INF, np.ones((2, 2)))), ("lem38-eigen", (np.ones((2, 2)), _NAN))]
+
+
+@pytest.mark.parametrize("case_id,instance", NON_FINITE)
+def test_check_case_refuses_a_non_finite_array(case_id, instance):
+    """A non-finite entry is refused with ValueError before any check runs,
+    where it made an SVD fail to converge or a theorem read as failing; the
+    finite instance next to it still holds."""
+    with pytest.raises(ValueError, match="non-finite"):
+        check_case(case_id, instance)
+    with pytest.raises(ValueError, match="non-finite"):
+        require_instance(REGISTRY[case_id].input_class, suite._each(instance, lambda x: x[None]))
+    finite = suite._each(instance, lambda x: np.where(np.isfinite(x), x, 1.0))
+    assert check_case(case_id, finite).holds
+
+
+# (case, an instance of another class's type)
+FOREIGN_INSTANCES = [("ando", np.eye(4)), ("ando", 5), ("ando", (np.eye(2), np.eye(2))),
+                     ("ck-lih", make_instance("ando", 2, 2, 1)),
+                     ("lem39-singular", make_instance("ando", 2, 2, 1)),
+                     ("lem39-singular", np.eye(2)),
+                     ("lem39-singular", (np.eye(2), np.eye(2), np.eye(2))),
+                     ("abs-block-corollary", (np.eye(2), np.eye(2))),
+                     ("eq18-matrix", np.zeros((4, 4)))]
+
+
+@pytest.mark.parametrize("case_id,instance", FOREIGN_INSTANCES,
+                         ids=[f"{c}-{type(x).__name__}" for c, x in FOREIGN_INSTANCES])
+def test_an_instance_of_another_type_is_refused_with_value_error(case_id, instance):
+    """check_case, and build_slack for a slack case, refuse an instance that
+    is not of the type of the case's draws with ValueError, where they
+    raised AttributeError or TypeError; require_instance names the type."""
+    input_class = REGISTRY[case_id].input_class
+    with pytest.raises(ValueError, match=f"a {input_class} instance is a "):
+        require_instance(input_class, instance)
+    with pytest.raises(ValueError):
+        check_case(case_id, instance)
+    if REGISTRY[case_id].check_kind in suite._SLACK_KINDS:
+        with pytest.raises(ValueError, match=f"a {input_class} instance is a "):
+            build_slack(case_id, instance)
 
 
 @pytest.mark.parametrize("input_class", list(INPUT_CLASSES))
