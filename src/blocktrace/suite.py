@@ -916,8 +916,8 @@ def require_instance(input_class: str, instance, tol: float = PSD_TOL):
     if kind is tuple and np.shape(instance[0]) != np.shape(instance[1]):
         raise ValueError("the two factors of the pair differ in shape")
     dims = _dims(instance)
-    if len(dims) != 2 or INPUT_CLASSES[input_class].shape(*dims) != dims:
-        raise ValueError(f"a {input_class} instance cannot have dims {'x'.join(map(str, dims))}")
+    if INPUT_CLASSES[input_class].shape(*dims) != dims:
+        raise ValueError("a {} instance cannot have dims {}x{}".format(input_class, *dims))
     if kind is BlockMatrix:  # require_hermitian refuses a non-finite entry
         instance = BlockMatrix(instance.m, instance.n, _herm(require_hermitian(instance.dense)))
     elif any(x.dtype.kind in "fc" and not np.isfinite(x).all()
